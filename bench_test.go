@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"protemp/internal/control"
 	"protemp/internal/core"
 	"protemp/internal/experiments"
 	"protemp/internal/floorplan"
@@ -711,7 +712,7 @@ func BenchmarkAblationTableResolution(b *testing.B) {
 				res, err := sim.Run(context.Background(), sim.Config{
 					Chip:   s.Chip,
 					Disc:   s.Disc,
-					Policy: &sim.ProTemp{Controller: ctrl},
+					Policy: sim.NewProTemp(context.Background(), control.Table(ctrl), nil),
 					Trace:  trace,
 					TMax:   experiments.TMax,
 				})

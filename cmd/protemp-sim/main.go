@@ -25,6 +25,8 @@ import (
 
 	"protemp"
 	"protemp/internal/cli"
+	"protemp/internal/control"
+	"protemp/internal/core"
 	"protemp/internal/obs"
 	"protemp/internal/sim"
 	"protemp/internal/workload"
@@ -130,19 +132,21 @@ func main() {
 			needTable = true
 			runs = append(runs, nil) // placeholder, filled below
 		case "online":
-			runs = append(runs, &sim.ProTempOnline{
+			ol, err := core.NewOnlineSolver(core.OnlineSpec{
 				Chip:    chip,
 				Window:  engine.Window(),
 				TMax:    *tmax,
 				Variant: engine.Variant(),
-				Flight:  flight,
 			})
-		case "dmpc":
-			pd, err := engine.DMPCPolicy(0, engine.Variant(), *tmax)
 			if err != nil {
 				log.Fatal(err)
 			}
-			pd.Flight = flight
+			runs = append(runs, sim.NewProTemp(ctx, control.Online(ol, flight, nil), nil))
+		case "dmpc":
+			pd, err := engine.DMPCPolicy(ctx, 0, engine.Variant(), *tmax, flight)
+			if err != nil {
+				log.Fatal(err)
+			}
 			runs = append(runs, pd)
 		default:
 			log.Fatalf("unknown policy %q", p)

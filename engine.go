@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"protemp/internal/control"
 	"protemp/internal/core"
 	"protemp/internal/dmpc"
 	"protemp/internal/floorplan"
@@ -388,14 +389,16 @@ func (e *Engine) newDMPCSolver(clusters int, v core.Variant, tmax float64) (*dmp
 // partitioned into the given cluster count (<= 0 selects the engine's
 // configured or default count), each cluster's subproblem solved in
 // parallel per window under ADMM-style boundary consensus. tmax <= 0
-// selects the engine limit. The policy's per-window latency histogram
-// feeds the engine's dmpc_step_solve_nanos instrument.
-func (e *Engine) DMPCPolicy(clusters int, v core.Variant, tmax float64) (*sim.ProTempDMPC, error) {
+// selects the engine limit. Every window decides under ctx, so
+// cancelling it reaches an in-flight solve. A non-nil flight recorder
+// traces every window. The policy's per-window latency histogram feeds
+// the engine's dmpc_step_solve_nanos instrument.
+func (e *Engine) DMPCPolicy(ctx context.Context, clusters int, v core.Variant, tmax float64, flight *obs.FlightRecorder) (*sim.ProTemp, error) {
 	sol, err := e.newDMPCSolver(clusters, v, tmax)
 	if err != nil {
 		return nil, err
 	}
-	return &sim.ProTempDMPC{Solver: sol, SolveNanos: e.reg.Histogram("dmpc_step_solve_nanos")}, nil
+	return sim.NewProTemp(ctx, control.DMPC(sol, flight, nil), e.reg.Histogram("dmpc_step_solve_nanos")), nil
 }
 
 // observeDMPCStep folds one distributed window solve into the engine
@@ -403,20 +406,20 @@ func (e *Engine) DMPCPolicy(clusters int, v core.Variant, tmax float64) (*sim.Pr
 // into dmpc_outer_iters and dmpc_primal_residual_milli_c, and the
 // cluster/warm/fallback outcomes into the dmpc_* counters. Sessions
 // call it once per Step.
-func (e *Engine) observeDMPCStep(d time.Duration, stats dmpc.StepStats, err error) {
-	e.reg.Histogram("dmpc_step_solve_nanos").ObserveDuration(d.Nanoseconds())
+func (e *Engine) observeDMPCStep(stats control.Stats, err error) {
+	e.reg.Histogram("dmpc_step_solve_nanos").ObserveDuration(stats.Nanos)
 	e.reg.Histogram("dmpc_outer_iters").Observe(uint64(stats.OuterIters))
 	e.reg.Histogram("dmpc_primal_residual_milli_c").Observe(uint64(stats.PrimalResidC * 1000))
 	e.reg.Counter("dmpc_steps").Inc()
-	e.reg.Counter("dmpc_cluster_solves").Add(uint64(stats.ClusterSolves))
+	e.reg.Counter("dmpc_cluster_solves").Add(uint64(stats.Solves))
 	e.reg.Counter("dmpc_warm_hits").Add(uint64(stats.WarmHits))
 	e.reg.Counter("dmpc_warm_rejects").Add(uint64(stats.WarmRejects))
 	e.reg.Counter("dmpc_downgrades").Add(uint64(stats.Downgrades))
 	e.reg.Counter("dmpc_idles").Add(uint64(stats.Idles))
-	if stats.Converged {
+	if stats.Converged > 0 {
 		e.reg.Counter("dmpc_converged").Inc()
 	}
-	if stats.Fallback {
+	if stats.Fallbacks > 0 {
 		e.reg.Counter("dmpc_fallbacks").Inc()
 	}
 	if err != nil {
@@ -489,7 +492,7 @@ func (e *Engine) ProTempPolicy(table *core.Table) (sim.Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sim.ProTemp{Controller: ctrl}, nil
+	return sim.NewProTemp(context.Background(), control.Table(ctrl), nil), nil
 }
 
 // BasicDFSPolicy builds the reactive baseline at the given threshold.

@@ -54,8 +54,7 @@ func TestEngineDefaults(t *testing.T) {
 	}
 }
 
-// The redesign's reason-to-exist: explicit zero values that the legacy
-// SystemConfig silently replaced with defaults are now representable.
+// Explicit zero values are honored, not replaced with defaults.
 func TestExplicitZeroUncoreShare(t *testing.T) {
 	e, err := New(fastOpts(WithUncoreShare(0))...)
 	if err != nil {
@@ -63,14 +62,6 @@ func TestExplicitZeroUncoreShare(t *testing.T) {
 	}
 	if got := e.Chip().TotalUncorePower(); got != 0 {
 		t.Fatalf("WithUncoreShare(0) gave %g W uncore", got)
-	}
-	// The legacy shim keeps the old zero-means-default contract.
-	s, err := NewSystem(SystemConfig{UncoreShare: 0, Dt: 1e-3, WindowSteps: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Chip.TotalUncorePower(); got == 0 {
-		t.Fatal("legacy SystemConfig{UncoreShare: 0} should default to 30%, got 0")
 	}
 }
 
@@ -277,7 +268,7 @@ func TestOnlineSessionStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Online() || s.Table() != nil {
+	if s.Mode() != "online" || s.Table() != nil {
 		t.Fatal("online session misreports itself")
 	}
 	freqs, err := s.Step(context.Background(), State{MaxCoreTemp: 60, RequiredFreq: 400e6})

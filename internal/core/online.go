@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"time"
 
 	"protemp/internal/linalg"
 	"protemp/internal/obs"
@@ -108,6 +110,9 @@ func NewOnlineSolver(os OnlineSpec) (*OnlineSolver, error) {
 	return o, nil
 }
 
+// Spec returns the fixed problem the solver was compiled for.
+func (o *OnlineSolver) Spec() OnlineSpec { return o.spec }
+
 // Warm reports whether the next Solve has a previous optimum to seed
 // from.
 func (o *OnlineSolver) Warm() bool { return o.prevX != nil }
@@ -204,4 +209,87 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 	// follows (warmSeed re-validates it against the refreshed offsets,
 	// so a stale seed degrades to a cold solve, never a wrong one).
 	return a, st, nil
+}
+
+// DowngradeStats is one Downgrade call's accounting: the solves it ran
+// and how the window ended.
+type DowngradeStats struct {
+	// Solves counts the window solves (one, or two after a downgrade);
+	// WarmHits / WarmRejects and NewtonIters aggregate their outcomes.
+	Solves      int
+	WarmHits    int
+	WarmRejects int
+	NewtonIters int
+	// Downgraded reports that the required target was unsupportable and
+	// the window re-solved at the bisected maximum; Idle that the window
+	// idled (nothing supportable, or the downgraded re-solve failed).
+	Downgraded bool
+	Idle       bool
+}
+
+// Downgrade decides one window with the run-time phase's fallback
+// ladder — the one place the rule is written: solve at the required
+// target; if that is unsupportable from the observed state, bisect the
+// largest supportable uniform target and re-solve just inside it
+// (0.98·maxF, the run-time analogue of the paper's "next lower
+// frequency point"); if even that fails, idle the window. An idle
+// window returns an all-zero assignment and a nil error.
+//
+// observe, when non-nil, receives every solve's wall time, warm-start
+// outcome and error. span, when non-nil, records the bisection as a
+// "bisect" solve span and marks the step a "bisect-downgrade"
+// fallback; it must be driven by the calling goroutine alone. Errors
+// (including ctx cancellation) end the ladder and are returned as is.
+func (o *OnlineSolver) Downgrade(ctx context.Context, tstart float64, t0 []float64, required float64, span obs.Recorder, observe func(time.Duration, OnlineStepStats, error)) (*Assignment, DowngradeStats, error) {
+	var ds DowngradeStats
+	a, err := o.countedSolve(ctx, tstart, t0, required, &ds, observe)
+	if err != nil || a.Feasible {
+		return a, ds, err
+	}
+	spec := &Spec{
+		Chip: o.spec.Chip, Window: o.spec.Window, TMax: o.spec.TMax,
+		TStart: tstart, FTarget: required, T0: t0,
+		Variant: o.spec.Variant, GradWeight: o.spec.GradWeight, GradStride: o.spec.GradStride,
+		ConstrainAllBlocks: o.spec.ConstrainAllBlocks,
+	}
+	if span != nil {
+		span.Fallback("bisect-downgrade")
+		span.SolveStart(required)
+		span.Rung("bisect")
+	}
+	maxF, _, err := SolveUniformBisectContext(ctx, spec)
+	if span != nil {
+		span.SolveEnd(maxF > 0, err)
+	}
+	if err != nil {
+		return nil, ds, err
+	}
+	if maxF > 0 {
+		ds.Downgraded = true
+		a, err = o.countedSolve(ctx, tstart, t0, math.Min(required, 0.98*maxF), &ds, observe)
+		if err != nil || a.Feasible {
+			return a, ds, err
+		}
+	}
+	ds.Idle = true
+	n := o.spec.Chip.NumCores()
+	return &Assignment{Feasible: true, Freqs: make([]float64, n), Powers: make([]float64, n)}, ds, nil
+}
+
+// countedSolve is one timed Solve folded into ds.
+func (o *OnlineSolver) countedSolve(ctx context.Context, tstart float64, t0 []float64, ftarget float64, ds *DowngradeStats, observe func(time.Duration, OnlineStepStats, error)) (*Assignment, error) {
+	start := time.Now()
+	a, st, err := o.Solve(ctx, tstart, t0, ftarget)
+	if observe != nil {
+		observe(time.Since(start), st, err)
+	}
+	ds.Solves++
+	if st.Warm {
+		ds.WarmHits++
+	}
+	if st.WarmRejected {
+		ds.WarmRejects++
+	}
+	ds.NewtonIters += st.NewtonIters
+	return a, err
 }

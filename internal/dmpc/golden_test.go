@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"protemp/internal/control"
 	"protemp/internal/core"
 	"protemp/internal/dmpc"
 	"protemp/internal/floorplan"
@@ -78,6 +79,22 @@ func (r *goldenRig) dmpcSolver(t *testing.T, v core.Variant, clusters int) *dmpc
 	return sol
 }
 
+// online is the centralized online MPC policy.
+func (r *goldenRig) online(t *testing.T, v core.Variant) *sim.ProTemp {
+	t.Helper()
+	ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: r.chip, Window: r.window, TMax: goldenTMax, Variant: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim.NewProTemp(context.Background(), control.Online(ol, nil, nil), nil)
+}
+
+// distributed is the distributed MPC policy over the given partition.
+func (r *goldenRig) distributed(t *testing.T, v core.Variant, clusters int) *sim.ProTemp {
+	t.Helper()
+	return sim.NewProTemp(context.Background(), control.DMPC(r.dmpcSolver(t, v, clusters), nil, nil), nil)
+}
+
 // recorder captures every window decision a policy makes.
 type recorder struct {
 	inner     sim.Policy
@@ -142,8 +159,8 @@ func TestGoldenSingleClusterMatchesCentralized(t *testing.T) {
 	const tolHz = 1e3 // 1e-6 of fmax: well inside the duality-gap tolerance
 	for _, v := range []core.Variant{core.VariantVariable, core.VariantUniform, core.VariantGradient} {
 		t.Run(v.String(), func(t *testing.T) {
-			central := &sim.ProTempOnline{Chip: r.chip, Window: r.window, TMax: goldenTMax, Variant: v}
-			distributed := &sim.ProTempDMPC{Solver: r.dmpcSolver(t, v, 1)}
+			central := r.online(t, v)
+			distributed := r.distributed(t, v, 1)
 			resC, recC := r.run(t, central, 11, nil)
 			resD, recD := r.run(t, distributed, 11, nil)
 			if d := maxFreqDiff(t, recC.decisions, recD.decisions); d > tolHz {
@@ -152,10 +169,10 @@ func TestGoldenSingleClusterMatchesCentralized(t *testing.T) {
 			if d := math.Abs(resC.MaxCoreTemp - resD.MaxCoreTemp); d > 1e-6 {
 				t.Fatalf("MaxCoreTemp differs by %g °C", d)
 			}
-			if distributed.Fallbacks != 0 {
-				t.Fatalf("single-cluster run took %d fallbacks", distributed.Fallbacks)
+			if fb := distributed.Stats().Fallbacks; fb != 0 {
+				t.Fatalf("single-cluster run took %d fallbacks", fb)
 			}
-			if distributed.Solves == 0 || len(recD.decisions) == 0 {
+			if distributed.Stats().Steps == 0 || len(recD.decisions) == 0 {
 				t.Fatal("distributed policy never solved")
 			}
 		})
@@ -174,8 +191,8 @@ func TestGoldenDropoutBurst(t *testing.T) {
 			Seed:    3,
 		}
 	}
-	central := &sim.ProTempOnline{Chip: r.chip, Window: r.window, TMax: goldenTMax}
-	distributed := &sim.ProTempDMPC{Solver: r.dmpcSolver(t, core.VariantVariable, 1)}
+	central := r.online(t, core.VariantVariable)
+	distributed := r.distributed(t, core.VariantVariable, 1)
 	resC, recC := r.run(t, central, 12, sn())
 	resD, recD := r.run(t, distributed, 12, sn())
 	if resC.Sense == nil || resC.Sense.DegradedWindows == 0 {
@@ -195,7 +212,7 @@ func TestGoldenDropoutBurst(t *testing.T) {
 // metrics populated.
 func TestGoldenMultiClusterStaysSafe(t *testing.T) {
 	r := newGoldenRig(t)
-	distributed := &sim.ProTempDMPC{Solver: r.dmpcSolver(t, core.VariantVariable, 2)}
+	distributed := r.distributed(t, core.VariantVariable, 2)
 	res, rec := r.run(t, distributed, 13, nil)
 	if len(rec.decisions) == 0 {
 		t.Fatal("no windows decided")
@@ -206,7 +223,7 @@ func TestGoldenMultiClusterStaysSafe(t *testing.T) {
 	if res.Completed == 0 {
 		t.Fatal("no tasks completed")
 	}
-	if distributed.OuterIters < distributed.Solves {
-		t.Fatalf("outer iterations %d < windows %d", distributed.OuterIters, distributed.Solves)
+	if st := distributed.Stats(); st.OuterIters < st.Steps {
+		t.Fatalf("outer iterations %d < windows %d", st.OuterIters, st.Steps)
 	}
 }

@@ -180,10 +180,9 @@ type Solver struct {
 	// temperature of boundary block b from the latest round.
 	ownEnd []float64
 
-	centralOnce   sync.Once
-	central       *core.OnlineSolver
-	centralWindow *thermal.WindowResponse
-	centralErr    error
+	centralOnce sync.Once
+	central     *core.OnlineSolver
+	centralErr  error
 
 	// ClusterNanos, when set, receives every cluster subproblem solve's
 	// wall time (the per-cluster solve-latency histogram surfaced in
@@ -220,12 +219,7 @@ type clusterSub struct {
 	ownTend linalg.Vector
 	peak    float64
 	gap     float64
-	newton  int
-	solves  int
-	warm    int
-	warmRej int
-	downgr  int
-	idle    bool
+	ds      core.DowngradeStats
 	err     error
 }
 
@@ -501,9 +495,8 @@ func (s *Solver) Solve(ctx context.Context, tstart float64, t0 []float64, ftarge
 }
 
 // solveRound solves every cluster subproblem once over the bounded
-// worker pool, each with the same per-cluster downgrade ladder the
-// centralized path applies (solve at target; if unsupportable, bisect
-// the largest uniform target and re-solve just inside it; else idle).
+// worker pool, each through core.OnlineSolver.Downgrade — the same
+// downgrade ladder the centralized path applies.
 // worstCase replaces dual-adjusted halo temperatures with TMax — the
 // conservative final fallback rung.
 func (s *Solver) solveRound(ctx context.Context, tstart float64, t0g []float64, ftarget float64, stats *StepStats, worstCase bool) error {
@@ -530,14 +523,7 @@ func (s *Solver) solveRound(ctx context.Context, tstart float64, t0g []float64, 
 
 	var firstErr error
 	for _, sub := range s.subs {
-		stats.ClusterSolves += sub.solves
-		stats.WarmHits += sub.warm
-		stats.WarmRejects += sub.warmRej
-		stats.Downgrades += sub.downgr
-		stats.NewtonIters += sub.newton
-		if sub.idle {
-			stats.Idles++
-		}
+		stats.add(sub.ds)
 		if sub.err != nil && firstErr == nil {
 			firstErr = sub.err
 		}
@@ -560,10 +546,7 @@ func (s *Solver) solveRound(ctx context.Context, tstart float64, t0g []float64, 
 // scratch. Only the worker owning cluster c touches its state.
 func (s *Solver) solveCluster(ctx context.Context, c int, tstart float64, t0g []float64, ftarget float64, worstCase bool) {
 	sub := s.subs[c]
-	sub.solves, sub.warm, sub.warmRej, sub.downgr, sub.newton = 0, 0, 0, 0, 0
-	sub.idle = false
 	sub.err = nil
-	sub.peak, sub.gap = 0, 0
 	if s.rec != nil {
 		sub.ol.SetRecorder(s.rec.Cluster(c))
 	} else {
@@ -581,72 +564,38 @@ func (s *Solver) solveCluster(ctx context.Context, c int, tstart float64, t0g []
 		sub.t0c[len(sub.blocks)+hi] = t
 	}
 
-	a, err := sub.solve(ctx, tstart, ftarget, s.ClusterNanos)
+	a, ds, err := sub.ol.Downgrade(ctx, tstart, sub.t0c, ftarget, nil, s.observeSolve)
+	sub.ds = ds
 	if err != nil {
 		sub.err = err
 		return
 	}
-	if !a.Feasible {
-		// Downgrade ladder, mirroring the centralized online path: the
-		// largest supportable uniform target, re-solved just inside it.
-		spec := &core.Spec{
-			Chip:    sub.chip,
-			Window:  sub.window,
-			TStart:  tstart,
-			TMax:    s.cfg.TMax,
-			FTarget: ftarget,
-			Variant: s.cfg.Variant,
-			T0:      sub.t0c,
-		}
-		maxF, _, err := core.SolveUniformBisectContext(ctx, spec)
-		if err != nil {
-			sub.err = err
-			return
-		}
-		if maxF <= 0 {
-			sub.idle = true
-		} else {
-			sub.downgr++
-			a, err = sub.solve(ctx, tstart, math.Min(ftarget, 0.98*maxF), s.ClusterNanos)
-			if err != nil {
-				sub.err = err
-				return
-			}
-			if !a.Feasible {
-				sub.idle = true
-			}
-		}
-	}
-	if sub.idle {
-		for i := range sub.freqs {
-			sub.freqs[i] = 0
-		}
-	} else {
-		copy(sub.freqs, a.Freqs)
-		sub.peak = a.PeakTemp
-		sub.gap = a.Gap
-	}
+	copy(sub.freqs, a.Freqs)
+	sub.peak = a.PeakTemp
+	sub.gap = a.Gap
 	sub.predict(c, s)
 }
 
-// solve runs one warm-capable subproblem solve, folding the warm-start
-// outcome into the cluster's round scratch and the wall time into the
+// observeSolve folds one subproblem solve's wall time into the
 // solver's latency histogram (atomic, so workers observe concurrently).
-func (sub *clusterSub) solve(ctx context.Context, tstart, ftarget float64, hist *metrics.Histogram) (*core.Assignment, error) {
-	start := time.Now()
-	a, st, err := sub.ol.Solve(ctx, tstart, sub.t0c, ftarget)
-	if hist != nil {
-		hist.ObserveDuration(time.Since(start).Nanoseconds())
+func (s *Solver) observeSolve(d time.Duration, _ core.OnlineStepStats, _ error) {
+	if s.ClusterNanos != nil {
+		s.ClusterNanos.ObserveDuration(d.Nanoseconds())
 	}
-	sub.solves++
-	if st.Warm {
-		sub.warm++
+}
+
+// add folds one downgrade ladder's accounting into the window stats.
+func (st *StepStats) add(ds core.DowngradeStats) {
+	st.ClusterSolves += ds.Solves
+	st.WarmHits += ds.WarmHits
+	st.WarmRejects += ds.WarmRejects
+	st.NewtonIters += ds.NewtonIters
+	if ds.Downgraded {
+		st.Downgrades++
 	}
-	if st.WarmRejected {
-		sub.warmRej++
+	if ds.Idle {
+		st.Idles++
 	}
-	sub.newton += st.NewtonIters
-	return a, err
 }
 
 // predict computes the cluster's consensus-step temperature forecast
@@ -746,7 +695,7 @@ func (s *Solver) fallback(ctx context.Context, tstart float64, t0g []float64, ft
 }
 
 // centralSolve is the centralized fallback rung: the same program and
-// ladder the engine's online session runs, compiled lazily because on
+// Downgrade ladder the engine's online session runs, compiled lazily because on
 // small chips it is affordable and on a healthy consensus loop it is
 // never needed.
 func (s *Solver) centralSolve(ctx context.Context, tstart float64, t0g []float64, ftarget float64, stats *StepStats) (*core.Assignment, error) {
@@ -767,7 +716,6 @@ func (s *Solver) centralSolve(ctx context.Context, tstart float64, t0g []float64
 			s.centralErr = err
 			return
 		}
-		s.centralWindow = window
 		s.central, s.centralErr = core.NewOnlineSolver(core.OnlineSpec{
 			Chip:    s.cfg.Chip,
 			Window:  window,
@@ -784,59 +732,9 @@ func (s *Solver) centralSolve(ctx context.Context, tstart float64, t0g []float64
 	} else {
 		s.central.SetRecorder(nil)
 	}
-	start := time.Now()
-	a, st, err := s.central.Solve(ctx, tstart, t0g, ftarget)
-	if s.ClusterNanos != nil {
-		s.ClusterNanos.ObserveDuration(time.Since(start).Nanoseconds())
-	}
-	stats.ClusterSolves++
-	if st.Warm {
-		stats.WarmHits++
-	}
-	if st.WarmRejected {
-		stats.WarmRejects++
-	}
-	stats.NewtonIters += st.NewtonIters
-	if err != nil {
-		return nil, err
-	}
-	if a.Feasible {
-		return a, nil
-	}
-	spec := &core.Spec{
-		Chip:    s.cfg.Chip,
-		Window:  s.centralWindow,
-		TStart:  tstart,
-		TMax:    s.cfg.TMax,
-		FTarget: ftarget,
-		Variant: s.cfg.Variant,
-		T0:      t0g,
-	}
-	maxF, _, err := core.SolveUniformBisectContext(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	n := s.cfg.Chip.NumCores()
-	if maxF <= 0 {
-		stats.Idles++
-		return idleAssignment(n), nil
-	}
-	stats.Downgrades++
-	start = time.Now()
-	a, st, err = s.central.Solve(ctx, tstart, t0g, math.Min(ftarget, 0.98*maxF))
-	if s.ClusterNanos != nil {
-		s.ClusterNanos.ObserveDuration(time.Since(start).Nanoseconds())
-	}
-	stats.ClusterSolves++
-	stats.NewtonIters += st.NewtonIters
-	if err != nil {
-		return nil, err
-	}
-	if !a.Feasible {
-		stats.Idles++
-		return idleAssignment(n), nil
-	}
-	return a, nil
+	a, ds, err := s.central.Downgrade(ctx, tstart, t0g, ftarget, nil, s.observeSolve)
+	stats.add(ds)
+	return a, err
 }
 
 // assemble stitches the clusters' latest decisions into one full-chip
@@ -867,12 +765,4 @@ func (s *Solver) assemble(stats *StepStats) *core.Assignment {
 	a.AvgFreq /= float64(n)
 	a.NewtonIters = stats.NewtonIters
 	return a
-}
-
-func idleAssignment(n int) *core.Assignment {
-	return &core.Assignment{
-		Feasible: true,
-		Freqs:    make([]float64, n),
-		Powers:   make([]float64, n),
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"protemp/internal/control"
 	"protemp/internal/sim"
 	"protemp/internal/workload"
 )
@@ -38,7 +39,7 @@ func (s *Setup) bands(ctx context.Context, figure, name string, tr *workload.Tra
 	policies := []sim.Policy{
 		&sim.NoTC{NumCores: n, FMax: fmax},
 		&sim.BasicDFS{NumCores: n, FMax: fmax, Threshold: BasicThreshold},
-		&sim.ProTemp{Controller: s.Ctrl},
+		sim.NewProTemp(ctx, control.Table(s.Ctrl), nil),
 	}
 	out := &BandsResult{Figure: figure, Workload: name}
 	for _, p := range policies {
@@ -102,7 +103,7 @@ func (s *Setup) Fig7(ctx context.Context) (*WaitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pro, err := s.runTrace(ctx, &sim.ProTemp{Controller: s.Ctrl}, s.Heavy, nil)
+	pro, err := s.runTrace(ctx, sim.NewProTemp(ctx, control.Table(s.Ctrl), nil), s.Heavy, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -164,11 +165,11 @@ func (s *Setup) Fig11(ctx context.Context) (*AssignResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	proFI, err := run(&sim.ProTemp{Controller: s.Ctrl}, nil)
+	proFI, err := run(sim.NewProTemp(ctx, control.Table(s.Ctrl), nil), nil)
 	if err != nil {
 		return nil, err
 	}
-	proCF, err := run(&sim.ProTemp{Controller: s.Ctrl}, cool)
+	proCF, err := run(sim.NewProTemp(ctx, control.Table(s.Ctrl), nil), cool)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"protemp/internal/control"
 	"protemp/internal/metrics"
 	"protemp/internal/sim"
 	"protemp/internal/workload"
@@ -54,7 +55,7 @@ func (s *Setup) Fig1(ctx context.Context) (*TraceResult, error) {
 // Fig2 reproduces the Pro-Temp snapshot of the same processor under the
 // same trace: the limit is respected at every instant.
 func (s *Setup) Fig2(ctx context.Context) (*TraceResult, error) {
-	res, err := s.runTrace(ctx, &sim.ProTemp{Controller: s.Ctrl}, s.Heavy, []string{"P1"})
+	res, err := s.runTrace(ctx, sim.NewProTemp(ctx, control.Table(s.Ctrl), nil), s.Heavy, []string{"P1"})
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +65,7 @@ func (s *Setup) Fig2(ctx context.Context) (*TraceResult, error) {
 // Fig8 reproduces the two-processor Pro-Temp trace (P1 and P2): the
 // spatial gradient between a periphery and a middle core stays small.
 func (s *Setup) Fig8(ctx context.Context) (*TraceResult, error) {
-	res, err := s.runTrace(ctx, &sim.ProTemp{Controller: s.Ctrl}, s.Mixed, []string{"P1", "P2"})
+	res, err := s.runTrace(ctx, sim.NewProTemp(ctx, control.Table(s.Ctrl), nil), s.Mixed, []string{"P1", "P2"})
 	if err != nil {
 		return nil, err
 	}

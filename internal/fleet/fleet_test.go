@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,6 +256,57 @@ func TestFleetCancellation(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// solveCancelCtx is a run context that is live until a barrier solve
+// polls it, and cancelled from that first poll on: it lands a
+// cancellation deterministically inside the first window's solve, and
+// it records that the solve saw the run's context at all.
+type solveCancelCtx struct {
+	context.Context
+	fired atomic.Bool
+}
+
+func (c *solveCancelCtx) Err() error {
+	if c.fired.Load() {
+		return context.Canceled
+	}
+	pcs := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasPrefix(f.Function, "protemp/internal/solver.") {
+			c.fired.Store(true)
+			return context.Canceled
+		}
+		if !more {
+			return nil
+		}
+	}
+}
+
+// TestFleetCancelReachesInflightSolve checks that a cell's context
+// reaches the solver policies' in-flight solves: a cell cancelled
+// during its first window's barrier solve aborts that solve at its
+// first Newton poll and ends with ctx.Err(), rather than finishing the
+// window under a context the cancellation cannot reach.
+func TestFleetCancelReachesInflightSolve(t *testing.T) {
+	eng := fastEngine(t)
+	for _, p := range []fleet.PolicySpec{{Kind: "protemp-online"}, {Kind: "protemp-dmpc", Clusters: 2}} {
+		t.Run(p.Kind, func(t *testing.T) {
+			ctx := &solveCancelCtx{Context: context.Background()}
+			res, err := fleet.NewRunner(eng, nil, nil).Run(ctx, quickSpec([]string{"mixed"}, []fleet.PolicySpec{p}, 1))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("batch err = %v, want context.Canceled", err)
+			}
+			if !ctx.fired.Load() {
+				t.Fatal("no barrier solve polled the run's context")
+			}
+			if rr := res.Runs[0]; rr.Summary != nil || rr.Error != context.Canceled.Error() {
+				t.Fatalf("cell ended with summary %v, error %q; want no summary and %q", rr.Summary, rr.Error, context.Canceled)
+			}
+		})
 	}
 }
 

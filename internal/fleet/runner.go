@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"protemp/internal/control"
 	"protemp/internal/core"
 	"protemp/internal/estimate"
 	"protemp/internal/linalg"
@@ -32,10 +33,11 @@ type Engine interface {
 	Variant() core.Variant
 	GenerateTableOverride(ctx context.Context, tstarts, ftargets []float64, v core.Variant, tmax float64) (*core.Table, error)
 	TableKeyOverride(tstarts, ftargets []float64, v core.Variant, tmax float64) string
-	// DMPCPolicy builds the distributed-MPC policy: the chip
-	// partitioned into clusters (<= 0 selects the engine default),
-	// solved in parallel per window under ADMM boundary consensus.
-	DMPCPolicy(clusters int, v core.Variant, tmax float64) (*sim.ProTempDMPC, error)
+	// DMPCPolicy builds the distributed-MPC policy deciding under ctx:
+	// the chip partitioned into clusters (<= 0 selects the engine
+	// default), solved in parallel per window under ADMM boundary
+	// consensus, each window traced into flight.
+	DMPCPolicy(ctx context.Context, clusters int, v core.Variant, tmax float64, flight *obs.FlightRecorder) (*sim.ProTemp, error)
 }
 
 // PolicySpec names one control policy of a batch.
@@ -482,7 +484,10 @@ func (r *Runner) simulate(ctx context.Context, spec BatchSpec, run Run) (*Summar
 	if err != nil {
 		return nil, err
 	}
-	policy, tableKey, err := r.buildPolicy(ctx, run.Policy, tmax)
+	// The one-deep flight recorder keeps exactly the slowest solver
+	// window's trace for the Summary.
+	flight := obs.NewFlightRecorder(1, 1)
+	policy, tableKey, err := r.buildPolicy(ctx, run.Policy, tmax, flight)
 	if err != nil {
 		return nil, err
 	}
@@ -526,31 +531,23 @@ func (r *Runner) simulate(ctx context.Context, spec BatchSpec, run Run) (*Summar
 	// multiplying back by cores × sim-time recovers the absolute
 	// violation duration in core-seconds.
 	s.ViolationCoreS = simRes.ViolationFrac * simRes.SimTime * float64(r.eng.Chip().NumCores())
-	if po, ok := policy.(*sim.ProTempOnline); ok {
-		s.StepSolves = uint64(po.Solves)
-		s.StepWarmHits = uint64(po.WarmHits)
-		s.StepWarmRejects = uint64(po.WarmRejects)
-		if po.SolveNanos != nil {
-			s.StepSolveP50Ns = po.SolveNanos.Quantile(50)
-			s.StepSolveP95Ns = po.SolveNanos.Quantile(95)
-			s.StepSolveP99Ns = po.SolveNanos.Quantile(99)
+	if pt, ok := policy.(*sim.ProTemp); ok && pt.Mode() != "table" {
+		st := pt.Stats()
+		s.StepSolves = uint64(st.Solves)
+		s.StepWarmHits = uint64(st.WarmHits)
+		s.StepWarmRejects = uint64(st.WarmRejects)
+		if h := pt.SolveNanos(); h != nil {
+			s.StepSolveP50Ns = h.Quantile(50)
+			s.StepSolveP95Ns = h.Quantile(95)
+			s.StepSolveP99Ns = h.Quantile(99)
 		}
-		s.SlowestTrace = po.Flight.Slowest()
-	}
-	if pd, ok := policy.(*sim.ProTempDMPC); ok {
-		s.StepSolves = uint64(pd.Solves)
-		s.StepWarmHits = uint64(pd.WarmHits)
-		s.StepWarmRejects = uint64(pd.WarmRejects)
-		s.DMPCClusters = pd.Solver.Clusters()
-		s.DMPCOuterIters = uint64(pd.OuterIters)
-		s.DMPCFallbacks = uint64(pd.Fallbacks)
-		s.DMPCMaxPrimalC = pd.MaxPrimalResidC
-		if pd.SolveNanos != nil {
-			s.StepSolveP50Ns = pd.SolveNanos.Quantile(50)
-			s.StepSolveP95Ns = pd.SolveNanos.Quantile(95)
-			s.StepSolveP99Ns = pd.SolveNanos.Quantile(99)
+		s.SlowestTrace = flight.Slowest()
+		if pt.Mode() == "dmpc" {
+			s.DMPCClusters = pt.Clusters()
+			s.DMPCOuterIters = uint64(st.OuterIters)
+			s.DMPCFallbacks = uint64(st.Fallbacks)
+			s.DMPCMaxPrimalC = st.PrimalResidC
 		}
-		s.SlowestTrace = pd.Flight.Slowest()
 	}
 	if sr := simRes.Sense; sr != nil {
 		s.SenseWindows = sr.Windows
@@ -594,8 +591,9 @@ func cellSensing(sc Scenario, run Run) *sim.Sensing {
 
 // buildPolicy instantiates the control policy for one run. Pro-Temp
 // goes through the engine's cached table generation: concurrent runs
-// needing one table spec share a single Phase-1 sweep.
-func (r *Runner) buildPolicy(ctx context.Context, p PolicySpec, tmax float64) (sim.Policy, string, error) {
+// needing one table spec share a single Phase-1 sweep. The solver
+// policies decide every window under ctx and trace it into flight.
+func (r *Runner) buildPolicy(ctx context.Context, p PolicySpec, tmax float64, flight *obs.FlightRecorder) (sim.Policy, string, error) {
 	chip := r.eng.Chip()
 	switch p.Kind {
 	case "no-tc":
@@ -609,47 +607,31 @@ func (r *Runner) buildPolicy(ctx context.Context, p PolicySpec, tmax float64) (s
 			return nil, "", fmt.Errorf("fleet: basic-dfs threshold %g outside (0, %g]", threshold, tmax)
 		}
 		return &sim.BasicDFS{NumCores: chip.NumCores(), FMax: chip.FMax(), Threshold: threshold}, "", nil
+	}
+	v, err := core.ParseVariant(p.Variant, r.eng.Variant())
+	if err != nil {
+		return nil, "", err
+	}
+	switch p.Kind {
 	case "protemp-online":
-		v, err := core.ParseVariant(p.Variant, r.eng.Variant())
+		// No Phase-1 table: the problem is compiled here, once, and every
+		// window's solve warm-starts from the previous optimum; the
+		// histogram feeds the Summary's per-window latency quantiles.
+		ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: chip, Window: r.eng.Window(), TMax: tmax, Variant: v})
 		if err != nil {
 			return nil, "", err
 		}
-		// No Phase-1 table: the policy compiles its problem once on
-		// first Decide and warm-starts every window's solve from the
-		// previous optimum; the histogram feeds the Summary's latency
-		// quantiles.
-		// The one-deep flight recorder keeps exactly the slowest
-		// window's trace for the Summary.
-		return &sim.ProTempOnline{
-			Chip:       chip,
-			Window:     r.eng.Window(),
-			TMax:       tmax,
-			Variant:    v,
-			SolveNanos: &metrics.Histogram{},
-			Flight:     obs.NewFlightRecorder(1, 1),
-		}, "", nil
+		return sim.NewProTemp(ctx, control.Online(ol, flight, nil), &metrics.Histogram{}), "", nil
 	case "protemp-dmpc":
-		v, err := core.ParseVariant(p.Variant, r.eng.Variant())
-		if err != nil {
-			return nil, "", err
-		}
 		// No Phase-1 table either: the engine partitions its chip into
 		// clusters, each with its own warm-startable subproblem, and the
 		// windows run ADMM boundary consensus across them.
-		pd, err := r.eng.DMPCPolicy(p.Clusters, v, tmax)
+		pd, err := r.eng.DMPCPolicy(ctx, p.Clusters, v, tmax, flight)
 		if err != nil {
 			return nil, "", err
 		}
-		if pd.SolveNanos == nil {
-			pd.SolveNanos = &metrics.Histogram{}
-		}
-		pd.Flight = obs.NewFlightRecorder(1, 1)
 		return pd, "", nil
 	case "protemp":
-		v, err := core.ParseVariant(p.Variant, r.eng.Variant())
-		if err != nil {
-			return nil, "", err
-		}
 		table, err := r.eng.GenerateTableOverride(ctx, nil, nil, v, tmax)
 		if err != nil {
 			return nil, "", err
@@ -658,7 +640,7 @@ func (r *Runner) buildPolicy(ctx context.Context, p PolicySpec, tmax float64) (s
 		if err != nil {
 			return nil, "", err
 		}
-		return &sim.ProTemp{Controller: ctrl}, r.eng.TableKeyOverride(nil, nil, v, tmax), nil
+		return sim.NewProTemp(ctx, control.Table(ctrl), nil), r.eng.TableKeyOverride(nil, nil, v, tmax), nil
 	default:
 		return nil, "", fmt.Errorf("fleet: unknown policy kind %q", p.Kind)
 	}

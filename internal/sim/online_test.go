@@ -4,8 +4,26 @@ import (
 	"context"
 	"testing"
 
+	"protemp/internal/control"
+	"protemp/internal/core"
+	"protemp/internal/thermal"
 	"protemp/internal/workload"
 )
+
+// tablePolicy is the table-driven Pro-Temp policy over the rig's table.
+func tablePolicy(r rig) *ProTemp {
+	return NewProTemp(context.Background(), control.Table(r.ctrl), nil)
+}
+
+// onlinePolicy is the online MPC policy over the rig's chip.
+func onlinePolicy(t *testing.T, r rig, window *thermal.WindowResponse) *ProTemp {
+	t.Helper()
+	ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: r.chip, Window: window, TMax: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewProTemp(context.Background(), control.Online(ol, nil, nil), nil)
+}
 
 // The online-solving extension keeps the guarantee and completes work.
 func TestProTempOnlineNeverViolates(t *testing.T) {
@@ -17,7 +35,7 @@ func TestProTempOnlineNeverViolates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	online := &ProTempOnline{Chip: r.chip, Window: window, TMax: 100}
+	online := onlinePolicy(t, r, window)
 	tr, err := workload.ComputeIntensive(11, 8, 2.5).Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +55,7 @@ func TestProTempOnlineNeverViolates(t *testing.T) {
 	if res.Completed == 0 {
 		t.Fatal("no work completed")
 	}
-	if online.Solves == 0 {
+	if online.Stats().Solves == 0 {
 		t.Fatal("online policy never solved")
 	}
 }
@@ -59,14 +77,14 @@ func TestProTempOnlineAtLeastAsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	table, err := Run(context.Background(), Config{
-		Chip: r.chip, Disc: r.disc, Policy: &ProTemp{Controller: r.ctrl}, Trace: tr, TMax: 100,
+		Chip: r.chip, Disc: r.disc, Policy: tablePolicy(r), Trace: tr, TMax: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	online, err := Run(context.Background(), Config{
 		Chip: r.chip, Disc: r.disc,
-		Policy: &ProTempOnline{Chip: r.chip, Window: window, TMax: 100},
+		Policy: onlinePolicy(t, r, window),
 		Trace:  tr, TMax: 100,
 	})
 	if err != nil {

@@ -8,7 +8,9 @@
 //   - Basic-DFS: No-TC plus the traditional reactive rule — a core at
 //     or above the threshold temperature at DFS time shuts down for the
 //     following window (the paper's Figure 1 baseline).
-//   - Pro-Temp: the table-driven controller from internal/core.
+//   - Pro-Temp: the table-driven controller from internal/core, or
+//     its online and distributed MPC extensions (ProTemp over a
+//     control.Window).
 //
 // Sensor sampling happens at window boundaries, which is exactly the
 // reactivity gap the paper's drawback (1) describes: a core can blow
@@ -16,11 +18,13 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 
-	"protemp/internal/core"
+	"protemp/internal/control"
 	"protemp/internal/linalg"
+	"protemp/internal/metrics"
 )
 
 // WindowState is what the thermal/power management unit knows at a DFS
@@ -119,19 +123,70 @@ func (p *BasicDFS) Decide(st WindowState) linalg.Vector {
 	return out
 }
 
-// ProTemp wraps the Phase-2 controller.
+// ProTemp drives the run with one of Pro-Temp's run-time controllers
+// — the Phase-1 table, the online MPC solver or the distributed ADMM
+// solver — through the same control.Window a served session steps, so
+// a simulated run decides exactly as protemp-serve would from the same
+// states. Every window's decision runs under the run's ctx, so
+// cancellation reaches an in-flight solve; a window whose decision
+// fails (cancellation included) idles, which is always thermally safe,
+// and the simulator's boundary check surfaces ctx.Err(). Like every
+// policy it is not safe for concurrent use.
 type ProTemp struct {
-	Controller *core.Controller
+	ctx   context.Context
+	w     *control.Window
+	name  string
+	total control.Stats
+	nanos *metrics.Histogram
+}
+
+// NewProTemp adapts w into a policy deciding under ctx. A non-nil
+// nanos histogram receives every decided window's wall time.
+func NewProTemp(ctx context.Context, w *control.Window, nanos *metrics.Histogram) *ProTemp {
+	name := "Pro-Temp"
+	switch w.Mode() {
+	case "online":
+		name = "Pro-Temp-Online"
+	case "dmpc":
+		name = fmt.Sprintf("Pro-Temp-DMPC(%d)", w.Clusters())
+	}
+	return &ProTemp{ctx: ctx, w: w, name: name, nanos: nanos}
 }
 
 // Name implements Policy.
-func (p *ProTemp) Name() string { return "Pro-Temp" }
+func (p *ProTemp) Name() string { return p.name }
 
 // Decide implements Policy.
 func (p *ProTemp) Decide(st WindowState) linalg.Vector {
-	d := p.Controller.Decide(st.MaxCoreTemp, st.RequiredFreq)
-	return linalg.VectorOf(d.Freqs...)
+	freqs, stats, err := p.w.Decide(p.ctx, control.State{
+		MaxCoreTemp:     st.MaxCoreTemp,
+		RequiredFreq:    st.RequiredFreq,
+		BlockTemps:      st.BlockTemps,
+		SensingDegraded: st.SensingDegraded,
+	})
+	p.total.Add(stats)
+	if p.nanos != nil && stats.Steps > 0 {
+		p.nanos.ObserveDuration(stats.Nanos)
+	}
+	if err != nil {
+		return linalg.NewVector(len(st.CoreTemps))
+	}
+	return linalg.VectorOf(freqs...)
 }
+
+// Mode names the controller: "table", "online" or "dmpc".
+func (p *ProTemp) Mode() string { return p.w.Mode() }
+
+// Clusters returns the distributed partition size, zero otherwise.
+func (p *ProTemp) Clusters() int { return p.w.Clusters() }
+
+// Stats returns the run's decision accounting so far, summed over
+// windows.
+func (p *ProTemp) Stats() control.Stats { return p.total }
+
+// SolveNanos returns the per-window latency histogram (nil when none
+// was supplied).
+func (p *ProTemp) SolveNanos() *metrics.Histogram { return p.nanos }
 
 func clampFreq(f, fmax float64) float64 {
 	if math.IsNaN(f) || f < 0 {

@@ -164,7 +164,7 @@ func TestSensedDegradedFlagAndIdempotentState(t *testing.T) {
 // its solver state: after the blind window the next solve is cold.
 func TestSensedDegradedInvalidatesWarmSolver(t *testing.T) {
 	r := testRig(t)
-	p := &ProTempOnline{Chip: r.chip, Window: mustWindow(t, r), TMax: 100}
+	p := onlinePolicy(t, r, mustWindow(t, r))
 	st := WindowState{
 		Time:         0,
 		CoreTemps:    linalg.Constant(8, 60),
@@ -174,20 +174,17 @@ func TestSensedDegradedInvalidatesWarmSolver(t *testing.T) {
 	}
 	p.Decide(st)
 	p.Decide(st)
-	if p.ol == nil || !p.ol.Warm() {
-		t.Fatal("online solver not warm after two solves")
-	}
 	st.SensingDegraded = true
 	p.Decide(st)
 	st.SensingDegraded = false
 	p.Decide(st)
-	if p.WarmHits < 1 {
+	if p.Stats().WarmHits < 1 {
 		t.Fatal("no warm hits recorded at all")
 	}
 	// The degraded window forced at least one extra cold solve: solves
 	// minus warm hits must exceed the single cold start.
-	if cold := p.Solves - p.WarmHits; cold < 2 {
-		t.Fatalf("cold solves %d, want >= 2 (initial + post-degraded)", cold)
+	if st := p.Stats(); st.Solves-st.WarmHits < 2 {
+		t.Fatalf("cold solves %d, want >= 2 (initial + post-degraded)", st.Solves-st.WarmHits)
 	}
 }
 

@@ -176,7 +176,7 @@ func TestBaselinesViolateUnderHeavyLoad(t *testing.T) {
 func TestProTempNeverViolates(t *testing.T) {
 	r := testRig(t)
 	for _, tr := range []*workload.Trace{heavyTrace(t, 8), mixedTrace(t, 8)} {
-		res := runPolicy(t, r, &ProTemp{Controller: r.ctrl}, tr)
+		res := runPolicy(t, r, tablePolicy(r), tr)
 		if res.MaxCoreTemp > 100.01 {
 			t.Fatalf("Pro-Temp reached %.2f °C", res.MaxCoreTemp)
 		}
@@ -195,7 +195,7 @@ func TestProTempWaitsLessThanBasicDFS(t *testing.T) {
 	r := testRig(t)
 	tr := heavyTrace(t, 8)
 	basic := runPolicy(t, r, &BasicDFS{NumCores: 8, FMax: 1e9, Threshold: 90}, tr)
-	pro := runPolicy(t, r, &ProTemp{Controller: r.ctrl}, tr)
+	pro := runPolicy(t, r, tablePolicy(r), tr)
 	if basic.Wait.Mean() <= 0 {
 		t.Fatal("Basic-DFS has zero waiting — load too light for the comparison")
 	}
@@ -229,10 +229,10 @@ func TestCoolestFirstImproves(t *testing.T) {
 			basicCF.ViolationFrac, basicFI.ViolationFrac)
 	}
 
-	proFI := runPolicy(t, r, &ProTemp{Controller: r.ctrl}, tr)
+	proFI := runPolicy(t, r, tablePolicy(r), tr)
 	proCF, err := Run(context.Background(), Config{
 		Chip: r.chip, Disc: r.disc, Trace: tr,
-		Policy:   &ProTemp{Controller: r.ctrl},
+		Policy:   tablePolicy(r),
 		Assigner: cool,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package protemp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,35 +9,19 @@ import (
 	"protemp/internal/workload"
 )
 
-// fastSystem uses a coarser step so facade tests stay quick.
-func fastSystem(t *testing.T) *System {
+// fastEngine uses a coarser step so facade tests stay quick.
+func fastEngine(t *testing.T) *Engine {
 	t.Helper()
-	s, err := NewSystem(SystemConfig{Dt: 1e-3, WindowSteps: 100})
+	e, err := New(fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
-}
-
-func TestNewNiagaraSystemDefaults(t *testing.T) {
-	s, err := NewNiagaraSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Chip.NumCores() != 8 {
-		t.Fatalf("cores = %d", s.Chip.NumCores())
-	}
-	if s.Config.TMax != 100 || s.Config.Dt != 0.4e-3 || s.Config.WindowSteps != 250 {
-		t.Fatalf("defaults wrong: %+v", s.Config)
-	}
-	if s.Window.Steps() != 250 {
-		t.Fatalf("window steps = %d", s.Window.Steps())
-	}
+	return e
 }
 
 func TestOptimizeEndToEnd(t *testing.T) {
-	s := fastSystem(t)
-	a, err := s.Optimize(60, 500e6, core.VariantVariable)
+	e := fastEngine(t)
+	a, err := e.OptimizeVariant(context.Background(), 60, 500e6, core.VariantVariable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +37,9 @@ func TestOptimizeEndToEnd(t *testing.T) {
 }
 
 func TestTableControllerSimulatePipeline(t *testing.T) {
-	s := fastSystem(t)
-	table, err := s.GenerateTable(
+	e := fastEngine(t)
+	ctx := context.Background()
+	table, err := e.GenerateTableGrid(ctx,
 		[]float64{47, 67, 87, 100},
 		[]float64{250e6, 500e6, 750e6, 1000e6},
 		core.VariantVariable,
@@ -61,15 +47,15 @@ func TestTableControllerSimulatePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pro, err := s.ProTempPolicy(table)
+	pro, err := e.ProTempPolicy(table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := workload.Mixed(5, s.Chip.NumCores(), 3).Generate()
+	trace, err := workload.Mixed(5, e.Chip().NumCores(), 3).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Simulate(pro, trace, "P1")
+	res, err := e.Simulate(ctx, pro, trace, RecordBlocks("P1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +65,7 @@ func TestTableControllerSimulatePipeline(t *testing.T) {
 	if res.Series["P1"].Len() == 0 {
 		t.Fatal("series not recorded")
 	}
-	ctrl, err := s.Controller(table)
+	ctrl, err := e.Controller(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,28 +75,28 @@ func TestTableControllerSimulatePipeline(t *testing.T) {
 }
 
 func TestPolicyConstructors(t *testing.T) {
-	s := fastSystem(t)
-	if _, err := s.BasicDFSPolicy(0); err == nil {
+	e := fastEngine(t)
+	if _, err := e.BasicDFSPolicy(0); err == nil {
 		t.Error("zero threshold accepted")
 	}
-	if _, err := s.BasicDFSPolicy(150); err == nil {
+	if _, err := e.BasicDFSPolicy(150); err == nil {
 		t.Error("threshold above tmax accepted")
 	}
-	b, err := s.BasicDFSPolicy(90)
+	b, err := e.BasicDFSPolicy(90)
 	if err != nil || b.Name() != "Basic-DFS" {
 		t.Fatalf("BasicDFSPolicy: %v, %v", b, err)
 	}
-	if s.NoTCPolicy().Name() != "No-TC" {
+	if e.NoTCPolicy().Name() != "No-TC" {
 		t.Fatal("NoTCPolicy name")
 	}
-	if _, err := s.ProTempPolicy(&core.Table{}); err == nil {
+	if _, err := e.ProTempPolicy(&core.Table{}); err == nil {
 		t.Error("invalid table accepted")
 	}
 }
 
 func TestNewSystemPropagatesErrors(t *testing.T) {
-	bad := SystemConfig{Dt: 10} // unstable Euler step
-	if _, err := NewSystem(bad); err == nil {
+	// An unstable Euler step must surface as a construction error.
+	if _, err := New(WithWindow(10, 250)); err == nil {
 		t.Fatal("unstable step accepted")
 	}
 }

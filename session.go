@@ -2,15 +2,11 @@ package protemp
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"sync"
-	"time"
 
+	"protemp/internal/control"
 	"protemp/internal/core"
-	"protemp/internal/dmpc"
 	"protemp/internal/linalg"
-	"protemp/internal/obs"
 	"protemp/internal/sim"
 )
 
@@ -48,24 +44,19 @@ type State struct {
 // Step calls remain safe but serialize their solves on the session;
 // callers needing solve parallelism open one session per stream.
 type Session struct {
-	engine *Engine
-	ctrl   *core.Controller // table-driven when non-nil
+	engine   *Engine
+	table    *core.Table // table sessions only
+	clusters int         // dmpc sessions only
 
-	// solveMu serializes online and distributed solves: the compiled
-	// problem instances, workspaces and warm state all mutate in place.
-	solveMu sync.Mutex
-	online  *core.OnlineSolver // online (MPC) when non-nil
-	dsolver *dmpc.Solver       // distributed (ADMM) when non-nil
+	// mu serializes decisions: the compiled problem instances,
+	// workspaces and warm state all mutate in place.
+	mu sync.Mutex
+	w  *control.Window
 
-	mu          sync.Mutex
-	steps       uint64
-	downgrades  uint64
-	idles       uint64
-	solves      uint64 // online: window solves; dmpc: cluster subproblem solves
-	warmHits    uint64 // online solves carried by the previous optimum
-	warmRejects uint64 // online solves where the warm seed fell back cold
-	outerIters  uint64 // dmpc only: consensus iterations across all steps
-	fallbacks   uint64 // dmpc only: windows decided by a fallback rung
+	// total folds every step's Stats; statsMu keeps it readable while
+	// a long solve holds mu.
+	statsMu sync.Mutex
+	total   control.Stats
 }
 
 // NewSession opens a table-driven control session on the engine's
@@ -78,11 +69,7 @@ func (e *Engine) NewSession(ctx context.Context) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := core.NewController(table)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{engine: e, ctrl: ctrl}, nil
+	return e.NewSessionFromTable(table)
 }
 
 // NewSessionFromTable opens a session on an explicit table (for
@@ -92,7 +79,7 @@ func (e *Engine) NewSessionFromTable(table *core.Table) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{engine: e, ctrl: ctrl}, nil
+	return &Session{engine: e, table: ctrl.Table(), w: control.Table(ctrl)}, nil
 }
 
 // NewOnlineSession opens a model-predictive session that solves the
@@ -112,7 +99,7 @@ func (e *Engine) NewOnlineSession() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{engine: e, online: ol}, nil
+	return &Session{engine: e, w: control.Online(ol, e.flight, e.observeStepSolve)}, nil
 }
 
 // NewDMPCSession opens a distributed model-predictive session: the
@@ -128,60 +115,35 @@ func (e *Engine) NewDMPCSession() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{engine: e, dsolver: sol}, nil
+	return &Session{engine: e, clusters: sol.Clusters(), w: control.DMPC(sol, e.flight, e.observeDMPCStep)}, nil
 }
-
-// Online reports whether the session solves the centralized program
-// online; false for table-driven and distributed sessions.
-func (s *Session) Online() bool { return s.online != nil }
 
 // Mode names the session's decision path: "table", "online" or "dmpc".
-func (s *Session) Mode() string {
-	switch {
-	case s.online != nil:
-		return "online"
-	case s.dsolver != nil:
-		return "dmpc"
-	default:
-		return "table"
-	}
-}
+func (s *Session) Mode() string { return s.w.Mode() }
 
 // Clusters returns the distributed session's partition size, or zero
 // for table and online sessions.
-func (s *Session) Clusters() int {
-	if s.dsolver == nil {
-		return 0
-	}
-	return s.dsolver.Clusters()
-}
+func (s *Session) Clusters() int { return s.clusters }
 
 // ADMMStats reports a distributed session's consensus work: outer
 // iterations accumulated across steps and windows decided by a
 // fallback rung. Both are zero for table and online sessions.
 func (s *Session) ADMMStats() (outerIters, fallbacks uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.outerIters, s.fallbacks
+	t := s.stats()
+	return uint64(t.OuterIters), uint64(t.Fallbacks)
 }
 
 // Table returns the session's Phase-1 table, or nil for an online
 // session.
-func (s *Session) Table() *core.Table {
-	if s.ctrl == nil {
-		return nil
-	}
-	return s.ctrl.Table()
-}
+func (s *Session) Table() *core.Table { return s.table }
 
 // Stats reports session activity: windows stepped, downgraded
 // decisions (required frequency unsupportable, a lower point
 // substituted), idle windows, and — for online sessions — convex
-// solves performed.
+// solves performed (cluster subproblem solves for dmpc sessions).
 func (s *Session) Stats() (steps, downgrades, idles, solves uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.steps, s.downgrades, s.idles, s.solves
+	t := s.stats()
+	return uint64(t.Steps), uint64(t.Downgrades), uint64(t.Idles), uint64(t.Solves)
 }
 
 // WarmStats reports an online session's warm-start effectiveness:
@@ -190,9 +152,14 @@ func (s *Session) Stats() (steps, downgrades, idles, solves uint64) {
 // and the cold start ladder ran. Both are zero for table sessions and
 // for a session's first solve (nothing to seed from).
 func (s *Session) WarmStats() (hits, rejects uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.warmHits, s.warmRejects
+	t := s.stats()
+	return uint64(t.WarmHits), uint64(t.WarmRejects)
+}
+
+func (s *Session) stats() control.Stats {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	return s.total
 }
 
 // Step decides the per-core frequency command (Hz, length NumCores)
@@ -200,246 +167,17 @@ func (s *Session) WarmStats() (hits, rejects uint64) {
 // from multiple goroutines; each call is one window decision.
 // Cancelling ctx aborts an online solve at its next Newton iteration;
 // table lookups are effectively instant but still honor an
-// already-cancelled context.
+// already-cancelled context. A cancelled or failed solve invalidates
+// the session's warm state (never the session), so the next Step under
+// a live context performs a correct cold solve.
 func (s *Session) Step(ctx context.Context, st State) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.ctrl != nil {
-		return s.stepTable(st), nil
-	}
-	if s.dsolver != nil {
-		return s.stepDMPC(ctx, st)
-	}
-	return s.stepOnline(ctx, st)
-}
-
-// stepDMPC decides one window through the distributed solver. The
-// downgrade ladder (bisect, else idle) runs per cluster inside Solve;
-// here the session only prepares the target, honors the degraded-
-// sensing invalidation contract, and folds the consensus stats into
-// the session counters and the engine's dmpc_* instruments.
-func (s *Session) stepDMPC(ctx context.Context, st State) ([]float64, error) {
-	e := s.engine
-	fmax := e.chip.FMax()
-	required := st.RequiredFreq
-	if math.IsNaN(required) || required < 0 {
-		required = 0
-	}
-	if required > fmax {
-		required = fmax
-	}
-	if required > 0 && required < 0.1*fmax {
-		required = 0.1 * fmax
-	}
-	if st.BlockTemps != nil && len(st.BlockTemps) != e.cfg.fp.NumBlocks() {
-		return nil, fmt.Errorf("protemp: state has %d block temps for %d blocks",
-			len(st.BlockTemps), e.cfg.fp.NumBlocks())
-	}
-
 	s.mu.Lock()
-	s.steps++
+	freqs, stats, err := s.w.Decide(ctx, control.State(st))
 	s.mu.Unlock()
-
-	s.solveMu.Lock()
-	defer s.solveMu.Unlock()
-
-	// A fully-degraded window solves on guessed state: run it, but drop
-	// every cluster's warm optimum and the consensus duals on both sides
-	// so the blind window neither inherits nor seeds warm state.
-	if st.SensingDegraded {
-		s.dsolver.Invalidate()
-		defer s.dsolver.Invalidate()
-	}
-
-	// Tracing: the recorder install/teardown and the trace itself exist
-	// only on the enabled branch, so a flight-less engine pays one nil
-	// check here. The solver holds the recorder only for the duration of
-	// this step (caller holds solveMu).
-	if fr := s.engine.flight; fr != nil {
-		tr := fr.StartStep("dmpc")
-		s.dsolver.SetRecorder(tr)
-		freqs, err := s.solveDMPCWindow(ctx, st, required)
-		s.dsolver.SetRecorder(nil)
-		fr.EndStep(tr, err)
-		return freqs, err
-	}
-	return s.solveDMPCWindow(ctx, st, required)
-}
-
-// solveDMPCWindow runs one distributed window solve (caller holds
-// solveMu) and folds the consensus stats into the session counters and
-// the engine's dmpc_* instruments.
-func (s *Session) solveDMPCWindow(ctx context.Context, st State, required float64) ([]float64, error) {
-	start := time.Now()
-	a, stats, err := s.dsolver.Solve(ctx, st.MaxCoreTemp, st.BlockTemps, required)
-	elapsed := time.Since(start)
-	s.mu.Lock()
-	s.solves += uint64(stats.ClusterSolves)
-	s.warmHits += uint64(stats.WarmHits)
-	s.warmRejects += uint64(stats.WarmRejects)
-	s.downgrades += uint64(stats.Downgrades)
-	s.idles += uint64(stats.Idles)
-	s.outerIters += uint64(stats.OuterIters)
-	if stats.Fallback {
-		s.fallbacks++
-	}
-	s.mu.Unlock()
-	s.engine.observeDMPCStep(elapsed, stats, err)
-	if err != nil {
-		return nil, err
-	}
-	return a.Freqs, nil
-}
-
-func (s *Session) stepTable(st State) []float64 {
-	d := s.ctrl.Decide(st.MaxCoreTemp, st.RequiredFreq)
-	s.mu.Lock()
-	s.steps++
-	if d.Downgraded {
-		s.downgrades++
-	}
-	if d.Idle {
-		s.idles++
-	}
-	s.mu.Unlock()
-	return d.Freqs
-}
-
-// stepOnline mirrors sim.ProTempOnline's decision rule with context
-// plumbed through: solve at the (floored) required target, and if that
-// is unsupportable from the observed map, bisect the largest
-// supportable uniform target and re-solve just inside it. Solves run
-// on the session's persistent warm state under solveMu; a cancelled or
-// failed solve invalidates that state (never the session), so the next
-// Step under a live context performs a correct cold solve.
-func (s *Session) stepOnline(ctx context.Context, st State) ([]float64, error) {
-	e := s.engine
-	fmax := e.chip.FMax()
-	required := st.RequiredFreq
-	if math.IsNaN(required) || required < 0 {
-		required = 0
-	}
-	if required > fmax {
-		required = fmax
-	}
-	if required > 0 && required < 0.1*fmax {
-		required = 0.1 * fmax
-	}
-	if st.BlockTemps != nil && len(st.BlockTemps) != e.cfg.fp.NumBlocks() {
-		return nil, fmt.Errorf("protemp: state has %d block temps for %d blocks",
-			len(st.BlockTemps), e.cfg.fp.NumBlocks())
-	}
-
-	s.mu.Lock()
-	s.steps++
-	s.mu.Unlock()
-
-	s.solveMu.Lock()
-	defer s.solveMu.Unlock()
-
-	// A fully-degraded sensing window means this solve runs on guessed
-	// state: perform it (idling blind is worse — the prediction is the
-	// best available map) but never let its optimum warm-start the next
-	// real window.
-	if st.SensingDegraded {
-		s.online.Invalidate()
-		defer s.online.Invalidate()
-	}
-
-	// Tracing mirrors stepDMPC: recorder install/teardown only on the
-	// enabled branch, so the disabled hot path pays one nil check and
-	// allocates nothing.
-	if fr := s.engine.flight; fr != nil {
-		tr := fr.StartStep("online")
-		s.online.SetRecorder(tr)
-		freqs, err := s.solveOnlineWindow(ctx, st, required, tr)
-		s.online.SetRecorder(nil)
-		fr.EndStep(tr, err)
-		return freqs, err
-	}
-	return s.solveOnlineWindow(ctx, st, required, nil)
-}
-
-// solveOnlineWindow runs one centralized window decision (caller holds
-// solveMu): solve at the required target, and if that is unsupportable
-// walk the bisect-downgrade ladder. A non-nil tr additionally records
-// the bisection as a span and marks the step a fallback.
-func (s *Session) solveOnlineWindow(ctx context.Context, st State, required float64, tr *obs.Trace) ([]float64, error) {
-	e := s.engine
-	n := e.chip.NumCores()
-	a, err := s.solveOnline(ctx, st.MaxCoreTemp, st.BlockTemps, required)
-	if err != nil {
-		return nil, err
-	}
-	if a.Feasible {
-		return a.Freqs, nil
-	}
-
-	// Unsupportable target: fall back to the largest supportable
-	// uniform frequency (the run-time analogue of the paper's "next
-	// lower frequency point" rule), idling the window if even that
-	// fails. The bisection honors ctx too: a session cancelled at any
-	// point inside Step returns promptly and remains safe to Step
-	// again under a live context — no counter is left inconsistent and
-	// the warm state is invalidated, never corrupted.
-	spec := e.spec(st.MaxCoreTemp, required, e.cfg.variant)
-	spec.T0 = st.BlockTemps
-	if tr != nil {
-		tr.Fallback("bisect-downgrade")
-		tr.SolveStart(required)
-		tr.Rung("bisect")
-	}
-	maxF, _, err := core.SolveUniformBisectContext(ctx, spec)
-	if tr != nil {
-		tr.SolveEnd(maxF > 0, err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	idle := make([]float64, n)
-	if maxF <= 0 {
-		s.noteIdle()
-		return idle, nil
-	}
-	s.mu.Lock()
-	s.downgrades++
-	s.mu.Unlock()
-	a, err = s.solveOnline(ctx, st.MaxCoreTemp, st.BlockTemps, math.Min(required, 0.98*maxF))
-	if err != nil {
-		return nil, err
-	}
-	if !a.Feasible {
-		s.noteIdle()
-		return idle, nil
-	}
-	return a.Freqs, nil
-}
-
-// solveOnline runs one warm-capable solve (caller holds solveMu),
-// folding its latency and warm-start outcome into the session counters
-// and the engine's step_* instruments.
-func (s *Session) solveOnline(ctx context.Context, tstart float64, t0 []float64, ftarget float64) (*core.Assignment, error) {
-	start := time.Now()
-	a, stats, err := s.online.Solve(ctx, tstart, t0, ftarget)
-	elapsed := time.Since(start)
-	s.mu.Lock()
-	s.solves++
-	if stats.Warm {
-		s.warmHits++
-	}
-	if stats.WarmRejected {
-		s.warmRejects++
-	}
-	s.mu.Unlock()
-	s.engine.observeStepSolve(elapsed, stats, err)
-	return a, err
-}
-
-func (s *Session) noteIdle() {
-	s.mu.Lock()
-	s.idles++
-	s.mu.Unlock()
+	s.statsMu.Lock()
+	s.total.Add(stats)
+	s.statsMu.Unlock()
+	return freqs, err
 }
 
 // InvalidateWarm drops an online session's warm solver state so the
@@ -449,16 +187,9 @@ func (s *Session) noteIdle() {
 // rather than through the per-window flag. A table session has no warm
 // state; the call is a no-op.
 func (s *Session) InvalidateWarm() {
-	switch {
-	case s.online != nil:
-		s.solveMu.Lock()
-		s.online.Invalidate()
-		s.solveMu.Unlock()
-	case s.dsolver != nil:
-		s.solveMu.Lock()
-		s.dsolver.Invalidate()
-		s.solveMu.Unlock()
-	}
+	s.mu.Lock()
+	s.w.Invalidate()
+	s.mu.Unlock()
 }
 
 // Policy adapts the session into a sim.Policy so it can drive
