@@ -174,6 +174,9 @@ func TestSensedDegradedInvalidatesWarmSolver(t *testing.T) {
 	}
 	p.Decide(st)
 	p.Decide(st)
+	if p.Stats().WarmHits < 1 {
+		t.Fatal("online solver not warm after two solves")
+	}
 	st.SensingDegraded = true
 	p.Decide(st)
 	st.SensingDegraded = false

@@ -44,9 +44,8 @@ type State struct {
 // Step calls remain safe but serialize their solves on the session;
 // callers needing solve parallelism open one session per stream.
 type Session struct {
-	engine   *Engine
-	table    *core.Table // table sessions only
-	clusters int         // dmpc sessions only
+	engine *Engine
+	table  *core.Table // table sessions only
 
 	// mu serializes decisions: the compiled problem instances,
 	// workspaces and warm state all mutate in place.
@@ -115,7 +114,7 @@ func (e *Engine) NewDMPCSession() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{engine: e, clusters: sol.Clusters(), w: control.DMPC(sol, e.flight, e.observeDMPCStep)}, nil
+	return &Session{engine: e, w: control.DMPC(sol, e.flight, e.observeDMPCStep)}, nil
 }
 
 // Mode names the session's decision path: "table", "online" or "dmpc".
@@ -123,7 +122,7 @@ func (s *Session) Mode() string { return s.w.Mode() }
 
 // Clusters returns the distributed session's partition size, or zero
 // for table and online sessions.
-func (s *Session) Clusters() int { return s.clusters }
+func (s *Session) Clusters() int { return s.w.Clusters() }
 
 // ADMMStats reports a distributed session's consensus work: outer
 // iterations accumulated across steps and windows decided by a
