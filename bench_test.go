@@ -25,7 +25,6 @@ import (
 	"protemp/internal/linalg"
 	"protemp/internal/sense"
 	"protemp/internal/sim"
-	"protemp/internal/solver"
 	"protemp/internal/thermal"
 )
 
@@ -628,29 +627,6 @@ func BenchmarkUniformBisect(b *testing.B) {
 	s := setupBench(b)
 	for i := 0; i < b.N; i++ {
 		if _, _, err := core.SolveUniformBisect(s.Spec(87, 400e6, core.VariantUniform)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPhaseI times strict-feasibility recovery from an infeasible
-// start.
-func BenchmarkPhaseI(b *testing.B) {
-	prob := &solver.Problem{Objective: &solver.Affine{A: linalg.Constant(8, 1)}}
-	for j := 0; j < 8; j++ {
-		lo := linalg.NewVector(8)
-		lo[j] = -1
-		hi := linalg.NewVector(8)
-		hi[j] = 1
-		prob.Constraints = append(prob.Constraints,
-			&solver.Affine{A: lo, B: 1},
-			&solver.Affine{A: hi, B: -3},
-		)
-	}
-	start := linalg.Constant(8, -25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solver.PhaseI(prob, start, solver.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -121,3 +121,52 @@ func BenchmarkNewtonDirection(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPhaseI prices the cold ladder's infeasibility proof in its
+// production shape: an online Niagara window whose required target the
+// observed (hot) map cannot support, solved cold every iteration, so
+// the heuristic and rebalance starts fail and Phase I certifies
+// infeasibility. The arrow lane is the production path (the row-slack
+// Phase-I program on the structured backend); the dense lane runs the
+// identical ladder with the compiled patterns stripped, the reference
+// the structured path replaced. CI records both in BENCH_kkt.json.
+func BenchmarkPhaseI(b *testing.B) {
+	ctx := context.Background()
+	for _, mode := range []string{"arrow", "dense"} {
+		b.Run(mode, func(b *testing.B) {
+			f := kktBenchFixture(b, 8)
+			o, err := NewOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: 100})
+			if err != nil {
+				b.Fatal(err)
+			}
+			hot := make([]float64, f.chip.Floorplan().NumBlocks())
+			for j := range hot {
+				hot[j] = 85 + 2*float64(j%4)
+			}
+			ftarget := 0.9 * f.chip.FMax()
+			solve := func() {
+				o.Invalidate()
+				a, _, err := o.Solve(ctx, 0, hot, ftarget)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if a.Feasible {
+					b.Fatal("benchmark window unexpectedly feasible")
+				}
+			}
+			solve()
+			if o.inst.p1 == nil {
+				b.Fatal("the window never reached Phase I")
+			}
+			if mode == "dense" {
+				o.inst.prob.Pattern = nil
+				o.inst.p1.Problem().Pattern = nil
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				solve()
+			}
+		})
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"protemp/internal/linalg"
-	"protemp/internal/solver"
 )
 
 // layout records the variable layout of a built problem.
@@ -87,8 +86,7 @@ func (s *Spec) tempRows() ([]tempRow, error) {
 // the same assembly GenerateTable's warm-started sweep uses, so the
 // cold per-point path and the sweep cannot drift apart. See
 // compileSweep for the constraint layout (the paper's Eqs. 2-5).
-func (s *Spec) build() (*solver.Problem, layout, []tempRow, error) {
-	lay := newLayout(s.Variant, s.Chip.NumCores())
+func (s *Spec) build() (*sweepInstance, error) {
 	ts := TableSpec{
 		Chip: s.Chip, Window: s.Window, TMax: s.TMax,
 		TStarts: []float64{s.TStart}, FTargets: []float64{s.FTarget},
@@ -101,9 +99,9 @@ func (s *Spec) build() (*solver.Problem, layout, []tempRow, error) {
 	}
 	pl, err := compileSweep(ts, t0)
 	if err != nil {
-		return nil, lay, nil, err
+		return nil, err
 	}
 	in := pl.instance()
 	in.set(s.TStart, s.FTarget)
-	return in.prob, pl.lay, in.rows, nil
+	return in, nil
 }

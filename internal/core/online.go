@@ -37,14 +37,17 @@ type OnlineStepStats struct {
 	// the previous window's optimum.
 	Warm bool
 	// WarmRejected reports that a previous optimum was available but the
-	// seed could not be made strictly feasible (or stalled) and the solve
-	// fell back to the cold start ladder.
+	// seed could not be made strictly feasible (or a centering seeded
+	// from it stalled) and the solve fell back to the cold start ladder.
 	WarmRejected bool
-	// NewtonIters is the solve's Newton-iteration cost.
-	NewtonIters int
+	// NewtonIters is the solve's Newton-iteration cost, a rejected warm
+	// attempt included; WarmAbandonIters is that attempt's share.
+	NewtonIters      int
+	WarmAbandonIters int
 	// AssembleNanos and FactorNanos split the solve's wall time into
-	// Hessian assembly vs KKT factorization+solve; zero for degenerate
-	// (full-speed) steps that never enter the barrier.
+	// Hessian assembly vs KKT factorization+solve, a rejected warm
+	// attempt included; zero for degenerate (full-speed) steps that
+	// never enter the barrier.
 	AssembleNanos int64
 	FactorNanos   int64
 }
@@ -187,7 +190,7 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 	if o.rec != nil {
 		o.rec.SolveStart(ftarget)
 	}
-	a, x, warm, err := solveLadder(ctx, spec, o.inst.prob, o.plan.lay, o.inst.rows, seed, gap, o.ws, o.rec)
+	a, x, warm, err := solveLadder(ctx, spec, o.inst, seed, gap, o.ws, o.rec)
 	if o.rec != nil {
 		feasible := err == nil && a != nil && a.Feasible
 		o.rec.SolveEnd(feasible, err)
@@ -199,6 +202,7 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 	st.Warm = warm
 	st.WarmRejected = hadPrev && !warm
 	st.NewtonIters = a.NewtonIters
+	st.WarmAbandonIters = a.abandonedIters
 	st.AssembleNanos = a.AssembleNanos
 	st.FactorNanos = a.FactorNanos
 	if a.Feasible {
@@ -215,7 +219,8 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 // and how the window ended.
 type DowngradeStats struct {
 	// Solves counts the window solves (one, or two after a downgrade);
-	// WarmHits / WarmRejects and NewtonIters aggregate their outcomes.
+	// WarmHits / WarmRejects and NewtonIters aggregate their outcomes
+	// (NewtonIters includes rejected warm attempts).
 	Solves      int
 	WarmHits    int
 	WarmRejects int

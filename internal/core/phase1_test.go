@@ -1,0 +1,85 @@
+package core
+
+import (
+	"errors"
+	"testing"
+
+	"protemp/internal/solver"
+)
+
+// TestPhaseIVerdicts checks the row-slack Phase-I program on a Niagara
+// (TStart × FTarget) grid that crosses the capacity boundary, for every
+// variant: the structured solve and the dense reference (the same
+// augmented program with its pattern stripped) reach the same
+// feasible/infeasible verdict, every point returned is strictly
+// feasible for the source problem, and for the uniform variant the
+// verdict matches SolveUniformBisect's.
+func TestPhaseIVerdicts(t *testing.T) {
+	opts := solver.DefaultOptions()
+	opts.Tol = 1e-7
+	for _, v := range []Variant{VariantVariable, VariantGradient, VariantUniform} {
+		t.Run(v.String(), func(t *testing.T) {
+			feasible, infeasible := 0, 0
+			denseBefore := solver.DenseSolves()
+			for _, tstart := range []float64{47, 67, 87, 97} {
+				for _, fmhz := range []float64{250, 500, 750, 900, 990} {
+					s := baseSpec(t, tstart, fmhz)
+					s.Variant = v
+					in, err := s.build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					verdict := func() bool {
+						x, err := in.phaseI(s, opts)
+						if err != nil {
+							if !errors.Is(err, solver.ErrInfeasible) {
+								t.Fatalf("(%g°C, %g MHz): %v", tstart, fmhz, err)
+							}
+							return false
+						}
+						if !in.prob.IsStrictlyFeasible(x) {
+							t.Fatalf("(%g°C, %g MHz): returned point violates the problem by %g", tstart, fmhz, in.prob.MaxViolation(x))
+						}
+						return true
+					}
+					before := solver.DenseSolves()
+					arrow := verdict()
+					if solver.DenseSolves() != before {
+						t.Fatalf("(%g°C, %g MHz): structured Phase I ran on the dense backend", tstart, fmhz)
+					}
+					aug := in.p1.Problem()
+					if aug.Pattern == nil {
+						t.Fatal("Phase-I program has no compiled pattern")
+					}
+					pat := aug.Pattern
+					aug.Pattern = nil
+					dense := verdict()
+					aug.Pattern = pat
+					if arrow != dense {
+						t.Fatalf("(%g°C, %g MHz): structured Phase I says feasible=%v, dense reference %v", tstart, fmhz, arrow, dense)
+					}
+					if v == VariantUniform {
+						_, ok, err := SolveUniformBisect(s)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if arrow != ok {
+							t.Fatalf("(%g°C, %g MHz): Phase I says feasible=%v, bisection %v", tstart, fmhz, arrow, ok)
+						}
+					}
+					if arrow {
+						feasible++
+					} else {
+						infeasible++
+					}
+				}
+			}
+			if solver.DenseSolves() == denseBefore {
+				t.Fatal("the dense reference never ran a barrier solve")
+			}
+			if feasible == 0 || infeasible == 0 {
+				t.Fatalf("grid does not cross the boundary: %d feasible, %d infeasible", feasible, infeasible)
+			}
+		})
+	}
+}

@@ -43,28 +43,30 @@ func SolveContext(ctx context.Context, s *Spec) (*Assignment, error) {
 		return fullSpeedAssignment(s, rows)
 	}
 
-	prob, lay, rows, err := s.build()
+	in, err := s.build()
 	if err != nil {
 		return nil, err
 	}
-	a, _, _, err := solveLadder(ctx, s, prob, lay, rows, nil, 0, nil, nil)
+	a, _, _, err := solveLadder(ctx, s, in, nil, 0, nil, nil)
 	return a, err
 }
 
-// solveLadder solves a prebuilt problem through the start ladder: the
-// warm seed (a re-centered neighboring optimum) when one is supplied,
-// then the cheap feasibility heuristics, then the physics-guided
-// rebalance, then the generic Phase-I auxiliary program. It is the
-// single solve path shared by SolveContext (cold, no workspace) and the
-// table sweep (warm-seeded, per-worker workspace), so both produce
-// interchangeable assignments. It returns the assignment, the raw
-// normalized optimum for seeding the next grid point (nil when
-// infeasible), and whether the warm seed carried the solve. A non-nil
-// rec observes the warm decision, the rung taken and every barrier
-// centering; the nil path costs only pointer checks.
-func solveLadder(ctx context.Context, s *Spec, prob *solver.Problem, lay layout, rows []tempRow, warmSeed linalg.Vector, warmGap float64, ws *solver.Workspace, rec obs.Recorder) (*Assignment, linalg.Vector, bool, error) {
+// solveLadder solves a prebuilt problem instance through the start
+// ladder: the warm seed (a re-centered neighboring optimum) when one is
+// supplied, then the cheap feasibility heuristics, then the
+// physics-guided rebalance, then the row-slack Phase-I program. It is
+// the single solve path shared by SolveContext (cold, no workspace),
+// the table sweep and the online solver (warm-seeded, per-worker
+// workspace), so all produce interchangeable assignments. It returns
+// the assignment, the raw normalized optimum for seeding the next grid
+// point (nil when infeasible), and whether the warm seed carried the
+// solve. The assignment's work counters include an abandoned warm
+// attempt. A non-nil rec observes the warm decision, the rung taken and
+// every barrier centering; the nil path costs only pointer checks.
+func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linalg.Vector, warmGap float64, ws *solver.Workspace, rec obs.Recorder) (*Assignment, linalg.Vector, bool, error) {
 	n := s.Chip.NumCores()
 	phi := s.FTarget / s.Chip.FMax()
+	prob, lay, rows := in.prob, in.plan.lay, in.rows
 	opts := solver.DefaultOptions()
 	opts.Tol = 1e-7
 	opts.Interrupt = ctx.Err
@@ -72,8 +74,8 @@ func solveLadder(ctx context.Context, s *Spec, prob *solver.Problem, lay layout,
 		// The gradient variant's pairwise rows make the barrier stiff:
 		// at the default μ=20 each weight jump slams the iterate against
 		// the coupling boundary and Newton creeps for hundreds of
-		// iterations per stage (exhausting MaxNewton, so the final stage
-		// is uncentered and every warm seed is rejected). A gentler
+		// iterations per stage (exhausting MaxNewton, so the stage is
+		// uncentered and every warm seed is abandoned). A gentler
 		// schedule keeps each stage inside Newton's fast region: ~10×
 		// fewer total iterations and a certifiably centered result.
 		opts.Mu = 10
@@ -84,11 +86,14 @@ func solveLadder(ctx context.Context, s *Spec, prob *solver.Problem, lay layout,
 
 	var res *solver.Result
 	var err error
+	// abandoned is the work a rejected warm attempt spent before the
+	// ladder fell back cold; it is folded into the assignment.
+	var abandoned solver.Result
 	warm := false
 	if warmSeed != nil {
 		res, err = solver.WarmStart(prob, warmSeed, nil, warmGap, opts, ws)
 		switch {
-		case err == nil && res.Centered:
+		case err == nil:
 			warm = true
 			if rec != nil {
 				rec.WarmDecision(true, true, "")
@@ -98,17 +103,15 @@ func solveLadder(ctx context.Context, s *Spec, prob *solver.Problem, lay layout,
 			return nil, nil, false, ctx.Err()
 		default:
 			// A warm seed that cannot be re-centered, that stalls the
-			// barrier, or whose final centering exhausted its iteration
-			// budget (Result.Centered false — the duality-gap bound is
-			// then not a certificate) is not a verdict on the problem;
-			// fall back cold so warm results stay interchangeable with
-			// cold ones.
+			// barrier, or under which a centering exhausts its iteration
+			// budget (WarmStart abandons it there) is not a verdict on
+			// the problem; fall back cold so warm results stay
+			// interchangeable with cold ones.
+			if res != nil {
+				abandoned = *res
+			}
 			if rec != nil {
-				reason := "uncentered"
-				if err != nil {
-					reason = err.Error()
-				}
-				rec.WarmDecision(true, false, reason)
+				rec.WarmDecision(true, false, err.Error())
 			}
 			res, err = nil, nil
 		}
@@ -119,15 +122,16 @@ func solveLadder(ctx context.Context, s *Spec, prob *solver.Problem, lay layout,
 		if start == nil {
 			// Near the capacity boundary only a non-uniform assignment is
 			// feasible; a physics-guided rebalance finds one directly where
-			// the generic Phase-I auxiliary problem converges too slowly.
+			// the Phase-I program converges too slowly.
 			start = rebalanceStart(s, lay, rows, phi)
 			rung = "rebalance"
 		}
-		if start != nil {
-			res, err = solver.BarrierWS(prob, start, opts, ws)
-		} else {
+		if start == nil {
 			rung = "phase1"
-			res, err = solver.SolveWS(prob, neutralStart(lay, phi), opts, ws)
+			start, err = in.phaseI(s, opts)
+		}
+		if err == nil {
+			res, err = solver.BarrierWS(prob, start, opts, ws)
 		}
 		if rec != nil {
 			rec.Rung(rung)
@@ -135,20 +139,26 @@ func solveLadder(ctx context.Context, s *Spec, prob *solver.Problem, lay layout,
 	}
 	if err != nil {
 		if errors.Is(err, solver.ErrInfeasible) {
-			return &Assignment{}, nil, warm, nil
+			return &Assignment{
+				NewtonIters:    abandoned.NewtonIters,
+				AssembleNanos:  abandoned.AssembleNanos,
+				FactorNanos:    abandoned.FactorNanos,
+				abandonedIters: abandoned.NewtonIters,
+			}, nil, warm, nil
 		}
 		return nil, nil, warm, fmt.Errorf("core: solve (%s, tstart=%g, ftarget=%g): %w",
 			s.Variant, s.TStart, s.FTarget, err)
 	}
 
 	a := &Assignment{
-		Feasible:      true,
-		Freqs:         make([]float64, n),
-		Powers:        make([]float64, n),
-		Gap:           res.Gap,
-		NewtonIters:   res.NewtonIters,
-		AssembleNanos: res.AssembleNanos,
-		FactorNanos:   res.FactorNanos,
+		Feasible:       true,
+		Freqs:          make([]float64, n),
+		Powers:         make([]float64, n),
+		Gap:            res.Gap,
+		NewtonIters:    abandoned.NewtonIters + res.NewtonIters,
+		AssembleNanos:  abandoned.AssembleNanos + res.AssembleNanos,
+		FactorNanos:    abandoned.FactorNanos + res.FactorNanos,
+		abandonedIters: abandoned.NewtonIters,
 	}
 	for j := 0; j < n; j++ {
 		model := s.Chip.CoreModelOf(j)
@@ -317,12 +327,17 @@ func rebalanceStart(s *Spec, lay layout, rows []tempRow, phi float64) linalg.Vec
 	}
 	freqs := linalg.Constant(n, fn)
 	pn := linalg.NewVector(n)
+	margin := linalg.NewVector(n)
 	const (
 		slack   = 1e-4
 		quantum = 2e-3
 		maxIter = 1200
 	)
-	blockToCore := make(map[int]int, n)
+	// blockToCore maps a floorplan block to its core, −1 for uncore.
+	blockToCore := make([]int, s.Chip.Floorplan().NumBlocks())
+	for i := range blockToCore {
+		blockToCore[i] = -1
+	}
 	for j := 0; j < n; j++ {
 		blockToCore[s.Chip.CoreBlockIndex(j)] = j
 	}
@@ -340,14 +355,14 @@ func rebalanceStart(s *Spec, lay layout, rows []tempRow, phi float64) linalg.Vec
 		}
 		// Per-core worst margin (temperature minus limit) over all rows
 		// of that core's own block, plus the global worst row.
-		margin := linalg.Constant(n, math.Inf(-1))
+		margin.Fill(math.Inf(-1))
 		worst := math.Inf(-1)
 		for _, r := range rows {
 			v := r.c0 + r.coef.Dot(pn) - s.TMax
 			if v > worst {
 				worst = v
 			}
-			if j, isCore := blockToCore[r.block]; isCore && v > margin[j] {
+			if j := blockToCore[r.block]; j >= 0 && v > margin[j] {
 				margin[j] = v
 			}
 		}
@@ -401,22 +416,26 @@ func maxPairGap(s *Spec, rows []tempRow, pn linalg.Vector) float64 {
 	return gap
 }
 
-// neutralStart is the Phase-I entry point when no heuristic start is
-// strictly feasible.
-func neutralStart(lay layout, phi float64) linalg.Vector {
+// phase1Start is the closed-form Phase-I entry point in layout lay
+// (never the gradient variant's; see sweepPlan.slackPlan): a point
+// strictly inside every hard constraint, with only the temperature rows
+// left to the slack. Every core runs at fn = φ + ½(1−φ), which clears
+// the workload row and the frequency box, and draws
+// pn = P(fn) + min(1e-3, ½(1−P(fn))), just above the power law, which
+// clears the coupling and the power box.
+func phase1Start(s *Spec, lay layout) linalg.Vector {
+	phi := s.FTarget / s.Chip.FMax()
+	fn := phi + 0.5*(1-phi)
 	x := linalg.NewVector(lay.dim)
-	fn := math.Min(0.9, phi+0.05)
-	n := lay.nCores
-	vars := n
+	vars := lay.nCores
 	if lay.variant == VariantUniform {
 		vars = 1
 	}
 	for j := 0; j < vars; j++ {
+		model := s.Chip.CoreModelOf(j)
+		p := model.AtFrequency(fn*model.FMax) / model.PMax
 		x[lay.fIdx(j)] = fn
-		x[lay.pIdx(j)] = math.Min(0.95, fn*fn+0.05)
-	}
-	if lay.variant == VariantGradient {
-		x[lay.gIdx()] = 50
+		x[lay.pIdx(j)] = p + math.Min(1e-3, 0.5*(1-p))
 	}
 	return x
 }

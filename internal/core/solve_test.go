@@ -341,3 +341,74 @@ func TestPaperResolution(t *testing.T) {
 		t.Fatalf("peak %.3f > 100", a.PeakTemp)
 	}
 }
+
+// TestRebalanceStartPinned pins rebalanceStart bit for bit: the
+// expected starts were recorded from the map-based implementation it
+// replaced, so the allocation-free rewrite cannot have changed which
+// core gives up a quantum or when the search stops. The cases cover a
+// uniform TStart, all-blocks constraints (uncore rows in the margin
+// scan), an explicit thermal map in both non-uniform variants, and a
+// point where the rebalance gives up.
+func TestRebalanceStartPinned(t *testing.T) {
+	nb := niagaraFixture(t).chip.Floorplan().NumBlocks()
+	t0 := make([]float64, nb)
+	for i := range t0 {
+		t0[i] = 55 + float64(i%5)*3
+	}
+	mapStart := []uint64{
+		0x3fe8f5c4a83b1d0d, 0x3fe7ae1693c03bc5, 0x3fe78d51f81a5871, 0x3fe8f5c4a83b1d0d,
+		0x3fea6e99a62ed353, 0x3fe8f5c4a83b1d0d, 0x3fe8f5c4a83b1d0d, 0x3fea2d106ee30cab,
+		0x3fe378d843789deb, 0x3fe186c54112672a, 0x3fe15667a6e997b9, 0x3fe378d843789deb,
+		0x3fe5d609a85bb2b5, 0x3fe378d843789deb, 0x3fe378d843789deb, 0x3fe56a4be1889c6f,
+	}
+	cases := []struct {
+		name      string
+		v         Variant
+		tstart    float64
+		ftarget   float64 // MHz
+		allBlocks bool
+		t0        []float64
+		want      []uint64
+	}{
+		{"uniform-tstart", VariantVariable, 67, 750, false, nil, []uint64{
+			0x3fe8000218def417, 0x3fe73b6672fba01f, 0x3fe73b6672fba01f, 0x3fe8000218def417,
+			0x3fe8c49dbec2480f, 0x3fe8000218def417, 0x3fe8000218def417, 0x3fe8c49dbec2480f,
+			0x3fe200d4dc65ea34, 0x3fe0dea33f710d8e, 0x3fe0dea33f710d8e, 0x3fe200d4dc65ea34,
+			0x3fe32c7664a52d2f, 0x3fe200d4dc65ea34, 0x3fe200d4dc65ea34, 0x3fe32c7664a52d2f,
+		}},
+		{"all-blocks", VariantVariable, 57, 800, true, nil, []uint64{
+			0x3fe9999bb2788db1, 0x3fe79db445ed4a1b, 0x3fe7ae1693c03bc5, 0x3fe9999bb2788db1,
+			0x3feb95831f03d147, 0x3fe9999bb2788db1, 0x3fe9999bb2788db1, 0x3feb8520d130df9d,
+			0x3fe47bb659c3e3e5, 0x3fe16e8e10822f16, 0x3fe186c54112672a, 0x3fe47bb659c3e3e5,
+			0x3fe7c7d98a97e3a4, 0x3fe47bb659c3e3e5, 0x3fe47bb659c3e3e5, 0x3fe7aba2f1066037,
+		}},
+		{"thermal-map", VariantVariable, 0, 780, false, t0, mapStart},
+		{"thermal-map-gradient", VariantGradient, 0, 780, false, t0, append(append([]uint64(nil), mapStart...), 0x402703d5c6dc3dc4)},
+		{"gives-up", VariantVariable, 87, 850, false, nil, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := baseSpec(t, tc.tstart, tc.ftarget)
+			s.Variant = tc.v
+			s.ConstrainAllBlocks = tc.allBlocks
+			s.T0 = tc.t0
+			in, err := s.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			phi := s.FTarget / s.Chip.FMax()
+			if heuristicStart(s, in.plan.lay, in.rows, phi) != nil {
+				t.Fatal("heuristic start succeeds; the case no longer reaches the rebalance")
+			}
+			got := rebalanceStart(s, in.plan.lay, in.rows, phi)
+			if len(got) != len(tc.want) {
+				t.Fatalf("start has %d entries, want %d", len(got), len(tc.want))
+			}
+			for i, x := range got {
+				if math.Float64bits(x) != tc.want[i] {
+					t.Fatalf("x[%d] = %v (%#x), want %v (%#x)", i, x, math.Float64bits(x), math.Float64frombits(tc.want[i]), tc.want[i])
+				}
+			}
+		})
+	}
+}

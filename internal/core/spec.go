@@ -187,11 +187,18 @@ type Assignment struct {
 	PeakTemp float64
 	// Gap is the solver's duality-gap bound.
 	Gap float64
-	// NewtonIters counts solver work, for the §5.1 cost accounting.
+	// NewtonIters counts solver work, for the §5.1 cost accounting:
+	// the barrier solve's iterations plus those of a warm attempt that
+	// was abandoned before the cold ladder ran (Phase I is not counted).
 	NewtonIters int
 	// AssembleNanos and FactorNanos split the solver's wall time into
-	// Hessian assembly vs KKT factorization+solve (zero for degenerate
-	// paths that never enter the barrier, e.g. full speed).
+	// Hessian assembly vs KKT factorization+solve, an abandoned warm
+	// attempt included (zero for degenerate paths that never enter the
+	// barrier, e.g. full speed).
 	AssembleNanos int64
 	FactorNanos   int64
+
+	// abandonedIters is the abandoned warm attempt's share of
+	// NewtonIters.
+	abandonedIters int
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"protemp/internal/linalg"
 	"protemp/internal/power"
@@ -51,6 +52,15 @@ type sweepPlan struct {
 	// re-verifies it per solve). nil means the structure did not
 	// compile and solves stay on the dense path.
 	pattern *solver.HessianPattern
+
+	// slack is the row-slack Phase-I program (see slackPlan), compiled
+	// on first use: most plans never need Phase I. For the gradient
+	// variant it is compiled over slackTwin, the plan's variable-variant
+	// twin.
+	slackOnce sync.Once
+	slack     *solver.SlackPlan
+	slackTwin *sweepPlan
+	slackErr  error
 }
 
 // planRow is one compiled temperature row.
@@ -303,6 +313,43 @@ func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	return pl, nil
 }
 
+// slackPlan returns the plan's row-slack Phase-I program: the slack
+// sits on the temperature rows only, while the boxes, couplings and
+// workload row stay hard (phase1Start satisfies them in closed form).
+// The soft rows keep the arrow shape, so Phase I runs on the structured
+// backend like every other solve of the plan.
+//
+// The gradient variant's bound g has no upper limit, so in a Phase-I
+// program (objective: the slack alone) the pair rows' barrier drives it
+// to infinity. Pairs can always be met by raising g, though, so Phase I
+// runs on the variable-variant twin — the same rows without g and the
+// pairs — and phaseI fills g in closed form afterwards. Safe for
+// concurrent use.
+func (pl *sweepPlan) slackPlan() (*solver.SlackPlan, error) {
+	pl.slackOnce.Do(func() {
+		base := pl
+		if pl.ts.Variant == VariantGradient {
+			ts := pl.ts
+			ts.Variant = VariantVariable
+			if base, pl.slackErr = compileSweep(ts, nil); pl.slackErr != nil {
+				return
+			}
+			pl.slackTwin = base
+		}
+		in := base.instance()
+		soft := make([]bool, len(in.prob.Constraints))
+		for i := range in.temp {
+			soft[i] = true
+		}
+		nf := pl.ts.Chip.NumCores()
+		if pl.ts.Variant == VariantUniform {
+			nf = 1
+		}
+		pl.slack, pl.slackErr = solver.CompileSlackPhaseI(in.prob, nf, soft)
+	})
+	return pl.slack, pl.slackErr
+}
+
 // sweepInstance is one worker's mutable view of a compiled plan: a
 // problem whose constraint offsets are rewritten in place per grid
 // point, plus the tempRow buffer the start heuristics consume. The
@@ -315,6 +362,11 @@ type sweepInstance struct {
 	temp []*solver.Affine // temperature constraints, aligned with rows
 	work *solver.Affine
 	grad []*solver.Affine // aligned with plan.gradPairs
+
+	// p1 is the plan's Phase-I program bound to prob (to twin.prob for
+	// the gradient variant); both are nil until Phase I first runs.
+	p1   *solver.SlackPhaseI
+	twin *sweepInstance
 
 	curTStart float64 // last TStart the offsets were computed for
 }
@@ -353,6 +405,42 @@ func (pl *sweepPlan) instance() *sweepInstance {
 	}
 	in.prob.Pattern = pl.pattern
 	return in
+}
+
+// phaseI returns a strictly feasible start for the instance at s (its
+// current offsets), found by the plan's row-slack Phase-I program from
+// the closed-form phase1Start, or an error wrapping
+// solver.ErrInfeasible when none exists.
+func (in *sweepInstance) phaseI(s *Spec, opts solver.Options) (linalg.Vector, error) {
+	sp, err := in.plan.slackPlan()
+	if err != nil {
+		return nil, err
+	}
+	src := in
+	if tw := in.plan.slackTwin; tw != nil {
+		// Gradient variant: the twin's temperature and workload rows
+		// take this instance's offsets; the pairs are not in Phase I.
+		if in.twin == nil {
+			in.twin = tw.instance()
+		}
+		for i, c := range in.temp {
+			in.twin.temp[i].B = c.B
+		}
+		in.twin.work.B = in.work.B
+		src = in.twin
+	}
+	if in.p1 == nil {
+		in.p1 = sp.Bind(src.prob)
+	}
+	x, err := in.p1.Find(phase1Start(s, src.plan.lay), opts)
+	if err != nil || src == in {
+		return x, err
+	}
+	lay := in.plan.lay
+	full := linalg.NewVector(lay.dim)
+	copy(full, x)
+	full[lay.gIdx()] = maxPairGap(s, in.rows, full[lay.pIdx(0):lay.gIdx()]) + 1
+	return full, nil
 }
 
 // set instantiates the compiled problem at one grid point: refresh the

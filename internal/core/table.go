@@ -337,7 +337,7 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 						a, err = fullSpeedAssignment(spec, inst.rows)
 					} else {
 						seed, gap := inst.warmSeed(spec, prevX)
-						a, x, warm, err = solveLadder(ctx, spec, inst.prob, plan.lay, inst.rows, seed, gap, ws, nil)
+						a, x, warm, err = solveLadder(ctx, spec, inst, seed, gap, ws, nil)
 					}
 					elapsed := time.Since(start)
 					if err != nil {

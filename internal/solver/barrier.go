@@ -1,8 +1,10 @@
 package solver
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"protemp/internal/linalg"
@@ -42,6 +44,14 @@ type Options struct {
 	// search (nanoseconds). Tracing plumbs through here; the hot path
 	// pays only a nil check when unset.
 	Centering func(t float64, newtonIters int, converged bool, assembleNs, factorNs, linesearchNs int64)
+
+	// abandonUncentered makes the solve give up with ErrWarmStart as
+	// soon as one centering fails to converge (exhausts MaxNewton or
+	// fails numerically), returning the work spent so far. WarmStart
+	// sets it: a seed whose first stage stalls almost never recovers
+	// cheaply, and the cold ladder is faster than grinding through the
+	// remaining stages.
+	abandonUncentered bool
 }
 
 // DefaultOptions returns the tuning used throughout the project.
@@ -145,8 +155,9 @@ type Result struct {
 	// Centered reports whether the final centering stage actually
 	// reached its Newton-decrement (or round-off polish) exit. When
 	// false the stage exhausted MaxNewton and X may sit far from the
-	// central path, so Gap is not a trustworthy certificate — warm-start
-	// callers treat such a result as a miss and re-solve cold.
+	// central path, so Gap is not a trustworthy certificate. WarmStart
+	// never returns such a result: it abandons the seed at the first
+	// unconverged centering.
 	Centered bool
 	// AssembleNanos, FactorNanos and LinesearchNanos split the solve's
 	// wall time across its three phases — Hessian assembly, KKT
@@ -212,8 +223,8 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 
 	// Backend selection: the structured path needs a compiled pattern
 	// that still describes this problem instance (a pointer walk);
-	// anything else — no pattern, a Phase-I augmentation, a hand-built
-	// problem — stays dense. Both backends live in the workspace, so
+	// anything else — no pattern, the generic PhaseI augmentation, a
+	// hand-built problem — stays dense. Both backends live in the workspace, so
 	// neither branch allocates.
 	var ops kktOps
 	if p.Pattern != nil && p.Pattern.matches(p) {
@@ -221,6 +232,7 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 		ws.aops = arrowOps{p: p, pat: p.Pattern, ws: ws}
 		ops = &ws.aops
 	} else {
+		denseSolves.Add(1)
 		ws.dops = denseOps{p: p, ws: ws}
 		ops = &ws.dops
 	}
@@ -235,6 +247,14 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 		res.LinesearchNanos += cs.linesearchNs
 		if o.Centering != nil {
 			o.Centering(t, cs.iters, cs.converged && err == nil, cs.assembleNs, cs.factorNs, cs.linesearchNs)
+		}
+		if o.abandonUncentered && (err == nil && !cs.converged || errors.Is(err, ErrNumerical)) {
+			// WarmStart gives the seed up at the first centering that
+			// fails to converge; the Result reports the work spent.
+			if err == nil {
+				return res, fmt.Errorf("%w: centering at t=%.3g exhausted MaxNewton (%d iterations)", ErrWarmStart, t, o.MaxNewton)
+			}
+			return res, fmt.Errorf("%w: centering at t=%.3g: %w", ErrWarmStart, t, err)
 		}
 		if err != nil {
 			return nil, err
@@ -262,6 +282,17 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 	}
 	return res, nil
 }
+
+// denseSolves counts, process-wide, the barrier solves that ran on the
+// dense KKT backend.
+var denseSolves atomic.Uint64
+
+// DenseSolves reports how many barrier solves, process-wide, have run
+// on the dense KKT backend: a problem with no compiled pattern, or one
+// whose pattern no longer matches it. Every production problem compiles
+// a pattern (Phase I included), so the count only moves for hand-built
+// problems and for reference solves that strip the pattern.
+func DenseSolves() uint64 { return denseSolves.Load() }
 
 // machEps is the double-precision unit round-off.
 const machEps = 2.220446049250313e-16

@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"protemp/internal/linalg"
@@ -129,5 +131,88 @@ func TestPhaseITightBox(t *testing.T) {
 	}
 	if !p.IsStrictlyFeasible(x) {
 		t.Fatalf("point %v infeasible", x)
+	}
+}
+
+// TestSlackPhaseIMatchesPhaseI compares the row-slack Phase-I program
+// with the generic dense PhaseI on random arrow-shaped programs whose
+// row caps are scaled from comfortably loose to unsatisfiable: the two
+// agree on feasible vs infeasible, every point returned is strictly
+// feasible, the row-slack solves stay on the structured backend, and a
+// bound instance reads its source's offsets live.
+func TestSlackPhaseIMatchesPhaseI(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	feasible, infeasible := 0, 0
+	for trial := 0; trial < 6; trial++ {
+		n := 3 + trial%3
+		p, x0 := randomArrowProblem(rng, n, true, true)
+		rows := n + 2
+		m := len(p.Constraints)
+		soft := make([]bool, m)
+		for i := m - rows; i < m; i++ {
+			soft[i] = true
+		}
+		sp, err := CompileSlackPhaseI(p, n, soft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ph := sp.Bind(p)
+		if ph.Problem().Pattern == nil {
+			t.Fatal("row-slack program has no compiled pattern")
+		}
+		caps := make([]float64, rows)
+		for r := range caps {
+			caps[r] = p.Constraints[m-rows+r].(*Affine).B
+		}
+		for _, scale := range []float64{1, 0.1, 0.01, -1} {
+			for r, b := range caps {
+				p.Constraints[m-rows+r].(*Affine).B = scale * b
+			}
+			before := DenseSolves()
+			x, err := ph.Find(x0, Options{})
+			if DenseSolves() != before {
+				t.Fatal("row-slack Phase I ran on the dense backend")
+			}
+			_, refErr := PhaseI(p, x0, Options{})
+			got, want := err == nil, refErr == nil
+			if err != nil && !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("trial %d scale %g: %v", trial, scale, err)
+			}
+			if refErr != nil && !errors.Is(refErr, ErrInfeasible) {
+				t.Fatalf("trial %d scale %g: reference: %v", trial, scale, refErr)
+			}
+			if got != want {
+				t.Fatalf("trial %d scale %g: row-slack feasible=%v (%v), generic PhaseI %v (%v)", trial, scale, got, err, want, refErr)
+			}
+			if got {
+				feasible++
+				if !p.IsStrictlyFeasible(x) {
+					t.Fatalf("trial %d scale %g: point violates by %g", trial, scale, p.MaxViolation(x))
+				}
+			} else {
+				infeasible++
+			}
+		}
+	}
+	if feasible == 0 || infeasible == 0 {
+		t.Fatalf("%d feasible, %d infeasible: the cases do not cross the boundary", feasible, infeasible)
+	}
+}
+
+// TestSlackPhaseIRejectsBadStart: the closed-form start must satisfy
+// every hard constraint strictly; a soft row may carry the slack.
+func TestSlackPhaseIRejectsBadStart(t *testing.T) {
+	p := boxProblem(t, linalg.VectorOf(0.5, 0.5))
+	soft := make([]bool, len(p.Constraints))
+	soft[0] = true
+	sp, err := CompileSlackPhaseI(p, 0, soft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Bind(p).Find(linalg.VectorOf(5, 5), Options{}); err == nil || errors.Is(err, ErrInfeasible) {
+		t.Fatalf("err = %v, want a hard-constraint violation", err)
+	}
+	if _, err := CompileSlackPhaseI(p, 0, soft[:1]); err == nil {
+		t.Fatal("short soft mask accepted")
 	}
 }

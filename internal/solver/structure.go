@@ -213,7 +213,8 @@ func (hp *HessianPattern) Matches(p *Problem) bool { return hp.matches(p) }
 // with the identical coefficient storage. Sibling instances of one
 // compiled plan share coefficient vectors, so the check is a pointer
 // walk — O(m) with no arithmetic — done once per solve, and any drift
-// (a Phase-I augmentation, a hand-built problem) falls back to dense.
+// (the generic PhaseI augmentation, a hand-built problem) falls back
+// to dense.
 func (hp *HessianPattern) matches(p *Problem) bool {
 	if p.Dim() != hp.dim || len(p.Constraints) != hp.m || p.Objective != hp.objective {
 		return false

@@ -9,9 +9,10 @@ import (
 
 // ErrWarmStart is returned by WarmStart when the supplied previous
 // optimum (and anchor blend) cannot be re-centered into strict
-// feasibility. It signals "fall back to the cold start ladder", not
-// infeasibility of the problem itself.
-var ErrWarmStart = errors.New("solver: warm start is not strictly feasible")
+// feasibility, or when a centering seeded from it stalls. It signals
+// "fall back to the cold start ladder", not infeasibility of the
+// problem itself.
+var ErrWarmStart = errors.New("solver: warm start rejected")
 
 // warmMargin is the strict-feasibility margin a warm-start point must
 // clear: a point closer to the boundary than this makes the first
@@ -37,8 +38,15 @@ const warmMargin = 1e-9
 // disables the elevation and only the re-centering and start-ladder
 // shortcut remain.
 //
-// A seed that cannot be re-centered returns ErrWarmStart; the caller
-// falls back to its cold-start path. Results are interchangeable with
+// A seed that cannot be re-centered returns ErrWarmStart with a nil
+// Result; the caller falls back to its cold-start path. So does a seed
+// under which any centering fails to converge (exhausts MaxNewton, or
+// fails numerically): the solve is abandoned at that stage rather than
+// ground through the rest, and the returned Result is non-nil with X
+// nil, reporting only the abandoned attempt's work (NewtonIters,
+// OuterIters and the phase timings) so callers can account for it; the
+// error names the centering's barrier weight. A nil error therefore
+// always comes with a centered Result. Results are interchangeable with
 // Barrier's — same optimum within the duality-gap tolerance — only the
 // iteration count changes.
 func WarmStart(p *Problem, xPrev, anchor linalg.Vector, gapEst float64, opts Options, ws *Workspace) (*Result, error) {
@@ -66,7 +74,7 @@ func WarmStart(p *Problem, xPrev, anchor linalg.Vector, gapEst float64, opts Opt
 	}
 	start := recenter(p, xPrev, anchor, blend)
 	if start == nil {
-		return nil, fmt.Errorf("%w (max violation %v)", ErrWarmStart, p.MaxViolation(xPrev))
+		return nil, fmt.Errorf("%w: seed is not strictly feasible (max violation %v)", ErrWarmStart, p.MaxViolation(xPrev))
 	}
 
 	o := opts.withDefaults()
@@ -82,6 +90,7 @@ func WarmStart(p *Problem, xPrev, anchor linalg.Vector, gapEst float64, opts Opt
 			o.T0 = t0
 		}
 	}
+	o.abandonUncentered = true
 	return BarrierWS(p, start, o, ws)
 }
 

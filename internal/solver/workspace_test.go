@@ -3,6 +3,7 @@ package solver
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"protemp/internal/linalg"
@@ -192,5 +193,32 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if err := (Options{Mu: 1.0001}).Validate(); err != nil {
 		t.Errorf("legitimate Mu=1.0001 rejected: %v", err)
+	}
+}
+
+// TestWarmStartAbandonsStalledCentering: a seed whose first centering
+// exhausts MaxNewton is given up at that centering with ErrWarmStart,
+// and the returned Result reports the work spent there — where a cold
+// Barrier with the same budget grinds on through every stage.
+func TestWarmStartAbandonsStalledCentering(t *testing.T) {
+	p := wsBoxProblem(t, linalg.VectorOf(1, -1, 1))
+	seed := linalg.Constant(3, 0.5)
+	opts := Options{MaxNewton: 2}
+	res, err := WarmStart(p, seed, nil, 0, opts, nil)
+	if !errors.Is(err, ErrWarmStart) {
+		t.Fatalf("err = %v, want ErrWarmStart", err)
+	}
+	if !strings.Contains(err.Error(), "t=1 ") {
+		t.Errorf("error %q does not name the failed centering's barrier weight", err)
+	}
+	if res == nil || res.X != nil || res.NewtonIters != 2 || res.OuterIters != 1 {
+		t.Fatalf("abandoned result = %+v, want the one stalled centering's work and no X", res)
+	}
+	cold, err := Barrier(p, seed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.OuterIters <= 1 {
+		t.Fatalf("cold barrier ran %d stages; the case does not show the difference", cold.OuterIters)
 	}
 }
