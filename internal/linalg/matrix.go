@@ -190,6 +190,43 @@ func (m *Matrix) MulVecT(dst, x Vector) Vector {
 	return dst
 }
 
+// MulVecRows stores the matvec of the listed rows into dst, dst[k] =
+// row(rows[k])·x, and returns dst.
+func (m *Matrix) MulVecRows(dst Vector, rows []int, x Vector) Vector {
+	mustLen(len(x), m.cols)
+	mustLen(len(dst), len(rows))
+	for k, i := range rows {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		var s float64
+		for j, a := range row {
+			s += a * x[j]
+		}
+		dst[k] = s
+	}
+	return dst
+}
+
+// MulVecTRows stores Σ_k x[k]·row(rows[k]) into dst — the transposed
+// matvec of the listed rows — and returns dst.
+func (m *Matrix) MulVecTRows(dst Vector, rows []int, x Vector) Vector {
+	mustLen(len(x), len(rows))
+	mustLen(len(dst), m.cols)
+	for j := range dst {
+		dst[j] = 0
+	}
+	for k, i := range rows {
+		xk := x[k]
+		if xk == 0 {
+			continue
+		}
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		for j, a := range row {
+			dst[j] += a * xk
+		}
+	}
+	return dst
+}
+
 // NormInf returns the maximum absolute row sum.
 func (m *Matrix) NormInf() float64 {
 	var max float64

@@ -73,6 +73,19 @@ func TestMatrixMulVec(t *testing.T) {
 	}
 }
 
+func TestMatrixMulVecRows(t *testing.T) {
+	a := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+	rows := []int{2, 0}
+	y := a.MulVecRows(NewVector(2), rows, VectorOf(1, 0, -1))
+	if !y.Equal(VectorOf(-2, -2), 0) {
+		t.Fatalf("MulVecRows = %v", y)
+	}
+	z := a.MulVecTRows(NewVector(3), rows, VectorOf(1, 2))
+	if !z.Equal(VectorOf(9, 12, 15), 0) {
+		t.Fatalf("MulVecTRows = %v", z)
+	}
+}
+
 func TestMatrixTranspose(t *testing.T) {
 	a := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	at := a.T()

@@ -97,17 +97,29 @@ const syrkPanel = 32
 
 // AddSyrk accumulates the scaled rank-k update Σ_k alpha[k]·g_k·g_kᵀ
 // over the rows g_k of g into the lower triangle — the batched form of
-// the per-constraint a·aᵀ/fi² barrier terms. Rows are processed in
-// panels of syrkPanel for cache reuse, four at a time so each
-// destination-row element is loaded and stored once per quad instead of
-// once per constraint; a zero alpha[k] skips row k.
+// the per-constraint a·aᵀ/fi² barrier terms. It is AddSyrkRows over
+// every row of g.
 func (p *PackedSym) AddSyrk(g *Matrix, alpha Vector) {
+	mustLen(len(alpha), g.Rows())
+	p.AddSyrkRows(g, nil, alpha)
+}
+
+// AddSyrkRows accumulates Σ_k alpha[k]·g_{rows[k]}·g_{rows[k]}ᵀ into the
+// lower triangle: the rank-k update over the listed rows of g, with
+// alpha aligned with rows (a nil rows lists every row of g in order).
+// Rows are processed in panels of syrkPanel for cache reuse, four at a
+// time so each destination-row element is loaded and stored once per
+// quad instead of once per constraint; a zero alpha[k] skips its row.
+func (p *PackedSym) AddSyrkRows(g *Matrix, rows []int, alpha Vector) {
 	if g.Cols() != p.n {
 		panic(fmt.Sprintf("linalg: AddSyrk with %d cols for dimension %d", g.Cols(), p.n))
 	}
-	mustLen(len(alpha), g.Rows())
-	m := g.Rows()
-	var idx [syrkPanel]int
+	m := len(alpha)
+	if rows != nil {
+		mustLen(len(rows), m)
+	}
+	var idx [syrkPanel]int // row of g
+	var pos [syrkPanel]int // position in alpha
 	for k0 := 0; k0 < m; k0 += syrkPanel {
 		k1 := k0 + syrkPanel
 		if k1 > m {
@@ -116,15 +128,17 @@ func (p *PackedSym) AddSyrk(g *Matrix, alpha Vector) {
 		nk := 0
 		for k := k0; k < k1; k++ {
 			if alpha[k] != 0 {
-				idx[nk] = k
+				idx[nk], pos[nk] = k, k
+				if rows != nil {
+					idx[nk] = rows[k]
+				}
 				nk++
 			}
 		}
 		kq := 0
 		for ; kq+4 <= nk; kq += 4 {
-			ka, kb, kc, kd := idx[kq], idx[kq+1], idx[kq+2], idx[kq+3]
-			a0, a1, a2, a3 := alpha[ka], alpha[kb], alpha[kc], alpha[kd]
-			r0, r1, r2, r3 := g.Row(ka), g.Row(kb), g.Row(kc), g.Row(kd)
+			a0, a1, a2, a3 := alpha[pos[kq]], alpha[pos[kq+1]], alpha[pos[kq+2]], alpha[pos[kq+3]]
+			r0, r1, r2, r3 := g.Row(idx[kq]), g.Row(idx[kq+1]), g.Row(idx[kq+2]), g.Row(idx[kq+3])
 			for i := 0; i < p.n; i++ {
 				row := p.Row(i)
 				g0 := r0[: i+1 : i+1]
@@ -141,9 +155,8 @@ func (p *PackedSym) AddSyrk(g *Matrix, alpha Vector) {
 			}
 		}
 		for ; kq < nk; kq++ {
-			k := idx[kq]
-			gk := g.Row(k)
-			a := alpha[k]
+			gk := g.Row(idx[kq])
+			a := alpha[pos[kq]]
 			for i := 0; i < p.n; i++ {
 				row := p.Row(i)
 				v := a * gk[i]

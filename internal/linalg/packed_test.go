@@ -118,3 +118,37 @@ func TestPackedCholRejectsIndefinite(t *testing.T) {
 		t.Fatalf("factor of indefinite matrix: %v, want ErrNotPositiveDefinite", err)
 	}
 }
+
+// TestAddSyrkRowsMatchesGatheredRows checks the row-subset SYRK against
+// AddSyrk over a matrix holding just the listed rows: the barrier's
+// working set accumulates in place, without copying its rows out.
+func TestAddSyrkRowsMatchesGatheredRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n, m = 9, 40
+	g := NewMatrix(m, n)
+	for k := 0; k < m; k++ {
+		for j := 0; j < n; j++ {
+			g.Set(k, j, rng.NormFloat64())
+		}
+	}
+	rows := []int{1, 2, 3, 5, 8, 13, 21, 22, 34, 39}
+	alpha := NewVector(len(rows))
+	gathered := NewMatrix(len(rows), n)
+	for k, r := range rows {
+		alpha[k] = rng.Float64()
+		if k == 4 {
+			alpha[k] = 0
+		}
+		copy(gathered.Row(k), g.Row(r))
+	}
+	got, want := NewPackedSym(n), NewPackedSym(n)
+	got.AddSyrkRows(g, rows, alpha)
+	want.AddSyrk(gathered, alpha)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			if got.At(i, j) != want.At(i, j) {
+				t.Fatalf("(%d,%d): rows %v, gathered %v", i, j, got.At(i, j), want.At(i, j))
+			}
+		}
+	}
+}

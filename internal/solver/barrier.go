@@ -52,6 +52,13 @@ type Options struct {
 	// cheaply, and the cold ladder is faster than grinding through the
 	// remaining stages.
 	abandonUncentered bool
+	// warmGap, when positive, is WarmStart's bound on the start's
+	// suboptimality; each solve round starts at t0 = m/warmGap (see
+	// WarmStart), with m counting that round's working set.
+	warmGap float64
+	// allRows seeds the working set with every row: the unscreened
+	// reference the screening equivalence tests compare against.
+	allRows bool
 }
 
 // DefaultOptions returns the tuning used throughout the project.
@@ -142,9 +149,11 @@ type Result struct {
 	X linalg.Vector
 	// Objective is f0(X).
 	Objective float64
-	// Gap is the final duality-gap bound m/t.
+	// Gap is the final duality-gap bound m/t, with m counting the
+	// working set's rows plus every non-row constraint.
 	Gap float64
-	// Lambda holds the recovered dual variables λ_i = −1/(t·fi(X)).
+	// Lambda holds the recovered dual variables λ_i = −1/(t·fi(X)),
+	// zero for the rows outside the working set.
 	Lambda linalg.Vector
 	// NewtonIters counts total Newton iterations across all centerings.
 	NewtonIters int
@@ -167,6 +176,12 @@ type Result struct {
 	AssembleNanos   int64
 	FactorNanos     int64
 	LinesearchNanos int64
+	// Rows is the working set's size at the accepted solve (zero on the
+	// dense backend, which keeps every constraint), and Cuts counts the
+	// re-solves a full-row check forced. The counters above include the
+	// work of every round.
+	Rows int
+	Cuts int
 }
 
 // KKTResidual returns ‖∇f0(X) + Σ λ_i ∇fi(X)‖∞, the stationarity
@@ -216,27 +231,81 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 		ws.ensure(n)
 	}
 
-	x := x0.Clone()
-	t := o.T0
-	m := float64(len(p.Constraints))
-	res := &Result{}
-
 	// Backend selection: the structured path needs a compiled pattern
 	// that still describes this problem instance (a pointer walk);
 	// anything else — no pattern, the generic PhaseI augmentation, a
 	// hand-built problem — stays dense. Both backends live in the workspace, so
-	// neither branch allocates.
+	// neither branch allocates. The structured path screens its row
+	// constraints (screen.go): it solves on the working set, checks
+	// every row at the result, and re-solves from x0 after a cut.
 	var ops kktOps
+	var scr *arrowOps
 	if p.Pattern != nil && p.Pattern.matches(p) {
 		ws.ensureArrow(p.Pattern)
 		ws.aops = arrowOps{p: p, pat: p.Pattern, ws: ws}
-		ops = &ws.aops
+		scr = &ws.aops
+		scr.seed(x0, o.allRows)
+		ops = scr
 	} else {
 		denseSolves.Add(1)
 		ws.dops = denseOps{p: p, ws: ws}
 		ops = &ws.dops
 	}
 
+	x := x0.Clone()
+	res := &Result{}
+	var t float64
+	m := len(p.Constraints)
+	for {
+		if scr != nil {
+			m = len(p.Constraints) - len(scr.pat.rows) + len(ws.ast.w)
+		}
+		var err error
+		t, err = stages(x, m, o, ws, ops, res)
+		if err != nil {
+			if errors.Is(err, ErrWarmStart) {
+				return res, err
+			}
+			return nil, err
+		}
+		if scr == nil || !scr.cut(x) {
+			break
+		}
+		res.Cuts++
+		copy(x, x0)
+	}
+
+	res.X = x
+	res.Objective = p.Objective.Value(x)
+	if m > 0 {
+		res.Gap = float64(m) / t
+	}
+	res.Lambda = linalg.NewVector(len(p.Constraints))
+	for i, c := range p.Constraints {
+		if v := c.Value(x); v < 0 {
+			res.Lambda[i] = -1 / (t * v)
+		}
+	}
+	if scr != nil {
+		res.Rows = len(ws.ast.w)
+		scr.dropOutside(res.Lambda)
+	}
+	return res, nil
+}
+
+// stages runs the barrier's centering stages from x (updated in place)
+// over m constraints, folding their work into res, and returns the
+// final barrier weight. Under WarmStart the first unconverged
+// centering ends the round with an error wrapping ErrWarmStart.
+func stages(x linalg.Vector, m int, o Options, ws *Workspace, ops kktOps, res *Result) (float64, error) {
+	t := o.T0
+	if m > 0 && o.warmGap > 0 {
+		// Never start past the final weight (at least one centering must
+		// run at a weight that certifies the target gap), and never
+		// below the cold start.
+		t = math.Max(t, math.Min(float64(m)/o.warmGap, float64(m)/o.Tol))
+	}
+	res.StoppedEarly = false
 	for outer := 0; outer < o.MaxOuter; outer++ {
 		res.OuterIters++
 		cs, err := center(x, t, o, ws, ops)
@@ -252,35 +321,23 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 			// WarmStart gives the seed up at the first centering that
 			// fails to converge; the Result reports the work spent.
 			if err == nil {
-				return res, fmt.Errorf("%w: centering at t=%.3g exhausted MaxNewton (%d iterations)", ErrWarmStart, t, o.MaxNewton)
+				return t, fmt.Errorf("%w: centering at t=%.3g exhausted MaxNewton (%d iterations)", ErrWarmStart, t, o.MaxNewton)
 			}
-			return res, fmt.Errorf("%w: centering at t=%.3g: %w", ErrWarmStart, t, err)
+			return t, fmt.Errorf("%w: centering at t=%.3g: %w", ErrWarmStart, t, err)
 		}
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		if cs.stopped {
 			res.StoppedEarly = true
 			break
 		}
-		if len(p.Constraints) == 0 || m/t < o.Tol {
+		if m == 0 || float64(m)/t < o.Tol {
 			break
 		}
 		t *= o.Mu
 	}
-
-	res.X = x
-	res.Objective = p.Objective.Value(x)
-	if len(p.Constraints) > 0 {
-		res.Gap = m / t
-	}
-	res.Lambda = linalg.NewVector(len(p.Constraints))
-	for i, c := range p.Constraints {
-		if v := c.Value(x); v < 0 {
-			res.Lambda[i] = -1 / (t * v)
-		}
-	}
-	return res, nil
+	return t, nil
 }
 
 // denseSolves counts, process-wide, the barrier solves that ran on the

@@ -94,6 +94,10 @@ func (d *denseOps) feasible(x linalg.Vector) bool {
 // row constraints, batched matvec evaluation of their values, and
 // block-elimination factorization. Shares the regularized-retry ladder
 // and failure semantics with the dense path.
+//
+// Every evaluation covers only the working set W of row constraints
+// (seed, cut and the screening argument in BarrierWS); the non-row
+// constraints always enter in full.
 type arrowOps struct {
 	p   *Problem
 	pat *HessianPattern
@@ -154,29 +158,29 @@ func (a *arrowOps) assemble(x linalg.Vector, t float64) (float64, bool) {
 		}
 	}
 
-	// Row constraints: one matvec for all values, one transposed matvec
-	// for the gradient, one blocked SYRK for the Hessian block. The raw
-	// matvec values are kept in lu so a following lineStart at this x
-	// skips its origin matvec.
-	if len(pat.rows) > 0 {
-		xd := x[nf:]
-		pat.g.MulVec(st.fi, xd)
+	// Working-set rows: one matvec for all values, one transposed
+	// matvec for the gradient, one blocked SYRK for the Hessian block.
+	// The raw matvec values are kept in lu so a following lineStart at
+	// this x skips its origin matvec.
+	if w := st.w; len(w) > 0 {
+		fiW, alpha := st.fi[:len(w)], st.alpha[:len(w)]
+		pat.g.MulVecRows(fiW, w, x[nf:])
 		prod := 1.0
-		for r := range pat.rows {
-			st.lu[r] = st.fi[r]
-			fi := st.fi[r] + a.rowB(pat.rows[r].ci)
+		for k := range w {
+			st.lu[k] = fiW[k]
+			fi := fiW[k] + st.bw[k]
 			if fi >= 0 {
 				return 0, false
 			}
 			prod = logFlush(prod*-fi, &acc)
-			st.fi[r] = -1 / fi // inv, consumed by the gradient matvec
-			st.alpha[r] = 1 / (fi * fi)
+			fiW[k] = -1 / fi // inv, consumed by the gradient matvec
+			alpha[k] = 1 / (fi * fi)
 		}
 		acc -= math.Log(prod)
-		pat.g.MulVecT(st.gd, st.fi)
+		pat.g.MulVecTRows(st.gd, w, fiW)
 		gd := grad[nf:]
 		gd.Add(gd, st.gd)
-		kkt.S.AddSyrk(pat.g, st.alpha)
+		kkt.S.AddSyrkRows(pat.g, w, alpha)
 	}
 
 	for i := range pat.fDiag {
@@ -293,11 +297,11 @@ func (a *arrowOps) value(x linalg.Vector, t float64) (float64, bool) {
 	nf := pat.nf
 	tf0 := t * a.p.Objective.Value(x)
 	acc := 0.0
-	if len(pat.rows) > 0 {
-		pat.g.MulVec(st.fi, x[nf:])
+	if w := st.w; len(w) > 0 {
+		fiW := pat.g.MulVecRows(st.fi[:len(w)], w, x[nf:])
 		prod := 1.0
-		for r := range pat.rows {
-			fi := st.fi[r] + a.rowB(pat.rows[r].ci)
+		for k := range w {
+			fi := fiW[k] + st.bw[k]
 			if fi >= 0 {
 				return 0, false
 			}
@@ -315,26 +319,25 @@ func (a *arrowOps) value(x linalg.Vector, t float64) (float64, bool) {
 // lineStart caches the row-batch directional matvec v = g·dx_d. The
 // origin values u = g·x_d were already stowed in lu by the assemble
 // call at this same x (center always assembles before searching), so
-// every trial point x + s·dx evaluates all row constraints as
-// u[r] + s·v[r] + B in O(rows) instead of a full matvec per candidate
-// step.
+// every trial point x + s·dx evaluates the working-set rows as
+// u[k] + s·v[k] + B in O(|W|) instead of a matvec per candidate step.
 func (a *arrowOps) lineStart(x, dx linalg.Vector) {
 	pat, st := a.pat, &a.ws.ast
-	if len(pat.rows) == 0 {
+	if len(st.w) == 0 {
 		return
 	}
-	pat.g.MulVec(st.lv, dx[pat.nf:])
+	pat.g.MulVecRows(st.lv[:len(st.w)], st.w, dx[pat.nf:])
 }
 
 func (a *arrowOps) trial(xTrial, x, dx linalg.Vector, step, t float64) (float64, bool) {
-	pat, st := a.pat, &a.ws.ast
+	st := &a.ws.ast
 	xTrial.AddScaled(x, step, dx)
 	tf0 := t * a.p.Objective.Value(xTrial)
 	acc := 0.0
-	if len(pat.rows) > 0 {
+	if len(st.w) > 0 {
 		prod := 1.0
-		for r := range pat.rows {
-			fi := st.lu[r] + step*st.lv[r] + a.rowB(pat.rows[r].ci)
+		for k := range st.w {
+			fi := st.lu[k] + step*st.lv[k] + st.bw[k]
 			if fi >= 0 {
 				return 0, false
 			}
@@ -352,10 +355,10 @@ func (a *arrowOps) trial(xTrial, x, dx linalg.Vector, step, t float64) (float64,
 func (a *arrowOps) feasible(x linalg.Vector) bool {
 	pat, st := a.pat, &a.ws.ast
 	nf := pat.nf
-	if len(pat.rows) > 0 {
-		pat.g.MulVec(st.fi, x[nf:])
-		for r := range pat.rows {
-			if st.fi[r]+a.rowB(pat.rows[r].ci) >= 0 {
+	if w := st.w; len(w) > 0 {
+		fiW := pat.g.MulVecRows(st.fi[:len(w)], w, x[nf:])
+		for k, v := range fiW {
+			if v+st.bw[k] >= 0 {
 				return false
 			}
 		}

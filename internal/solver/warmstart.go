@@ -31,7 +31,8 @@ const warmMargin = 1e-9
 //
 // gapEst is the caller's upper bound on the seed's suboptimality
 // f0(xPrev) − p*, in objective units. The barrier then starts at
-// t0 = m/gapEst — the textbook warm-start weight (Boyd & Vandenberghe
+// t0 = m/gapEst, m counting the constraints the solve carries (the
+// working set of a screened solve) — the textbook warm-start weight (Boyd & Vandenberghe
 // §11.3.1): the first centering costs about one ordinary outer stage
 // while every stage the cold solve would spend closing the gap from
 // m/T0 down to gapEst is skipped outright. A non-positive gapEst
@@ -78,18 +79,7 @@ func WarmStart(p *Problem, xPrev, anchor linalg.Vector, gapEst float64, opts Opt
 	}
 
 	o := opts.withDefaults()
-	if m := len(p.Constraints); m > 0 && gapEst > 0 {
-		t0 := float64(m) / gapEst
-		// Never start past the final weight (at least one centering must
-		// run at a weight that certifies the target gap), and never
-		// below the cold start.
-		if tFinal := float64(m) / o.Tol; t0 > tFinal {
-			t0 = tFinal
-		}
-		if t0 > o.T0 {
-			o.T0 = t0
-		}
-	}
+	o.warmGap = gapEst
 	o.abandonUncentered = true
 	return BarrierWS(p, start, o, ws)
 }

@@ -38,8 +38,9 @@ type Workspace struct {
 }
 
 // arrowState is the structured backend's scratch, sized per compiled
-// pattern: the ArrowKKT being assembled, its factor, and the row-batch
-// buffers (values/inverses, SYRK scales, dense-block gradient).
+// pattern: the ArrowKKT being assembled, its factor, the working set of
+// row constraints (see screen.go) and the row-batch buffers, which are
+// aligned with the working set's list w.
 type arrowState struct {
 	pat   *HessianPattern
 	kkt   linalg.ArrowKKT
@@ -50,6 +51,12 @@ type arrowState struct {
 	lu    linalg.Vector // line search: row values g·x_d at the search origin
 	lv    linalg.Vector // line search: row directional values g·dx_d
 	rr    linalg.Vector // full-dimension residual for iterative refinement
+
+	w      []int         // working set: indices into pat.rows, ascending
+	inW    []bool        // working-set membership, over pat.rows
+	pinned []bool        // rows kept in every working set
+	bw     linalg.Vector // offsets of w's rows
+	all    linalg.Vector // every row's value at a seeded or checked point
 }
 
 // NewWorkspace returns a workspace pre-sized for dimension-n problems.
@@ -94,6 +101,26 @@ func (w *Workspace) ensureArrow(pat *HessianPattern) {
 	if w.ast.pat == pat {
 		return
 	}
+	// A dense column no scalar constraint bounds (Phase I's slack, the
+	// gradient variant's bound) is a max over its rows: a sample of them
+	// leaves a relaxation whose optimum exploits the rest, so those rows
+	// are pinned in every working set.
+	rows := len(pat.rows)
+	bounded := make([]bool, pat.nd)
+	for _, c := range pat.dDiag {
+		bounded[c.idx] = true
+	}
+	for _, c := range pat.couples {
+		if c.dcol >= 0 {
+			bounded[c.dcol] = true
+		}
+	}
+	pinned := make([]bool, rows)
+	for r := range pinned {
+		for j, v := range pat.g.Row(r) {
+			pinned[r] = pinned[r] || v != 0 && !bounded[j]
+		}
+	}
 	w.ast = arrowState{
 		pat: pat,
 		kkt: linalg.ArrowKKT{
@@ -103,11 +130,16 @@ func (w *Workspace) ensureArrow(pat *HessianPattern) {
 			Col: pat.coupleCol, // read-only, shared with the pattern
 			S:   linalg.NewPackedSym(pat.nd),
 		},
-		fi:    linalg.NewVector(len(pat.rows)),
-		alpha: linalg.NewVector(len(pat.rows)),
-		gd:    linalg.NewVector(pat.nd),
-		lu:    linalg.NewVector(len(pat.rows)),
-		lv:    linalg.NewVector(len(pat.rows)),
-		rr:    linalg.NewVector(pat.nf + pat.nd),
+		fi:     linalg.NewVector(rows),
+		alpha:  linalg.NewVector(rows),
+		gd:     linalg.NewVector(pat.nd),
+		lu:     linalg.NewVector(rows),
+		lv:     linalg.NewVector(rows),
+		rr:     linalg.NewVector(pat.nf + pat.nd),
+		w:      make([]int, 0, rows),
+		inW:    make([]bool, rows),
+		pinned: pinned,
+		bw:     linalg.NewVector(rows),
+		all:    linalg.NewVector(rows),
 	}
 }
