@@ -100,7 +100,9 @@ func New(opts ...Option) (*Engine, error) {
 	e.reg.Histogram("step_solve_nanos")
 	e.reg.Histogram("solve_assemble_nanos")
 	e.reg.Histogram("solve_factor_nanos")
-	for _, name := range []string{"step_solves", "step_warm_hits", "step_warm_rejects", "step_solve_errors"} {
+	e.reg.Histogram("solve_linesearch_nanos")
+	e.reg.Histogram("solve_rows")
+	for _, name := range []string{"step_solves", "step_warm_hits", "step_warm_rejects", "step_solve_errors", "solve_row_cuts"} {
 		e.reg.Counter(name)
 	}
 	// And the distributed-MPC instruments, so a scrape sees the dmpc_*
@@ -328,12 +330,15 @@ func (e *Engine) recordSweep(s core.TableStats) {
 // outcome into the step_* counters. Sessions call it once per solve.
 func (e *Engine) observeStepSolve(d time.Duration, st core.OnlineStepStats, err error) {
 	e.reg.Histogram("step_solve_nanos").ObserveDuration(d.Nanoseconds())
-	// Assembly/factorization split (only for solves that actually entered
-	// the barrier — degenerate full-speed steps report zeros and would
-	// skew the distributions toward 0).
+	// Phase split and row screening (only for solves that actually
+	// entered the barrier — degenerate full-speed steps report zeros and
+	// would skew the distributions toward 0).
 	if st.NewtonIters > 0 {
 		e.reg.Histogram("solve_assemble_nanos").ObserveDuration(st.AssembleNanos)
 		e.reg.Histogram("solve_factor_nanos").ObserveDuration(st.FactorNanos)
+		e.reg.Histogram("solve_linesearch_nanos").ObserveDuration(st.LinesearchNanos)
+		e.reg.Histogram("solve_rows").Observe(uint64(st.Rows))
+		e.reg.Counter("solve_row_cuts").Add(uint64(st.Cuts))
 	}
 	e.reg.Counter("step_solves").Inc()
 	if st.Warm {

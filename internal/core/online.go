@@ -44,12 +44,17 @@ type OnlineStepStats struct {
 	// attempt included; WarmAbandonIters is that attempt's share.
 	NewtonIters      int
 	WarmAbandonIters int
-	// AssembleNanos and FactorNanos split the solve's wall time into
-	// Hessian assembly vs KKT factorization+solve, a rejected warm
-	// attempt included; zero for degenerate (full-speed) steps that
-	// never enter the barrier.
-	AssembleNanos int64
-	FactorNanos   int64
+	// AssembleNanos, FactorNanos and LinesearchNanos split the solve's
+	// wall time into Hessian assembly, KKT factorization+solve and line
+	// search, a rejected warm attempt included; zero for degenerate
+	// (full-speed) steps that never enter the barrier.
+	AssembleNanos   int64
+	FactorNanos     int64
+	LinesearchNanos int64
+	// Rows and Cuts are the solve's row screening (Assignment.Rows,
+	// Assignment.Cuts).
+	Rows int
+	Cuts int
 }
 
 // OnlineSolver is the warm-started engine of the online MPC hot path:
@@ -79,6 +84,7 @@ type OnlineSolver struct {
 
 	prevX linalg.Vector // previous window's optimum; nil = cold
 	t0buf linalg.Vector // stable copy of the caller's thermal map
+	pn    linalg.Vector // Downgrade's bisection powers, sized on first use
 
 	rec obs.Recorder // nil = tracing disabled
 }
@@ -193,6 +199,9 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 	a, x, warm, err := solveLadder(ctx, spec, o.inst, seed, gap, o.ws, o.rec)
 	if o.rec != nil {
 		feasible := err == nil && a != nil && a.Feasible
+		if a != nil {
+			o.rec.Screen(a.Rows, a.Cuts)
+		}
 		o.rec.SolveEnd(feasible, err)
 	}
 	if err != nil {
@@ -205,6 +214,9 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 	st.WarmAbandonIters = a.abandonedIters
 	st.AssembleNanos = a.AssembleNanos
 	st.FactorNanos = a.FactorNanos
+	st.LinesearchNanos = a.LinesearchNanos
+	st.Rows = a.Rows
+	st.Cuts = a.Cuts
 	if a.Feasible {
 		o.prevX = x
 	}
@@ -219,12 +231,17 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 // and how the window ended.
 type DowngradeStats struct {
 	// Solves counts the window solves (one, or two after a downgrade);
-	// WarmHits / WarmRejects and NewtonIters aggregate their outcomes
-	// (NewtonIters includes rejected warm attempts).
-	Solves      int
-	WarmHits    int
-	WarmRejects int
-	NewtonIters int
+	// WarmHits / WarmRejects, NewtonIters, the phase timings, Rows and
+	// Cuts sum their OnlineStepStats (rejected warm attempts included).
+	Solves          int
+	WarmHits        int
+	WarmRejects     int
+	NewtonIters     int
+	AssembleNanos   int64
+	FactorNanos     int64
+	LinesearchNanos int64
+	Rows            int
+	Cuts            int
 	// Downgraded reports that the required target was unsupportable and
 	// the window re-solved at the bisected maximum; Idle that the window
 	// idled (nothing supportable, or the downgraded re-solve failed).
@@ -251,18 +268,12 @@ func (o *OnlineSolver) Downgrade(ctx context.Context, tstart float64, t0 []float
 	if err != nil || a.Feasible {
 		return a, ds, err
 	}
-	spec := &Spec{
-		Chip: o.spec.Chip, Window: o.spec.Window, TMax: o.spec.TMax,
-		TStart: tstart, FTarget: required, T0: t0,
-		Variant: o.spec.Variant, GradWeight: o.spec.GradWeight, GradStride: o.spec.GradStride,
-		ConstrainAllBlocks: o.spec.ConstrainAllBlocks,
-	}
 	if span != nil {
 		span.Fallback("bisect-downgrade")
 		span.SolveStart(required)
 		span.Rung("bisect")
 	}
-	maxF, _, err := SolveUniformBisectContext(ctx, spec)
+	maxF, err := o.bisect(ctx)
 	if span != nil {
 		span.SolveEnd(maxF > 0, err)
 	}
@@ -281,6 +292,23 @@ func (o *OnlineSolver) Downgrade(ctx context.Context, tstart float64, t0 []float
 	return &Assignment{Feasible: true, Freqs: make([]float64, n), Powers: make([]float64, n)}, ds, nil
 }
 
+// bisect is SolveUniformBisectContext for the window the last Solve
+// set up: it bisects over the instance's rows, whose offsets already
+// hold this window's map (the solver's stable copy), instead of
+// rebuilding every row. It returns the largest supportable uniform
+// average frequency in Hz, zero when none is.
+func (o *OnlineSolver) bisect(ctx context.Context) (float64, error) {
+	chip := o.spec.Chip
+	if o.pn == nil {
+		o.pn = linalg.NewVector(chip.NumCores())
+	}
+	fnMax, ok, err := uniformMax(ctx, chip, o.spec.TMax, o.inst.rows, o.pn)
+	if err != nil || !ok {
+		return 0, err
+	}
+	return fnMax * chip.FMax(), nil
+}
+
 // countedSolve is one timed Solve folded into ds.
 func (o *OnlineSolver) countedSolve(ctx context.Context, tstart float64, t0 []float64, ftarget float64, ds *DowngradeStats, observe func(time.Duration, OnlineStepStats, error)) (*Assignment, error) {
 	start := time.Now()
@@ -296,5 +324,10 @@ func (o *OnlineSolver) countedSolve(ctx context.Context, tstart float64, t0 []fl
 		ds.WarmRejects++
 	}
 	ds.NewtonIters += st.NewtonIters
+	ds.AssembleNanos += st.AssembleNanos
+	ds.FactorNanos += st.FactorNanos
+	ds.LinesearchNanos += st.LinesearchNanos
+	ds.Rows += st.Rows
+	ds.Cuts += st.Cuts
 	return a, err
 }

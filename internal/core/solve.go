@@ -8,6 +8,7 @@ import (
 
 	"protemp/internal/linalg"
 	"protemp/internal/obs"
+	"protemp/internal/power"
 	"protemp/internal/solver"
 )
 
@@ -140,10 +141,12 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 	if err != nil {
 		if errors.Is(err, solver.ErrInfeasible) {
 			return &Assignment{
-				NewtonIters:    abandoned.NewtonIters,
-				AssembleNanos:  abandoned.AssembleNanos,
-				FactorNanos:    abandoned.FactorNanos,
-				abandonedIters: abandoned.NewtonIters,
+				NewtonIters:     abandoned.NewtonIters,
+				AssembleNanos:   abandoned.AssembleNanos,
+				FactorNanos:     abandoned.FactorNanos,
+				LinesearchNanos: abandoned.LinesearchNanos,
+				Cuts:            abandoned.Cuts,
+				abandonedIters:  abandoned.NewtonIters,
 			}, nil, warm, nil
 		}
 		return nil, nil, warm, fmt.Errorf("core: solve (%s, tstart=%g, ftarget=%g): %w",
@@ -154,11 +157,14 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 		Feasible:       true,
 		Freqs:          make([]float64, n),
 		Powers:         make([]float64, n),
-		Gap:            res.Gap,
-		NewtonIters:    abandoned.NewtonIters + res.NewtonIters,
-		AssembleNanos:  abandoned.AssembleNanos + res.AssembleNanos,
-		FactorNanos:    abandoned.FactorNanos + res.FactorNanos,
-		abandonedIters: abandoned.NewtonIters,
+		Gap:             res.Gap,
+		NewtonIters:     abandoned.NewtonIters + res.NewtonIters,
+		AssembleNanos:   abandoned.AssembleNanos + res.AssembleNanos,
+		FactorNanos:     abandoned.FactorNanos + res.FactorNanos,
+		LinesearchNanos: abandoned.LinesearchNanos + res.LinesearchNanos,
+		Rows:            res.Rows,
+		Cuts:            abandoned.Cuts + res.Cuts,
+		abandonedIters:  abandoned.NewtonIters,
 	}
 	for j := 0; j < n; j++ {
 		model := s.Chip.CoreModelOf(j)
@@ -205,7 +211,19 @@ func SolveUniformBisectContext(ctx context.Context, s *Spec) (maxFreq float64, t
 	if err != nil {
 		return 0, false, err
 	}
+	fnMax, ok, err := uniformMax(ctx, s.Chip, s.TMax, rows, linalg.NewVector(s.Chip.NumCores()))
+	if err != nil || !ok {
+		return 0, false, err
+	}
 	fmax := s.Chip.FMax()
+	return fnMax * fmax, fnMax*fmax+1e-3 >= s.FTarget, nil
+}
+
+// uniformMax bisects the largest normalized uniform frequency whose
+// window stays at or below tmax over rows, with ok=false when even
+// zero frequency overheats. pn is scratch of length NumCores. ctx is
+// polled at every probe.
+func uniformMax(ctx context.Context, chip *power.Chip, tmax float64, rows []tempRow, pn linalg.Vector) (float64, bool, error) {
 	cancelled := false
 	feasible := func(fn float64) bool {
 		if cancelled || ctx.Err() != nil {
@@ -214,25 +232,21 @@ func SolveUniformBisectContext(ctx context.Context, s *Spec) (maxFreq float64, t
 			cancelled = true
 			return false
 		}
-		return uniformPeak(s, rows, fn) <= s.TMax
+		return uniformPeak(chip, rows, fn, pn) <= tmax
 	}
 	fnMax, ok := solver.BisectMax(0, 1, 1e-7, feasible)
 	if cancelled {
 		return 0, false, ctx.Err()
 	}
-	if !ok {
-		return 0, false, nil
-	}
-	return fnMax * fmax, fnMax*fmax+1e-3 >= s.FTarget, nil
+	return fnMax, ok, nil
 }
 
 // uniformPeak returns the peak constrained temperature over the window
-// when every core runs at normalized frequency fn.
-func uniformPeak(s *Spec, rows []tempRow, fn float64) float64 {
-	n := s.Chip.NumCores()
-	pn := linalg.NewVector(n)
-	for j := 0; j < n; j++ {
-		model := s.Chip.CoreModelOf(j)
+// when every core runs at normalized frequency fn, using pn (length
+// NumCores) for the normalized powers.
+func uniformPeak(chip *power.Chip, rows []tempRow, fn float64, pn linalg.Vector) float64 {
+	for j := range pn {
+		model := chip.CoreModelOf(j)
 		pn[j] = model.AtFrequency(fn*model.FMax) / model.PMax
 	}
 	peak := math.Inf(-1)
@@ -247,7 +261,7 @@ func uniformPeak(s *Spec, rows []tempRow, fn float64) float64 {
 // fullSpeedAssignment evaluates the single candidate point f = fmax
 // against prebuilt temperature rows.
 func fullSpeedAssignment(s *Spec, rows []tempRow) (*Assignment, error) {
-	if uniformPeak(s, rows, 1) > s.TMax {
+	if uniformPeak(s.Chip, rows, 1, linalg.NewVector(s.Chip.NumCores())) > s.TMax {
 		return &Assignment{}, nil
 	}
 	n := s.Chip.NumCores()

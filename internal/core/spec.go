@@ -191,12 +191,19 @@ type Assignment struct {
 	// the barrier solve's iterations plus those of a warm attempt that
 	// was abandoned before the cold ladder ran (Phase I is not counted).
 	NewtonIters int
-	// AssembleNanos and FactorNanos split the solver's wall time into
-	// Hessian assembly vs KKT factorization+solve, an abandoned warm
-	// attempt included (zero for degenerate paths that never enter the
-	// barrier, e.g. full speed).
-	AssembleNanos int64
-	FactorNanos   int64
+	// AssembleNanos, FactorNanos and LinesearchNanos split the solver's
+	// wall time into Hessian assembly, KKT factorization+solve and line
+	// search, an abandoned warm attempt included (zero for degenerate
+	// paths that never enter the barrier, e.g. full speed).
+	AssembleNanos   int64
+	FactorNanos     int64
+	LinesearchNanos int64
+	// Rows is the final barrier solve's working set of temperature rows
+	// (solver.Result.Rows); Cuts counts the re-solves the solver's
+	// full-row checks forced, an abandoned warm attempt's included.
+	// Their work is part of NewtonIters and the phase timings.
+	Rows int
+	Cuts int
 
 	// abandonedIters is the abandoned warm attempt's share of
 	// NewtonIters.

@@ -44,6 +44,9 @@ type Recorder interface {
 	// the centering's wall time split into Hessian assembly, KKT
 	// factorization+solve, and line search (nanoseconds).
 	Centering(t float64, newtonIters int, converged bool, assembleNs, factorNs, linesearchNs int64)
+	// Screen records the open span's row screening: the working set's
+	// size at the accepted solve and the cut re-solves it took.
+	Screen(rows, cuts int)
 	// SolveEnd closes the open span with the solver verdict.
 	SolveEnd(feasible bool, err error)
 	// Outer records one ADMM consensus round with its residuals (°C).
@@ -80,6 +83,8 @@ type SolveSpan struct {
 	Rung         string          `json:"rung,omitempty"`
 	Centerings   []CenteringStep `json:"centerings,omitempty"`
 	NewtonIters  int             `json:"newton_iters"`
+	Rows         int             `json:"rows,omitempty"`
+	Cuts         int             `json:"cuts,omitempty"`
 	Feasible     bool            `json:"feasible"`
 	Err          string          `json:"err,omitempty"`
 	ElapsedNs    int64           `json:"elapsed_ns"`
@@ -147,6 +152,13 @@ func (t *Trace) Centering(tval float64, newtonIters int, converged bool, assembl
 	t.mu.Unlock()
 }
 
+// Screen implements Recorder.
+func (t *Trace) Screen(rows, cuts int) {
+	t.mu.Lock()
+	t.cur.Rows, t.cur.Cuts = rows, cuts
+	t.mu.Unlock()
+}
+
 // SolveEnd implements Recorder.
 func (t *Trace) SolveEnd(feasible bool, err error) {
 	t.mu.Lock()
@@ -211,6 +223,8 @@ func (c *clusterRecorder) Centering(tval float64, newtonIters int, converged boo
 	})
 	c.cur.NewtonIters += newtonIters
 }
+
+func (c *clusterRecorder) Screen(rows, cuts int) { c.cur.Rows, c.cur.Cuts = rows, cuts }
 
 func (c *clusterRecorder) SolveEnd(feasible bool, err error) {
 	span := c.cur
