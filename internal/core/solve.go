@@ -154,9 +154,9 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 	}
 
 	a := &Assignment{
-		Feasible:       true,
-		Freqs:          make([]float64, n),
-		Powers:         make([]float64, n),
+		Feasible:        true,
+		Freqs:           make([]float64, n),
+		Powers:          make([]float64, n),
 		Gap:             res.Gap,
 		NewtonIters:     abandoned.NewtonIters + res.NewtonIters,
 		AssembleNanos:   abandoned.AssembleNanos + res.AssembleNanos,
