@@ -246,3 +246,41 @@ func TestOnlineSolverRejectsBadMap(t *testing.T) {
 		t.Fatalf("solver unusable after bad inputs: %v", err)
 	}
 }
+
+// TestDowngradeBisectMatchesSpec pins Downgrade's bisection over the
+// instance's compiled rows to the Spec path, which rebuilds every row
+// from the map: the two maxima agree within the bisection tolerance on
+// a grid of thermal maps.
+func TestDowngradeBisectMatchesSpec(t *testing.T) {
+	f := niagaraFixture(t)
+	fmax := f.chip.FMax()
+	o, err := NewOnlineSolver(onlineSpec(t, VariantVariable))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, base := range []float64{45, 60, 75, 85, 95} {
+		for _, amp := range []float64{0, 3, 8} {
+			m := thermalMap(t, base)
+			for i := range m {
+				m[i] = base + amp*math.Sin(float64(3*i))
+			}
+			if _, _, err := o.Solve(ctx, 0, m, 0.5*fmax); err != nil {
+				t.Fatal(err)
+			}
+			got, err := o.bisect(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := SolveUniformBisect(&Spec{
+				Chip: f.chip, Window: f.window, TMax: 100, T0: m, FTarget: 0.5 * fmax,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(got - want); d > 1e-7*fmax {
+				t.Fatalf("base %g amp %g: compiled-row bisection %.1f Hz, Spec %.1f Hz", base, amp, got, want)
+			}
+		}
+	}
+}
