@@ -231,14 +231,12 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 // and how the window ended.
 type DowngradeStats struct {
 	// Solves counts the window solves (one, or two after a downgrade);
-	// WarmHits / WarmRejects, NewtonIters, the phase timings, Rows and
+	// WarmHits / WarmRejects, NewtonIters, LinesearchNanos, Rows and
 	// Cuts sum their OnlineStepStats (rejected warm attempts included).
 	Solves          int
 	WarmHits        int
 	WarmRejects     int
 	NewtonIters     int
-	AssembleNanos   int64
-	FactorNanos     int64
 	LinesearchNanos int64
 	Rows            int
 	Cuts            int
@@ -324,8 +322,6 @@ func (o *OnlineSolver) countedSolve(ctx context.Context, tstart float64, t0 []fl
 		ds.WarmRejects++
 	}
 	ds.NewtonIters += st.NewtonIters
-	ds.AssembleNanos += st.AssembleNanos
-	ds.FactorNanos += st.FactorNanos
 	ds.LinesearchNanos += st.LinesearchNanos
 	ds.Rows += st.Rows
 	ds.Cuts += st.Cuts

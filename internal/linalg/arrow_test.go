@@ -39,7 +39,7 @@ func randomArrow(rng *rand.Rand, nf, nd int, withV bool) *ArrowKKT {
 			g.Set(r, c, rng.NormFloat64())
 		}
 	}
-	k.S.AddSyrk(g, alpha)
+	k.S.AddSyrk(g, nil, alpha)
 	// Dominance keeps H (not just S) positive definite despite the
 	// coupling off-diagonals.
 	k.S.AddDiag(2 + float64(nf))

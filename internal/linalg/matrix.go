@@ -170,26 +170,6 @@ func (m *Matrix) MulVec(dst, x Vector) Vector {
 	return dst
 }
 
-// MulVecT stores Aᵀ*x into dst and returns dst.
-func (m *Matrix) MulVecT(dst, x Vector) Vector {
-	mustLen(len(x), m.rows)
-	mustLen(len(dst), m.cols)
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, a := range row {
-			dst[j] += a * xi
-		}
-	}
-	return dst
-}
-
 // MulVecRows stores the matvec of the listed rows into dst, dst[k] =
 // row(rows[k])·x, and returns dst.
 func (m *Matrix) MulVecRows(dst Vector, rows []int, x Vector) Vector {

@@ -95,28 +95,23 @@ func (p *PackedSym) AddScaledOuter(alpha float64, v Vector) {
 // re-reading main memory once per constraint.
 const syrkPanel = 32
 
-// AddSyrk accumulates the scaled rank-k update Σ_k alpha[k]·g_k·g_kᵀ
-// over the rows g_k of g into the lower triangle — the batched form of
-// the per-constraint a·aᵀ/fi² barrier terms. It is AddSyrkRows over
-// every row of g.
-func (p *PackedSym) AddSyrk(g *Matrix, alpha Vector) {
-	mustLen(len(alpha), g.Rows())
-	p.AddSyrkRows(g, nil, alpha)
-}
-
-// AddSyrkRows accumulates Σ_k alpha[k]·g_{rows[k]}·g_{rows[k]}ᵀ into the
-// lower triangle: the rank-k update over the listed rows of g, with
-// alpha aligned with rows (a nil rows lists every row of g in order).
-// Rows are processed in panels of syrkPanel for cache reuse, four at a
-// time so each destination-row element is loaded and stored once per
-// quad instead of once per constraint; a zero alpha[k] skips its row.
-func (p *PackedSym) AddSyrkRows(g *Matrix, rows []int, alpha Vector) {
+// AddSyrk accumulates the scaled rank-k update
+// Σ_k alpha[k]·g_{rows[k]}·g_{rows[k]}ᵀ over the listed rows of g into
+// the lower triangle — the batched form of the per-constraint
+// a·aᵀ/fi² barrier terms — with alpha aligned with rows; a nil rows
+// lists every row of g in order. Rows are processed in panels of
+// syrkPanel for cache reuse, four at a time so each destination-row
+// element is loaded and stored once per quad instead of once per
+// constraint; a zero alpha[k] skips its row.
+func (p *PackedSym) AddSyrk(g *Matrix, rows []int, alpha Vector) {
 	if g.Cols() != p.n {
 		panic(fmt.Sprintf("linalg: AddSyrk with %d cols for dimension %d", g.Cols(), p.n))
 	}
 	m := len(alpha)
 	if rows != nil {
 		mustLen(len(rows), m)
+	} else {
+		mustLen(m, g.Rows())
 	}
 	var idx [syrkPanel]int // row of g
 	var pos [syrkPanel]int // position in alpha

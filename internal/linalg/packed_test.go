@@ -25,7 +25,7 @@ func randomPackedAndDense(rng *rand.Rand, n, rows int) (*PackedSym, *Matrix) {
 			g.Set(k, j, rng.NormFloat64())
 		}
 	}
-	p.AddSyrk(g, alpha)
+	p.AddSyrk(g, nil, alpha)
 	for k := 0; k < rows; k++ {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -119,10 +119,11 @@ func TestPackedCholRejectsIndefinite(t *testing.T) {
 	}
 }
 
-// TestAddSyrkRowsMatchesGatheredRows checks the row-subset SYRK against
-// AddSyrk over a matrix holding just the listed rows: the barrier's
-// working set accumulates in place, without copying its rows out.
-func TestAddSyrkRowsMatchesGatheredRows(t *testing.T) {
+// TestAddSyrkSubsetMatchesGatheredRows checks the row-subset SYRK against
+// AddSyrk over every row of a matrix holding just the listed rows: the
+// barrier's working set accumulates in place, without copying its rows
+// out.
+func TestAddSyrkSubsetMatchesGatheredRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n, m = 9, 40
 	g := NewMatrix(m, n)
@@ -142,8 +143,8 @@ func TestAddSyrkRowsMatchesGatheredRows(t *testing.T) {
 		copy(gathered.Row(k), g.Row(r))
 	}
 	got, want := NewPackedSym(n), NewPackedSym(n)
-	got.AddSyrkRows(g, rows, alpha)
-	want.AddSyrk(gathered, alpha)
+	got.AddSyrk(g, rows, alpha)
+	want.AddSyrk(gathered, nil, alpha)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			if got.At(i, j) != want.At(i, j) {

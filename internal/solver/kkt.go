@@ -180,7 +180,7 @@ func (a *arrowOps) assemble(x linalg.Vector, t float64) (float64, bool) {
 		pat.g.MulVecTRows(st.gd, w, fiW)
 		gd := grad[nf:]
 		gd.Add(gd, st.gd)
-		kkt.S.AddSyrkRows(pat.g, w, alpha)
+		kkt.S.AddSyrk(pat.g, w, alpha)
 	}
 
 	for i := range pat.fDiag {
