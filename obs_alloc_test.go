@@ -93,3 +93,49 @@ func TestEngineFlightRecorderCapturesStep(t *testing.T) {
 		t.Fatal("default engine has a flight recorder")
 	}
 }
+
+// TestStepReportsRowScreening pins the row-screening accounting from
+// the solver to both outputs: every barrier solve observes the
+// solve_rows, solve_row_cuts and solve_linesearch_nanos instruments,
+// and the trace's solve spans carry the same rows and cuts.
+func TestStepReportsRowScreening(t *testing.T) {
+	e, err := New(WithWindow(1e-3, 100), WithFlightRecorder(8, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.NewOnlineSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hot maps and demanding targets, so rows bind and windows
+	// downgrade.
+	ctx := context.Background()
+	for i := 0; i < 4; i++ {
+		st := stepBenchState(e, i)
+		for j := range st.BlockTemps {
+			st.BlockTemps[j] += 30
+		}
+		st.MaxCoreTemp += 30
+		st.RequiredFreq = 0.8 * e.Chip().FMax()
+		if _, err := s.Step(ctx, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rows, cuts uint64
+	for _, tr := range e.FlightRecorder().Traces() {
+		for _, sp := range tr.Solves {
+			rows += uint64(sp.Rows)
+			cuts += uint64(sp.Cuts)
+		}
+	}
+	snap := e.MetricsSnapshot()
+	n := snap["solve_assemble_nanos_count"]
+	if n == 0 || snap["solve_rows_count"] != n || snap["solve_linesearch_nanos_count"] != n {
+		t.Fatalf("barrier solves: solve_assemble_nanos_count %d, solve_rows_count %d, solve_linesearch_nanos_count %d",
+			n, snap["solve_rows_count"], snap["solve_linesearch_nanos_count"])
+	}
+	if rows == 0 || snap["solve_rows_sum"] != rows || snap["solve_row_cuts"] != cuts {
+		t.Fatalf("traces: %d rows, %d cuts; metrics: solve_rows_sum %d, solve_row_cuts %d",
+			rows, cuts, snap["solve_rows_sum"], snap["solve_row_cuts"])
+	}
+}
