@@ -32,10 +32,11 @@ const warmMargin = 1e-9
 // gapEst is the caller's upper bound on the seed's suboptimality
 // f0(xPrev) − p*, in objective units. The barrier then starts at
 // t0 = m/gapEst, m counting the constraints the solve carries (the
-// working set of a screened solve) — the textbook warm-start weight (Boyd & Vandenberghe
-// §11.3.1): the first centering costs about one ordinary outer stage
-// while every stage the cold solve would spend closing the gap from
-// m/T0 down to gapEst is skipped outright. A non-positive gapEst
+// working set, on the structured backend) — the textbook warm-start
+// weight (Boyd & Vandenberghe §11.3.1): the first centering costs
+// about one ordinary outer stage while every stage the cold solve
+// would spend closing the gap from m/T0 down to gapEst is skipped
+// outright. A non-positive gapEst
 // disables the elevation and only the re-centering and start-ladder
 // shortcut remain.
 //
