@@ -102,7 +102,7 @@ func New(opts ...Option) (*Engine, error) {
 	e.reg.Histogram("solve_factor_nanos")
 	e.reg.Histogram("solve_linesearch_nanos")
 	e.reg.Histogram("solve_rows")
-	for _, name := range []string{"step_solves", "step_warm_hits", "step_warm_rejects", "step_solve_errors", "solve_row_cuts"} {
+	for _, name := range []string{"step_solves", "step_warm_hits", "step_warm_rejects", "step_solve_errors", "solve_row_cuts", "solve_infeasible_certified"} {
 		e.reg.Counter(name)
 	}
 	// And the distributed-MPC instruments, so a scrape sees the dmpc_*
@@ -346,6 +346,9 @@ func (e *Engine) observeStepSolve(d time.Duration, st core.OnlineStepStats, err 
 	}
 	if st.WarmRejected {
 		e.reg.Counter("step_warm_rejects").Inc()
+	}
+	if st.Certified {
+		e.reg.Counter("solve_infeasible_certified").Inc()
 	}
 	if err != nil {
 		e.reg.Counter("step_solve_errors").Inc()

@@ -126,10 +126,13 @@ func BenchmarkNewtonDirection(b *testing.B) {
 // production shape: an online Niagara window whose required target the
 // observed (hot) map cannot support, solved cold every iteration, so
 // the heuristic and rebalance starts fail and Phase I certifies
-// infeasibility. The arrow lane is the production path (the row-slack
-// Phase-I program on the structured backend); the dense lane runs the
-// identical ladder with the compiled patterns stripped, the reference
-// the structured path replaced. CI records both in BENCH_kkt.json.
+// infeasibility. Each iteration zeroes the dual the previous proof
+// kept, so the certificate rung never short-cuts the ladder (that
+// saving is BenchmarkColdLadder's). The arrow lane is the production
+// path (the row-slack Phase-I program on the structured backend); the
+// dense lane runs the identical ladder with the compiled patterns
+// stripped, the reference the structured path replaced. CI records
+// both in BENCH_kkt.json.
 func BenchmarkPhaseI(b *testing.B) {
 	ctx := context.Background()
 	for _, mode := range []string{"arrow", "dense"} {
@@ -146,6 +149,7 @@ func BenchmarkPhaseI(b *testing.B) {
 			ftarget := 0.9 * f.chip.FMax()
 			solve := func() {
 				o.Invalidate()
+				clear(o.inst.dual) // a zero dual proves nothing
 				a, _, err := o.Solve(ctx, 0, hot, ftarget)
 				if err != nil {
 					b.Fatal(err)
@@ -161,6 +165,54 @@ func BenchmarkPhaseI(b *testing.B) {
 			if mode == "dense" {
 				o.inst.prob.Pattern = nil
 				o.inst.p1.Problem().Pattern = nil
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				solve()
+			}
+		})
+	}
+}
+
+// BenchmarkColdLadder prices the certificate rung: the hot Niagara
+// window of BenchmarkPhaseI, solved cold through solveLadder with no
+// usable Phase-I dual ("first": the kept dual is zeroed, so heuristic,
+// rebalance and Phase I all run, as on a session's first unsupportable
+// window) and with the dual of the previous proof ("carried": the
+// certificate proves the target unsupportable and skips the rebalance
+// and Phase I).
+func BenchmarkColdLadder(b *testing.B) {
+	ctx := context.Background()
+	for _, lane := range []string{"first", "carried"} {
+		b.Run(lane, func(b *testing.B) {
+			f := kktBenchFixture(b, 8)
+			o, err := NewOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: 100})
+			if err != nil {
+				b.Fatal(err)
+			}
+			hot := make([]float64, f.chip.Floorplan().NumBlocks())
+			for j := range hot {
+				hot[j] = 85 + 2*float64(j%4)
+			}
+			in := o.inst
+			s := in.setMap(hot, 0.9*f.chip.FMax())
+			solve := func() *Assignment {
+				if lane == "first" {
+					clear(in.dual) // a zero dual proves nothing
+				}
+				a, _, _, err := solveLadder(ctx, s, in, nil, 0, o.ws, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if a.Feasible {
+					b.Fatal("benchmark window unexpectedly feasible")
+				}
+				return a
+			}
+			solve()
+			if a := solve(); a.certified != (lane == "carried") {
+				b.Fatalf("%s lane: certified = %v", lane, a.certified)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

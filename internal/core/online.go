@@ -55,6 +55,9 @@ type OnlineStepStats struct {
 	// Assignment.Cuts).
 	Rows int
 	Cuts int
+	// Certified reports an infeasible verdict proved from the kept
+	// Phase-I dual, skipping the rebalance and Phase I.
+	Certified bool
 }
 
 // OnlineSolver is the warm-started engine of the online MPC hot path:
@@ -217,6 +220,7 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 	st.LinesearchNanos = a.LinesearchNanos
 	st.Rows = a.Rows
 	st.Cuts = a.Cuts
+	st.Certified = a.certified
 	if a.Feasible {
 		o.prevX = x
 	}
@@ -231,8 +235,9 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 // and how the window ended.
 type DowngradeStats struct {
 	// Solves counts the window solves (one, or two after a downgrade);
-	// WarmHits / WarmRejects, NewtonIters, LinesearchNanos, Rows and
-	// Cuts sum their OnlineStepStats (rejected warm attempts included).
+	// WarmHits / WarmRejects, NewtonIters, LinesearchNanos, Rows, Cuts
+	// and Certified sum their OnlineStepStats (rejected warm attempts
+	// included).
 	Solves          int
 	WarmHits        int
 	WarmRejects     int
@@ -240,6 +245,7 @@ type DowngradeStats struct {
 	LinesearchNanos int64
 	Rows            int
 	Cuts            int
+	Certified       int
 	// Downgraded reports that the required target was unsupportable and
 	// the window re-solved at the bisected maximum; Idle that the window
 	// idled (nothing supportable, or the downgraded re-solve failed).
@@ -320,6 +326,9 @@ func (o *OnlineSolver) countedSolve(ctx context.Context, tstart float64, t0 []fl
 	}
 	if st.WarmRejected {
 		ds.WarmRejects++
+	}
+	if st.Certified {
+		ds.Certified++
 	}
 	ds.NewtonIters += st.NewtonIters
 	ds.LinesearchNanos += st.LinesearchNanos

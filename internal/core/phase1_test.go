@@ -13,13 +13,17 @@ import (
 // augmented program with its pattern stripped) reach the same
 // feasible/infeasible verdict, every point returned is strictly
 // feasible for the source problem, and for the uniform variant the
-// verdict matches SolveUniformBisect's.
+// verdict matches SolveUniformBisect's. The certificate lane carries
+// the multipliers of the grid's first infeasible Phase I to every later
+// point: wherever they prove a point infeasible, the dense Phase I must
+// agree.
 func TestPhaseIVerdicts(t *testing.T) {
 	opts := solver.DefaultOptions()
 	opts.Tol = 1e-7
 	for _, v := range []Variant{VariantVariable, VariantGradient, VariantUniform} {
 		t.Run(v.String(), func(t *testing.T) {
-			feasible, infeasible := 0, 0
+			feasible, infeasible, certified := 0, 0, 0
+			var carried *sweepInstance // holds the first infeasible point's dual
 			denseBefore := solver.DenseSolves()
 			for _, tstart := range []float64{47, 67, 87, 97} {
 				for _, fmhz := range []float64{250, 500, 750, 900, 990} {
@@ -42,6 +46,12 @@ func TestPhaseIVerdicts(t *testing.T) {
 						}
 						return true
 					}
+					proved := false
+					if carried != nil {
+						in.dual, in.dualW = carried.dual, carried.dualW
+						proved = in.certifyInfeasible(s)
+						in.dual, in.dualW = nil, nil
+					}
 					before := solver.DenseSolves()
 					arrow := verdict()
 					if solver.DenseSolves() != before {
@@ -57,6 +67,18 @@ func TestPhaseIVerdicts(t *testing.T) {
 					aug.Pattern = pat
 					if arrow != dense {
 						t.Fatalf("(%g°C, %g MHz): structured Phase I says feasible=%v, dense reference %v", tstart, fmhz, arrow, dense)
+					}
+					if proved {
+						certified++
+						if dense {
+							t.Fatalf("(%g°C, %g MHz): the carried dual proves infeasibility, dense Phase I finds a point", tstart, fmhz)
+						}
+					}
+					if carried == nil && !arrow {
+						if in.dual == nil {
+							t.Fatalf("(%g°C, %g MHz): infeasible Phase I kept no dual", tstart, fmhz)
+						}
+						carried = in
 					}
 					if v == VariantUniform {
 						_, ok, err := SolveUniformBisect(s)
@@ -80,6 +102,10 @@ func TestPhaseIVerdicts(t *testing.T) {
 			if feasible == 0 || infeasible == 0 {
 				t.Fatalf("grid does not cross the boundary: %d feasible, %d infeasible", feasible, infeasible)
 			}
+			if certified == 0 {
+				t.Fatal("the carried dual proved no later point infeasible")
+			}
+			t.Logf("%d feasible, %d infeasible, %d proved by the carried dual", feasible, infeasible, certified)
 		})
 	}
 }

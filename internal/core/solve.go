@@ -55,15 +55,17 @@ func SolveContext(ctx context.Context, s *Spec) (*Assignment, error) {
 // solveLadder solves a prebuilt problem instance through the start
 // ladder: the warm seed (a re-centered neighboring optimum) when one is
 // supplied, then the cheap feasibility heuristics, then the
-// physics-guided rebalance, then the row-slack Phase-I program. It is
-// the single solve path shared by SolveContext (cold, no workspace),
-// the table sweep and the online solver (warm-seeded, per-worker
-// workspace), so all produce interchangeable assignments. It returns
-// the assignment, the raw normalized optimum for seeding the next grid
-// point (nil when infeasible), and whether the warm seed carried the
-// solve. The assignment's work counters include an abandoned warm
-// attempt. A non-nil rec observes the warm decision, the rung taken and
-// every barrier centering; the nil path costs only pointer checks.
+// infeasibility certificate from the instance's kept Phase-I dual
+// (certify.go), then the physics-guided rebalance, then the row-slack
+// Phase-I program. It is the single solve path shared by SolveContext
+// (cold, no workspace), the table sweep and the online solver
+// (warm-seeded, per-worker workspace), so all produce interchangeable
+// assignments. It returns the assignment, the raw normalized optimum
+// for seeding the next grid point (nil when infeasible), and whether
+// the warm seed carried the solve. The assignment's work counters
+// include an abandoned warm attempt. A non-nil rec observes the warm
+// decision, the rung taken and every barrier centering; the nil path
+// costs only pointer checks.
 func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linalg.Vector, warmGap float64, ws *solver.Workspace, rec obs.Recorder) (*Assignment, linalg.Vector, bool, error) {
 	n := s.Chip.NumCores()
 	phi := s.FTarget / s.Chip.FMax()
@@ -90,7 +92,7 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 	// abandoned is the work a rejected warm attempt spent before the
 	// ladder fell back cold; it is folded into the assignment.
 	var abandoned solver.Result
-	warm := false
+	warm, certified := false, false
 	if warmSeed != nil {
 		res, err = solver.WarmStart(prob, warmSeed, nil, warmGap, opts, ws)
 		switch {
@@ -121,13 +123,19 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 		start := heuristicStart(s, lay, rows, phi)
 		rung := "heuristic"
 		if start == nil {
-			// Near the capacity boundary only a non-uniform assignment is
-			// feasible; a physics-guided rebalance finds one directly where
-			// the Phase-I program converges too slowly.
-			start = rebalanceStart(s, lay, rows, phi)
-			rung = "rebalance"
+			if certified = in.certifyInfeasible(s); certified {
+				// A kept Phase-I dual proves the target unsupportable: the
+				// rebalance and Phase I could only fail.
+				rung, err = "certified", solver.ErrInfeasible
+			} else {
+				// Near the capacity boundary only a non-uniform assignment
+				// is feasible; a physics-guided rebalance finds one
+				// directly where the Phase-I program converges too slowly.
+				start = rebalanceStart(s, lay, rows, phi)
+				rung = "rebalance"
+			}
 		}
-		if start == nil {
+		if start == nil && !certified {
 			rung = "phase1"
 			start, err = in.phaseI(s, opts)
 		}
@@ -147,6 +155,7 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 				LinesearchNanos: abandoned.LinesearchNanos,
 				Cuts:            abandoned.Cuts,
 				abandonedIters:  abandoned.NewtonIters,
+				certified:       certified,
 			}, nil, warm, nil
 		}
 		return nil, nil, warm, fmt.Errorf("core: solve (%s, tstart=%g, ftarget=%g): %w",
@@ -225,6 +234,7 @@ func SolveUniformBisectContext(ctx context.Context, s *Spec) (maxFreq float64, t
 // polled at every probe.
 func uniformMax(ctx context.Context, chip *power.Chip, tmax float64, rows []tempRow, pn linalg.Vector) (float64, bool, error) {
 	cancelled := false
+	hot := 0
 	feasible := func(fn float64) bool {
 		if cancelled || ctx.Err() != nil {
 			// Claim infeasibility to collapse the remaining probes
@@ -232,7 +242,7 @@ func uniformMax(ctx context.Context, chip *power.Chip, tmax float64, rows []temp
 			cancelled = true
 			return false
 		}
-		return uniformPeak(chip, rows, fn, pn) <= tmax
+		return uniformFits(chip, rows, tmax, fn, pn, &hot)
 	}
 	fnMax, ok := solver.BisectMax(0, 1, 1e-7, feasible)
 	if cancelled {
@@ -241,27 +251,35 @@ func uniformMax(ctx context.Context, chip *power.Chip, tmax float64, rows []temp
 	return fnMax, ok, nil
 }
 
-// uniformPeak returns the peak constrained temperature over the window
-// when every core runs at normalized frequency fn, using pn (length
-// NumCores) for the normalized powers.
-func uniformPeak(chip *power.Chip, rows []tempRow, fn float64, pn linalg.Vector) float64 {
+// uniformFits reports whether every row stays at or below tmax over the
+// window when every core runs at normalized frequency fn, using pn
+// (length NumCores) for the normalized powers. It stops at the first
+// row over tmax, trying row *hot first — the row that failed the
+// previous probe of a bisection, where the next failure usually is —
+// and stores the failing row there. A NaN row never fails, as in a
+// peak scan's t > peak.
+func uniformFits(chip *power.Chip, rows []tempRow, tmax, fn float64, pn linalg.Vector, hot *int) bool {
 	for j := range pn {
 		model := chip.CoreModelOf(j)
 		pn[j] = model.AtFrequency(fn*model.FMax) / model.PMax
 	}
-	peak := math.Inf(-1)
-	for _, r := range rows {
-		if t := r.c0 + r.coef.Dot(pn); t > peak {
-			peak = t
+	if h := *hot; h < len(rows) && rows[h].c0+rows[h].coef.Dot(pn) > tmax {
+		return false
+	}
+	for i, r := range rows {
+		if r.c0+r.coef.Dot(pn) > tmax {
+			*hot = i
+			return false
 		}
 	}
-	return peak
+	return true
 }
 
 // fullSpeedAssignment evaluates the single candidate point f = fmax
 // against prebuilt temperature rows.
 func fullSpeedAssignment(s *Spec, rows []tempRow) (*Assignment, error) {
-	if uniformPeak(s.Chip, rows, 1, linalg.NewVector(s.Chip.NumCores())) > s.TMax {
+	hot := 0
+	if !uniformFits(s.Chip, rows, s.TMax, 1, linalg.NewVector(s.Chip.NumCores()), &hot) {
 		return &Assignment{}, nil
 	}
 	n := s.Chip.NumCores()

@@ -208,4 +208,7 @@ type Assignment struct {
 	// abandonedIters is the abandoned warm attempt's share of
 	// NewtonIters.
 	abandonedIters int
+	// certified marks an infeasible verdict proved by the kept Phase-I
+	// dual, with no rebalance or Phase I run (certify.go).
+	certified bool
 }

@@ -368,6 +368,13 @@ type sweepInstance struct {
 	p1   *solver.SlackPhaseI
 	twin *sweepInstance
 
+	// dual holds the temperature-row multipliers of the last Phase I
+	// that proved this instance infeasible, dualW the certificate's
+	// per-core weights; both are nil until that first proof (see
+	// certifyInfeasible).
+	dual  linalg.Vector
+	dualW linalg.Vector
+
 	curTStart float64 // last TStart the offsets were computed for
 }
 
@@ -433,6 +440,7 @@ func (in *sweepInstance) phaseI(s *Spec, opts solver.Options) (linalg.Vector, er
 		in.p1 = sp.Bind(src.prob)
 	}
 	x, err := in.p1.Find(phase1Start(s, src.plan.lay), opts)
+	in.keepDual(err)
 	if err != nil || src == in {
 		return x, err
 	}

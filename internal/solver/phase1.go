@@ -51,15 +51,17 @@ func PhaseI(p *Problem, x0 linalg.Vector, opts Options) (linalg.Vector, error) {
 	z0 := make(linalg.Vector, n+1)
 	copy(z0, x0)
 	z0[n] = viol + 1 + 0.1*abs(viol)
-	return minimizeSlack(p, aug, z0, opts, nil)
+	x, _, err := minimizeSlack(p, aug, z0, opts, nil)
+	return x, err
 }
 
 // minimizeSlack runs a Phase-I barrier over aug, whose last variable is
 // the slack, from the strictly feasible z0. It stops as soon as the
 // slack drops below −opts.Tol (−1e-9 when Tol is unset) and returns the
 // x part when it is strictly feasible for p; an optimum slack s >= 0
-// certifies ErrInfeasible.
-func minimizeSlack(p, aug *Problem, z0 linalg.Vector, opts Options, ws *Workspace) (linalg.Vector, error) {
+// certifies ErrInfeasible, returned with the barrier's multipliers
+// (indexed like aug's constraints).
+func minimizeSlack(p, aug *Problem, z0 linalg.Vector, opts Options, ws *Workspace) (linalg.Vector, linalg.Vector, error) {
 	n := len(z0) - 1
 	margin := opts.Tol
 	if margin <= 0 {
@@ -69,13 +71,13 @@ func minimizeSlack(p, aug *Problem, z0 linalg.Vector, opts Options, ws *Workspac
 	o.StopEarly = func(z linalg.Vector) bool { return z[n] < -margin }
 	res, err := BarrierWS(aug, z0, o, ws)
 	if err != nil {
-		return nil, fmt.Errorf("solver: phase I: %w", err)
+		return nil, nil, fmt.Errorf("solver: phase I: %w", err)
 	}
 	x := res.X[:n].Clone()
 	if res.X[n] >= 0 || !p.IsStrictlyFeasible(x) {
-		return nil, fmt.Errorf("%w: phase I optimum s = %v", ErrInfeasible, res.X[n])
+		return nil, res.Lambda, fmt.Errorf("%w: phase I optimum s = %v", ErrInfeasible, res.X[n])
 	}
-	return x, nil
+	return x, nil, nil
 }
 
 // SlackPlan is the compiled row-slack Phase-I program of one problem
@@ -181,11 +183,21 @@ type SlackPhaseI struct {
 	src  *Problem
 	aug  *Problem
 	ws   *Workspace
+	// lambda is the last Find's multipliers when it ended in
+	// ErrInfeasible, nil otherwise.
+	lambda linalg.Vector
 }
 
 // Problem returns the augmented program (the slack is variable Dim()−1),
 // for callers comparing backends; Find rewrites its offsets.
 func (ph *SlackPhaseI) Problem() *Problem { return ph.aug }
+
+// Lambda returns the multipliers of the last Find when it ended in
+// ErrInfeasible (indexed like the source's constraints), nil otherwise.
+// The soft rows carry the slack column, so the structured backend keeps
+// them all in its working set and every soft-row multiplier is
+// positive. The slice is the solver's own; callers copy what they keep.
+func (ph *SlackPhaseI) Lambda() linalg.Vector { return ph.lambda }
 
 // sync copies the source's live offsets into the augmented constraints.
 func (ph *SlackPhaseI) sync() {
@@ -204,6 +216,7 @@ func (ph *SlackPhaseI) sync() {
 // x0 must strictly satisfy every hard constraint; its soft rows may be
 // violated. The slack starts one unit above the worst soft row.
 func (ph *SlackPhaseI) Find(x0 linalg.Vector, opts Options) (linalg.Vector, error) {
+	ph.lambda = nil
 	n := ph.src.Dim()
 	if len(x0) != n {
 		return nil, fmt.Errorf("solver: start has dim %d, want %d", len(x0), n)
@@ -228,7 +241,9 @@ func (ph *SlackPhaseI) Find(x0 linalg.Vector, opts Options) (linalg.Vector, erro
 	z0 := make(linalg.Vector, n+1)
 	copy(z0, x0)
 	z0[n] = worst + 1
-	return minimizeSlack(ph.src, ph.aug, z0, opts, ph.ws)
+	x, lambda, err := minimizeSlack(ph.src, ph.aug, z0, opts, ph.ws)
+	ph.lambda = lambda
+	return x, err
 }
 
 // Solve runs PhaseI if needed, then Barrier.

@@ -97,7 +97,9 @@ func TestEngineFlightRecorderCapturesStep(t *testing.T) {
 // TestStepReportsRowScreening pins the row-screening accounting from
 // the solver to both outputs: every barrier solve observes the
 // solve_rows, solve_row_cuts and solve_linesearch_nanos instruments,
-// and the trace's solve spans carry the same rows and cuts.
+// and the trace's solve spans carry the same rows and cuts. The
+// solve_infeasible_certified counter matches the spans on the
+// "certified" rung, which the repeated hot windows reach.
 func TestStepReportsRowScreening(t *testing.T) {
 	e, err := New(WithWindow(1e-3, 100), WithFlightRecorder(8, 2))
 	if err != nil {
@@ -121,11 +123,14 @@ func TestStepReportsRowScreening(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var rows, cuts uint64
+	var rows, cuts, certified uint64
 	for _, tr := range e.FlightRecorder().Traces() {
 		for _, sp := range tr.Solves {
 			rows += uint64(sp.Rows)
 			cuts += uint64(sp.Cuts)
+			if sp.Rung == "certified" {
+				certified++
+			}
 		}
 	}
 	snap := e.MetricsSnapshot()
@@ -137,5 +142,9 @@ func TestStepReportsRowScreening(t *testing.T) {
 	if rows == 0 || snap["solve_rows_sum"] != rows || snap["solve_row_cuts"] != cuts {
 		t.Fatalf("traces: %d rows, %d cuts; metrics: solve_rows_sum %d, solve_row_cuts %d",
 			rows, cuts, snap["solve_rows_sum"], snap["solve_row_cuts"])
+	}
+	if certified == 0 || snap["solve_infeasible_certified"] != certified {
+		t.Fatalf("traces: %d certified solves; metrics: solve_infeasible_certified %d",
+			certified, snap["solve_infeasible_certified"])
 	}
 }

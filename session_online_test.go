@@ -310,3 +310,95 @@ func TestRejectedWarmStartIsAbandonedEarly(t *testing.T) {
 	}
 	t.Logf("%d windows, %d warm rejects costing %d iterations, worst window %d", tally.windows, rejects, rejectIters, tally.worst)
 }
+
+// certifiedProbe wraps a policy and, after each decision, collects the
+// window's solves that the infeasibility certificate decided (rung
+// "certified" in the step trace), with the state they were solved at.
+type certifiedProbe struct {
+	sim.Policy
+	flight *obs.FlightRecorder
+	lastID uint64
+	cases  []certifiedCase
+}
+
+type certifiedCase struct {
+	t0              []float64
+	tstart, ftarget float64
+}
+
+func (p *certifiedProbe) Decide(st sim.WindowState) linalg.Vector {
+	f := p.Policy.Decide(st)
+	if trs := p.flight.Traces(); len(trs) > 0 && trs[0].ID != p.lastID {
+		p.lastID = trs[0].ID
+		for _, sp := range trs[0].Solves {
+			if sp.Rung == "certified" {
+				p.cases = append(p.cases, certifiedCase{
+					t0: append([]float64(nil), st.BlockTemps...), tstart: st.MaxCoreTemp, ftarget: sp.FTargetHz,
+				})
+			}
+		}
+	}
+	return f
+}
+
+// TestCertifiedWindowsAreInfeasible steps an online solver through the
+// fleet's mixed scenario with OnlineSolver.Downgrade and re-solves
+// every window solve that the infeasibility certificate decided with a
+// fresh SolveContext on the same Spec: a fresh instance holds no Phase-I
+// dual, so that solve runs the full ladder, and it must find the
+// target infeasible too. The scenario must exercise the certificate,
+// and the solver's Certified accounting must match the trace.
+func TestCertifiedWindowsAreInfeasible(t *testing.T) {
+	ctx := context.Background()
+	e, err := New(fastOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, ok := fleet.Builtin().Get("mixed")
+	if !ok {
+		t.Fatal("no mixed scenario")
+	}
+	trace, err := sc.Build(1, e.Chip().NumCores(), sc.Horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: e.Variant()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := 0
+	observe := func(_ time.Duration, st core.OnlineStepStats, _ error) {
+		if st.Certified {
+			counted++
+		}
+	}
+	flight := obs.NewFlightRecorder(1, 1)
+	probe := &certifiedProbe{flight: flight}
+	probe.Policy = sim.NewProTemp(ctx, control.Online(ol, flight, observe), nil)
+	if _, err := e.Simulate(ctx, probe, trace); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.cases) == 0 {
+		t.Fatal("the certificate decided no window: the scenario no longer exercises it")
+	}
+	if counted != len(probe.cases) {
+		t.Fatalf("OnlineStepStats.Certified counted %d solves, the traces %d", counted, len(probe.cases))
+	}
+	for i, c := range probe.cases {
+		s := &core.Spec{
+			Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: e.Variant(),
+			TStart: c.tstart, FTarget: c.ftarget,
+		}
+		if c.t0 != nil {
+			s.T0 = c.t0
+		}
+		a, err := core.SolveContext(ctx, s)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if a.Feasible {
+			t.Fatalf("case %d (%g MHz): certified infeasible, but the full ladder finds a point", i, c.ftarget/1e6)
+		}
+	}
+	t.Logf("%d certified solves, all infeasible on the full ladder", len(probe.cases))
+}
