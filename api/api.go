@@ -8,10 +8,9 @@
 // produce them while this package pins the envelope.
 //
 // Compatibility: fields are only ever added, never renamed or
-// repurposed, within a major API version. The deprecated session
-// create field `online` is intentionally absent here — servers still
-// accept it from old clients, but new code selects the session kind
-// with Mode.
+// repurposed, within a major API version. The session kind is chosen
+// with Mode; servers reject the retired boolean create field `online`
+// as an unknown field.
 package api
 
 import (

@@ -4,10 +4,11 @@
 // responses onto sentinel errors (ErrNotFound, ErrOverloaded, …) so
 // callers branch with errors.Is instead of comparing status codes.
 //
-// The cluster proxy inside the server uses this same client to forward
-// requests between nodes — the option WithForwarded marks outgoing
-// requests with the single-hop header — so the public client surface
-// and the intra-cluster wire protocol are one and the same.
+// The cluster relay inside the server uses this same client to forward
+// session requests between nodes through Raw — the option
+// WithForwarded marks outgoing requests with the single-hop header —
+// so the public client surface and the intra-cluster wire protocol are
+// one and the same.
 package client
 
 import (
@@ -326,8 +327,15 @@ func (c *Client) DeleteSession(ctx context.Context, id string) error {
 // verbatim. An in-band server error line surfaces as an *APIError.
 func (c *Client) Stream(ctx context.Context, id string, req api.StreamRequest, fn func(api.StreamWindow) error) (api.StreamSummaryBody, error) {
 	var sum api.StreamSummaryBody
-	resp, err := c.StreamRaw(ctx, id, req)
+	raw, err := json.Marshal(req)
 	if err != nil {
+		return sum, fmt.Errorf("client: marshal request: %w", err)
+	}
+	resp, err := c.Raw(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/stream", raw)
+	if err != nil {
+		return sum, err
+	}
+	if err := checkStatus(resp); err != nil {
 		return sum, err
 	}
 	defer resp.Body.Close()
@@ -376,23 +384,16 @@ func (c *Client) Stream(ctx context.Context, id string, req api.StreamRequest, f
 	return sum, nil
 }
 
-// StreamRaw opens the NDJSON stream and returns the raw response for
-// callers that relay the bytes untouched (the cluster proxy). The
-// caller owns resp.Body. Non-2xx statuses are already mapped to an
-// error.
-func (c *Client) StreamRaw(ctx context.Context, id string, req api.StreamRequest) (*http.Response, error) {
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: marshal request: %w", err)
+// Raw sends one request with an already encoded JSON body (empty =
+// none) and returns the response whatever its status, retrying
+// idempotent methods per WithRetry. The caller owns resp.Body. The
+// cluster relay forwards session requests through it byte for byte.
+func (c *Client) Raw(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	var rd *bytes.Reader
+	if len(body) > 0 {
+		rd = bytes.NewReader(body)
 	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/stream", bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	if err := checkStatus(resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return c.do(ctx, method, path, rd)
 }
 
 // FleetSubmit submits an asynchronous batch evaluation; poll the

@@ -36,7 +36,7 @@
 //
 // With -self and -peers the daemon joins a static-membership cluster:
 // sessions are consistent-hash routed (any node accepts any request
-// and transparently proxies to the owner), and each node serves its
+// and relays it byte for byte to the owner), and each node serves its
 // stored Phase-1 tables to the others over GET /v1/tables/{key}.
 package main
 

@@ -130,3 +130,54 @@ func TestSimAdapterMatchesServedSession(t *testing.T) {
 		})
 	}
 }
+
+// TestDMPCPolicyOwnsItsLatencyHistogram: two distributed-MPC policies
+// built from one engine must each time only their own windows, so a
+// fleet cell's step_solve quantiles never mix in another cell's solves,
+// while a served dmpc session still feeds the engine-wide
+// dmpc_step_solve_nanos.
+func TestDMPCPolicyOwnsItsLatencyHistogram(t *testing.T) {
+	ctx := context.Background()
+	e, err := New(fastOpts(WithClusters(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := equivStates(e)
+	n := e.Chip().NumCores()
+	drive := func(windows int) *sim.ProTemp {
+		p, err := e.DMPCPolicy(ctx, 2, e.Variant(), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range states[:windows] {
+			p.Decide(sim.WindowState{
+				CoreTemps:    linalg.NewVector(n),
+				BlockTemps:   st.BlockTemps,
+				MaxCoreTemp:  st.MaxCoreTemp,
+				RequiredFreq: st.RequiredFreq,
+			})
+		}
+		return p
+	}
+	first, second := drive(3), drive(5)
+	if got := first.SolveNanos().Count(); got != 3 {
+		t.Fatalf("first policy timed %d windows, want its own 3", got)
+	}
+	if got := second.SolveNanos().Count(); got != 5 {
+		t.Fatalf("second policy timed %d windows, want its own 5", got)
+	}
+	if got := e.MetricsSnapshot()["dmpc_step_solve_nanos_count"]; got != 0 {
+		t.Fatalf("policies fed dmpc_step_solve_nanos %d times", got)
+	}
+
+	sess, err := e.NewDMPCSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Step(ctx, states[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.MetricsSnapshot()["dmpc_step_solve_nanos_count"]; got != 1 {
+		t.Fatalf("session step fed dmpc_step_solve_nanos %d times, want 1", got)
+	}
+}

@@ -399,14 +399,15 @@ func (e *Engine) newDMPCSolver(clusters int, v core.Variant, tmax float64) (*dmp
 // parallel per window under ADMM-style boundary consensus. tmax <= 0
 // selects the engine limit. Every window decides under ctx, so
 // cancelling it reaches an in-flight solve. A non-nil flight recorder
-// traces every window. The policy's per-window latency histogram feeds
-// the engine's dmpc_step_solve_nanos instrument.
+// traces every window. The policy gets its own per-window latency
+// histogram (SolveNanos), so a fleet cell's quantiles cover its own
+// windows only; dmpc_step_solve_nanos stays the sessions' instrument.
 func (e *Engine) DMPCPolicy(ctx context.Context, clusters int, v core.Variant, tmax float64, flight *obs.FlightRecorder) (*sim.ProTemp, error) {
 	sol, err := e.newDMPCSolver(clusters, v, tmax)
 	if err != nil {
 		return nil, err
 	}
-	return sim.NewProTemp(ctx, control.DMPC(sol, flight, nil), e.reg.Histogram("dmpc_step_solve_nanos")), nil
+	return sim.NewProTemp(ctx, control.DMPC(sol, flight, nil), &metrics.Histogram{}), nil
 }
 
 // observeDMPCStep folds one distributed window solve into the engine

@@ -106,8 +106,8 @@ type Estimator struct {
 	bw *linalg.Matrix // Σ A^j B
 	dw linalg.Vector  // Σ A^j d
 
-	gain *linalg.Matrix // Kalman K (nb × m); nil for Luenberger
-	lGain float64
+	gain     *linalg.Matrix // Kalman K (nb × m); nil for Luenberger
+	lGain    float64
 	covTrace float64 // steady-state trace(P), Kalman only
 
 	x     linalg.Vector // current estimate

@@ -249,12 +249,12 @@ func TestModelMismatchStaysBounded(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	r := newRig(t, 70)
 	bad := []estimate.Config{
-		{},                          // nil model
-		{Disc: r.disc},              // no steps
-		{Disc: r.disc, StepsPerWindow: 10},                                            // no sensors
-		{Disc: r.disc, StepsPerWindow: 10, SensorBlocks: []int{-1}},                   // bad block
-		{Disc: r.disc, StepsPerWindow: 10, SensorBlocks: []int{1, 1}},                 // duplicate
-		{Disc: r.disc, StepsPerWindow: 10, SensorBlocks: []int{1}, ProcessSigma: -1},  // bad q
+		{},                                 // nil model
+		{Disc: r.disc},                     // no steps
+		{Disc: r.disc, StepsPerWindow: 10}, // no sensors
+		{Disc: r.disc, StepsPerWindow: 10, SensorBlocks: []int{-1}},                            // bad block
+		{Disc: r.disc, StepsPerWindow: 10, SensorBlocks: []int{1, 1}},                          // duplicate
+		{Disc: r.disc, StepsPerWindow: 10, SensorBlocks: []int{1}, ProcessSigma: -1},           // bad q
 		{Disc: r.disc, StepsPerWindow: 10, SensorBlocks: []int{1}, MeasSigma: []float64{1, 2}}, // shape
 		{Disc: r.disc, StepsPerWindow: 10, SensorBlocks: []int{1}, MeasSigma: []float64{-1}},   // bad r
 		{Disc: r.disc, StepsPerWindow: 10, SensorBlocks: []int{1}, Kind: estimate.Luenberger, Gain: 2},

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -200,6 +204,295 @@ func TestClusterProxiedStream(t *testing.T) {
 	getJSON(t, a.ts.URL+"/v1/sessions/"+info.ID, &stat)
 	if stat.Steps == 0 || stat.Node != b.clu.Self() {
 		t.Fatalf("owner stats %+v", stat)
+	}
+}
+
+// httpReply is the part of an HTTP response the relay must carry over
+// from the owner.
+type httpReply struct {
+	status            int
+	ctype, retryAfter string
+	body              string
+}
+
+// rawDo sends one request and returns its reply.
+func rawDo(t *testing.T, method, url, body string, header ...string) httpReply {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return httpReply{resp.StatusCode, resp.Header.Get("Content-Type"), resp.Header.Get("Retry-After"), string(raw)}
+}
+
+// TestClusterRelayPassesOwnerRefusals: the owner's 404, 400 and 429
+// reach a client of the non-owner exactly as the owner sent them —
+// status, Content-Type, Retry-After and JSON body — and none of them
+// counts against the owner's breaker.
+func TestClusterRelayPassesOwnerRefusals(t *testing.T) {
+	nodes := newTestCluster(t, 2, cluster.AdmissionConfig{
+		MaxConcurrentSteps: 1,
+		StepQueueDepth:     0,
+		RetryAfter:         2 * time.Second,
+	})
+	a, b := nodes[0], nodes[1]
+	// same sends one request to the owner and then through the
+	// non-owner, and requires equal replies with the wanted status.
+	same := func(what, method, path, body string, want int) {
+		t.Helper()
+		direct := rawDo(t, method, b.ts.URL+path, body)
+		relayed := rawDo(t, method, a.ts.URL+path, body)
+		if direct.status != want {
+			t.Fatalf("%s on the owner: %+v, want status %d", what, direct, want)
+		}
+		if relayed != direct {
+			t.Fatalf("%s through the non-owner: %+v, owner answered %+v", what, relayed, direct)
+		}
+	}
+	step := `{"max_core_temp_c":60,"required_freq_hz":5e8}`
+
+	// 429 + Retry-After: the owner's only solver slot is taken.
+	online := createOwnedBy(t, a, b.clu.Self(), "online")
+	release, err := b.srv.admission.AcquireStep(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("step with the owner's gate full", http.MethodPost, "/v1/sessions/"+online.ID+"/step", step, http.StatusTooManyRequests)
+	release()
+
+	// 400: a malformed step body is judged by the owner.
+	table := createOwnedBy(t, a, b.clu.Self(), "table")
+	same("malformed step", http.MethodPost, "/v1/sessions/"+table.ID+"/step", `{"max_core_temp_c":"hot"}`, http.StatusBadRequest)
+
+	// 404: a deleted session, for every relayed route.
+	if r := rawDo(t, http.MethodDelete, a.ts.URL+"/v1/sessions/"+table.ID, ""); r.status != http.StatusNoContent {
+		t.Fatalf("relayed delete: %+v", r)
+	}
+	path := "/v1/sessions/" + table.ID
+	same("get of a deleted session", http.MethodGet, path, "", http.StatusNotFound)
+	same("step on a deleted session", http.MethodPost, path+"/step", step, http.StatusNotFound)
+	same("stream on a deleted session", http.MethodPost, path+"/stream", `{"windows":1}`, http.StatusNotFound)
+	same("delete of a deleted session", http.MethodDelete, path, "", http.StatusNotFound)
+
+	if got := a.clu.Registry().Snapshot()["cluster_proxy_errors"]; got != 0 {
+		t.Fatalf("owner refusals counted as %d proxy errors", got)
+	}
+}
+
+// relayFront boots one real node whose only peer is owner, a stand-in
+// for the session owner, and returns the node and a session id the
+// ring assigns to owner. adjust, when non-nil, edits the node's
+// cluster and server configuration before it starts.
+func relayFront(t *testing.T, owner http.Handler, adjust func(*cluster.Config, *Config)) (*testNode, string) {
+	t.Helper()
+	ots := httptest.NewServer(owner)
+	t.Cleanup(ots.Close)
+	ts := httptest.NewUnstartedServer(nil)
+	self := "http://" + ts.Listener.Addr().String()
+	cc := cluster.Config{Self: self, Peers: []string{self, ots.URL}, RetryBackoff: 5 * time.Millisecond}
+	sc := Config{Engine: testClusterEngine(t), SessionTTL: time.Minute}
+	if adjust != nil {
+		adjust(&cc, &sc)
+	}
+	clu, err := cluster.New(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Cluster = clu
+	srv, err := New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.Config = &http.Server{Handler: srv.Handler()}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	nd := &testNode{srv: srv, ts: ts, eng: sc.Engine, clu: clu}
+	for i := 0; ; i++ {
+		id := fmt.Sprintf("relayed-%d", i)
+		if _, remote := clu.SessionOwner(id); remote {
+			return nd, id
+		}
+	}
+}
+
+// countingOwner answers every request with status and a JSON body and
+// counts the requests that reached it.
+func countingOwner(status int, body string, hits *atomic.Int64) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		io.WriteString(w, body)
+	})
+}
+
+// TestClusterRelayBreakerOpen: with the owner's breaker open the
+// non-owner answers 503 Retry-After: 1 itself, calls nobody, and
+// counts the refusal.
+func TestClusterRelayBreakerOpen(t *testing.T) {
+	var hits atomic.Int64
+	nd, id := relayFront(t, countingOwner(http.StatusOK, `{}`, &hits), func(cc *cluster.Config, _ *Config) {
+		cc.BreakerThreshold = 1
+		cc.BreakerCooldown = time.Hour
+	})
+	p, _ := nd.clu.SessionOwner(id)
+	p.Breaker().Failure()
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		r := rawDo(t, method, nd.ts.URL+"/v1/sessions/"+id, "")
+		if r.status != http.StatusServiceUnavailable || r.retryAfter != "1" {
+			t.Fatalf("%s with the breaker open: %+v", method, r)
+		}
+	}
+	if r := rawDo(t, http.MethodPost, nd.ts.URL+"/v1/sessions/"+id+"/step", `{}`); r.status != http.StatusServiceUnavailable {
+		t.Fatalf("step with the breaker open: %+v", r)
+	}
+	snap := nd.clu.Registry().Snapshot()
+	if hits.Load() != 0 || snap["cluster_proxied_requests"] != 0 {
+		t.Fatalf("open breaker still called the owner: %d hits, %d proxied", hits.Load(), snap["cluster_proxied_requests"])
+	}
+	if snap["cluster_breaker_rejected"] != 3 {
+		t.Fatalf("cluster_breaker_rejected = %d, want 3", snap["cluster_breaker_rejected"])
+	}
+}
+
+// TestClusterRelayBodyLimit: a body over MaxBodyBytes is refused by
+// the entry node before any peer is called; one under it is relayed.
+func TestClusterRelayBodyLimit(t *testing.T) {
+	var hits atomic.Int64
+	nd, id := relayFront(t, countingOwner(http.StatusOK, `{"freqs_hz":[1],"steps":1}`, &hits), func(_ *cluster.Config, sc *Config) {
+		sc.MaxBodyBytes = 512
+	})
+	url := nd.ts.URL + "/v1/sessions/" + id + "/step"
+	big := `{"block_temps_c":[` + strings.Repeat("60,", 300) + `60]}`
+	if r := rawDo(t, http.MethodPost, url, big); r.status != http.StatusBadRequest || !strings.Contains(r.body, "too large") {
+		t.Fatalf("oversized step body: %+v", r)
+	}
+	if hits.Load() != 0 || nd.clu.Registry().Snapshot()["cluster_proxied_requests"] != 0 {
+		t.Fatalf("oversized body reached the owner (%d hits)", hits.Load())
+	}
+	if r := rawDo(t, http.MethodPost, url, `{"max_core_temp_c":60}`); r.status != http.StatusOK || r.body != `{"freqs_hz":[1],"steps":1}` {
+		t.Fatalf("small step body: %+v", r)
+	}
+	if hits.Load() != 1 || nd.clu.Registry().Snapshot()["cluster_proxied_requests"] != 1 {
+		t.Fatalf("small body: %d hits", hits.Load())
+	}
+}
+
+// TestClusterRelayOwnerFailures: an owner 5xx is relayed as sent, and
+// an owner lost mid-reply becomes this node's 503; both count as
+// breaker failures.
+func TestClusterRelayOwnerFailures(t *testing.T) {
+	var hits atomic.Int64
+	nd, id := relayFront(t, countingOwner(http.StatusServiceUnavailable, `{"error":"draining"}`, &hits), nil)
+	r := rawDo(t, http.MethodPost, nd.ts.URL+"/v1/sessions/"+id+"/step", `{}`)
+	if r.status != http.StatusServiceUnavailable || r.body != `{"error":"draining"}` || r.ctype != "application/json" {
+		t.Fatalf("owner 503 relayed as %+v", r)
+	}
+	if got := nd.clu.Registry().Snapshot()["cluster_proxy_errors"]; got != 1 {
+		t.Fatalf("cluster_proxy_errors = %d after an owner 503, want 1", got)
+	}
+
+	truncating := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", "100")
+		io.WriteString(w, `{"freqs_hz":[`)
+	})
+	nd, id = relayFront(t, truncating, nil)
+	r = rawDo(t, http.MethodPost, nd.ts.URL+"/v1/sessions/"+id+"/step", `{}`)
+	if r.status != http.StatusServiceUnavailable || r.retryAfter != "1" || !strings.Contains(r.body, "owner unreachable") {
+		t.Fatalf("owner lost mid-reply relayed as %+v", r)
+	}
+	if got := nd.clu.Registry().Snapshot()["cluster_proxy_errors"]; got != 1 {
+		t.Fatalf("cluster_proxy_errors = %d after a truncated reply, want 1", got)
+	}
+}
+
+// TestClusterRelayStreamFlushesLive: the owner holds its summary line
+// back until the client of the non-owner has read the first window
+// line, so the relay must flush each read rather than buffer the
+// stream.
+func TestClusterRelayStreamFlushesLive(t *testing.T) {
+	proceed := make(chan struct{})
+	var summaryWritten atomic.Bool
+	owner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, `{"window":1}`+"\n")
+		w.(http.Flusher).Flush()
+		select {
+		case <-proceed:
+		case <-time.After(2 * time.Second):
+		}
+		summaryWritten.Store(true)
+		io.WriteString(w, `{"summary":{"windows":1}}`+"\n")
+	})
+	nd, id := relayFront(t, owner, nil)
+	resp, err := http.Post(nd.ts.URL+"/v1/sessions/"+id+"/stream", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	rd := bufio.NewReader(resp.Body)
+	first, err := rd.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if summaryWritten.Load() {
+		t.Fatal("first window line arrived only after the owner wrote its summary")
+	}
+	close(proceed)
+	rest, _ := io.ReadAll(rd)
+	if first != `{"window":1}`+"\n" || string(rest) != `{"summary":{"windows":1}}`+"\n" {
+		t.Fatalf("relayed stream %q then %q", first, rest)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("relayed stream content type %q", ct)
+	}
+}
+
+// TestSessionCreateRejectsOnlineField: the retired `online` boolean is
+// an unknown field like any other. A single node, either member of a
+// cluster (the entry node refuses it before a new id picks an owner)
+// and a forwarded create all answer 400 naming it, and no session is
+// made or relayed.
+func TestSessionCreateRejectsOnlineField(t *testing.T) {
+	check := func(what string, r httpReply) {
+		t.Helper()
+		var e api.Error
+		if r.status != http.StatusBadRequest || json.Unmarshal([]byte(r.body), &e) != nil ||
+			!strings.Contains(e.Message, `unknown field "online"`) {
+			t.Fatalf("%s: %+v", what, r)
+		}
+	}
+	srv, ts := newTestServer(t, fastEngine(t))
+	check("single node", rawDo(t, http.MethodPost, ts.URL+"/v1/sessions", `{"online":true}`))
+	if srv.SessionCount() != 0 {
+		t.Fatal("single node made a session")
+	}
+
+	nodes := newTestCluster(t, 2, cluster.AdmissionConfig{})
+	for i, nd := range nodes {
+		check(fmt.Sprintf("cluster node %d", i), rawDo(t, http.MethodPost, nd.ts.URL+"/v1/sessions", `{"online":true}`))
+		check(fmt.Sprintf("forwarded to node %d", i), rawDo(t, http.MethodPost, nd.ts.URL+"/v1/sessions",
+			`{"online":true,"id":"pinned"}`, api.HeaderForwarded, "1"))
+	}
+	for i, nd := range nodes {
+		if nd.srv.SessionCount() != 0 || nd.clu.Registry().Snapshot()["cluster_proxied_requests"] != 0 {
+			t.Fatalf("node %d made or relayed a session", i)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ type Config struct {
 	Engine *protemp.Engine
 	// Cluster, when non-nil, makes this node a member of a multi-node
 	// control plane: session requests whose ring owner is a peer are
-	// transparently proxied (single hop), GET /v1/tables/{key} serves
+	// relayed to it byte for byte (single hop), GET /v1/tables/{key} serves
 	// this node's stored tables to peers, and the cluster's proxy
 	// counters merge into /metrics. Nil serves single-node.
 	Cluster *cluster.Cluster
@@ -121,9 +121,6 @@ type Server struct {
 	tableRequests  *metrics.Counter
 	tableServes    *metrics.Counter
 	optimizes      *metrics.Counter
-	// deprecatedOnline counts session creates still using the retired
-	// `online` field — drop the shim when this stays zero.
-	deprecatedOnline *metrics.Counter
 }
 
 // New builds a Server and starts its session reaper.
@@ -157,23 +154,22 @@ func New(cfg Config) (*Server, error) {
 	}
 	reg := metrics.NewRegistry()
 	s := &Server{
-		engine:           cfg.Engine,
-		cluster:          cfg.Cluster,
-		sessions:         newSessionManager(cfg.Shards, cfg.SessionTTL, cfg.ReapInterval, reg, cfg.now),
-		fleet:            newFleetManager(cfg.Engine, cfg.MaxFleetRuns, cfg.MaxFleetJobs, reg, cfg.now),
-		reg:              reg,
-		mux:              http.NewServeMux(),
-		cfg:              cfg,
-		log:              cfg.Logger,
-		knownSpecs:       make(map[string]tableSpecArgs),
-		requests:         reg.Counter("http_requests"),
-		errorsCount:      reg.Counter("http_errors"),
-		streamWindows:    reg.Counter("stream_windows"),
-		streamDegraded:   reg.Counter("stream_degraded_windows"),
-		tableRequests:    reg.Counter("table_requests"),
-		tableServes:      reg.Counter("table_peer_serves"),
-		optimizes:        reg.Counter("optimize_requests"),
-		deprecatedOnline: reg.Counter("deprecated_online_requests"),
+		engine:         cfg.Engine,
+		cluster:        cfg.Cluster,
+		sessions:       newSessionManager(cfg.Shards, cfg.SessionTTL, cfg.ReapInterval, reg, cfg.now),
+		fleet:          newFleetManager(cfg.Engine, cfg.MaxFleetRuns, cfg.MaxFleetJobs, reg, cfg.now),
+		reg:            reg,
+		mux:            http.NewServeMux(),
+		cfg:            cfg,
+		log:            cfg.Logger,
+		knownSpecs:     make(map[string]tableSpecArgs),
+		requests:       reg.Counter("http_requests"),
+		errorsCount:    reg.Counter("http_errors"),
+		streamWindows:  reg.Counter("stream_windows"),
+		streamDegraded: reg.Counter("stream_degraded_windows"),
+		tableRequests:  reg.Counter("table_requests"),
+		tableServes:    reg.Counter("table_peer_serves"),
+		optimizes:      reg.Counter("optimize_requests"),
 	}
 	s.admission = cluster.NewAdmission(cfg.Admission, func() (uint64, uint64) {
 		return cfg.Engine.StepLatencyQuantile(0.95)
@@ -187,10 +183,10 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/tables", s.handleTables)
 	s.mux.HandleFunc("GET /v1/tables/{key}", s.handleTableGet)
 	s.mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
-	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionGet)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/step", s.handleSessionStep)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/stream", s.handleSessionStream)
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
+	s.mux.HandleFunc("GET /v1/sessions/{id}", s.ownerRouted(s.handleSessionGet))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/step", s.ownerRouted(s.handleSessionStep))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/stream", s.ownerRouted(s.handleSessionStream))
+	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.ownerRouted(s.handleSessionDelete))
 	s.mux.HandleFunc("POST /v1/fleet", s.handleFleetSubmit)
 	s.mux.HandleFunc("GET /v1/fleet", s.handleFleetList)
 	s.mux.HandleFunc("GET /v1/fleet/scenarios", s.handleFleetScenarios)
@@ -358,45 +354,110 @@ func (s *Server) sessionError(w http.ResponseWriter, err error) {
 
 // ---- cluster routing ----
 
+// ndjson is the Content-Type of a session stream, the one reply the
+// relay flushes as it arrives.
+const ndjson = "application/x-ndjson"
+
 // forwarded reports whether a peer already proxied this request: it
 // must be served locally (single-hop rule).
 func forwarded(r *http.Request) bool {
 	return r.Header.Get(api.HeaderForwarded) != ""
 }
 
-// sessionPeer resolves where a session request belongs: the peer to
-// proxy to, or nil to serve locally (single node, forwarded request,
-// or this node owns the id).
-func (s *Server) sessionPeer(r *http.Request, id string) *cluster.Peer {
-	if s.cluster == nil || forwarded(r) {
-		return nil
+// ownerRouted states the session-ownership rule once for every
+// /v1/sessions/{id}… route: the request is served here when this node
+// runs single-node, owns the id, or a peer already forwarded it (single
+// hop); otherwise it is relayed to the owner. The body is read under
+// the request's MaxBytesReader, so an oversized one is refused here
+// before any peer is called.
+func (s *Server) ownerRouted(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.cluster == nil || forwarded(r) {
+			h(w, r)
+			return
+		}
+		p, remote := s.cluster.SessionOwner(r.PathValue("id"))
+		if !remote {
+			h(w, r)
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
+			return
+		}
+		s.relay(w, r, p, body)
 	}
-	p, remote := s.cluster.SessionOwner(id)
-	if !remote {
-		return nil
-	}
-	return p
 }
 
-// proxyError maps a failed proxied call onto this node's response: the
-// owner's own API verdict (status, message, Retry-After) passes
-// through untouched; breaker refusals and transport failures become
-// 503 with a retry hint, since the cluster may heal.
-func (s *Server) proxyError(w http.ResponseWriter, err error) {
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
-		if apiErr.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int(apiErr.RetryAfter.Seconds())))
+// relay forwards a session request to its owner byte for byte (method,
+// path, body) under the peer's circuit breaker and answers with the
+// owner's status, Content-Type, Retry-After and body. A reply is read
+// whole inside the call (an owner lost mid-reply is a transport
+// failure) and written with one Write and no Flush; only an NDJSON
+// stream flushes after every read, so its windows reach the client
+// live. An owner 5xx is relayed too but counts as a breaker failure.
+// Only an open breaker or a transport failure gets this node's own
+// 503, with a retry hint, since the cluster may heal.
+func (s *Server) relay(w http.ResponseWriter, r *http.Request, p *cluster.Peer, body []byte) {
+	var (
+		resp  *http.Response
+		reply []byte // the owner's whole body unless resp is a stream
+	)
+	err := s.cluster.Call(p, func(cl *client.Client) error {
+		res, err := cl.Raw(r.Context(), r.Method, r.URL.EscapedPath(), body)
+		if err != nil {
+			return err
 		}
-		s.writeError(w, apiErr.Status, "%s", apiErr.Message)
+		if res.Header.Get("Content-Type") != ndjson {
+			reply, err = io.ReadAll(res.Body)
+			res.Body.Close()
+			if err != nil {
+				return fmt.Errorf("read owner reply: %w", err)
+			}
+		}
+		resp = res
+		if res.StatusCode >= 500 {
+			return &client.APIError{Status: res.StatusCode}
+		}
+		return nil
+	})
+	if resp == nil {
+		w.Header().Set("Retry-After", "1")
+		if errors.Is(err, cluster.ErrBreakerOpen) {
+			s.writeError(w, http.StatusServiceUnavailable, "%v", err)
+			return
+		}
+		s.writeError(w, http.StatusServiceUnavailable, "cluster: session owner unreachable: %v", err)
 		return
 	}
-	w.Header().Set("Retry-After", "1")
-	if errors.Is(err, cluster.ErrBreakerOpen) {
-		s.writeError(w, http.StatusServiceUnavailable, "%v", err)
+	for _, h := range []string{"Content-Type", "Retry-After"} {
+		if v := resp.Header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
+	}
+	w.WriteHeader(resp.StatusCode)
+	if resp.Header.Get("Content-Type") != ndjson {
+		w.Write(reply)
 		return
 	}
-	s.writeError(w, http.StatusServiceUnavailable, "cluster: session owner unreachable: %v", err)
+	defer resp.Body.Close()
+	flusher, _ := w.(http.Flusher)
+	buf := make([]byte, 4096)
+	for {
+		n, rerr := resp.Body.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil {
+				return // our client went away
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
+		if rerr != nil {
+			return // EOF or the owner went away mid-stream
+		}
+	}
 }
 
 // registerSpec remembers the grid behind a table cache key so
@@ -637,31 +698,11 @@ func (s *Server) handleTableGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sessionCreateWire is api.SessionCreateRequest plus the deprecated
-// pre-Mode `online` flag old clients still send. Only the server
-// carries the shim; the public api struct no longer names the field.
-type sessionCreateWire struct {
-	api.SessionCreateRequest
-	// Online is the deprecated spelling of mode "online"; Mode wins
-	// when both are set.
-	Online *bool `json:"online,omitempty"`
-}
-
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var wire sessionCreateWire
-	if err := decodeJSON(r, &wire); err != nil {
+	var req api.SessionCreateRequest
+	if err := decodeJSON(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
-	}
-	req := wire.SessionCreateRequest
-	if wire.Online != nil {
-		s.deprecatedOnline.Inc()
-		s.log.LogAttrs(r.Context(), slog.LevelWarn, "deprecated session create field",
-			slog.String("field", "online"),
-			slog.String("hint", `use "mode": "online" instead; the online field will be removed`))
-		if req.Mode == "" && *wire.Online {
-			req.Mode = "online"
-		}
 	}
 	mode := req.Mode
 	if mode == "" {
@@ -688,17 +729,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		if s.cluster != nil {
 			if p, remote := s.cluster.SessionOwner(id); remote {
-				var info api.SessionInfo
-				err := s.cluster.Call(p, func(cl *client.Client) error {
-					out, cerr := cl.CreateSession(r.Context(), api.SessionCreateRequest{Mode: req.Mode, ID: id})
-					info = out
-					return cerr
-				})
-				if err != nil {
-					s.proxyError(w, err)
-					return
-				}
-				s.writeJSON(w, http.StatusCreated, info)
+				s.relay(w, r, p, mustMarshal(api.SessionCreateRequest{Mode: req.Mode, ID: id}))
 				return
 			}
 		}
@@ -785,22 +816,7 @@ func (s *Server) sessionInfo(ms *managedSession) api.SessionInfo {
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if p := s.sessionPeer(r, id); p != nil {
-		var info api.SessionInfo
-		err := s.cluster.Call(p, func(cl *client.Client) error {
-			out, cerr := cl.Session(r.Context(), id)
-			info = out
-			return cerr
-		})
-		if err != nil {
-			s.proxyError(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, info)
-		return
-	}
-	ms, release, err := s.sessions.Acquire(id)
+	ms, release, err := s.sessions.Acquire(r.PathValue("id"))
 	if err != nil {
 		s.sessionError(w, err)
 		return
@@ -810,19 +826,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if p := s.sessionPeer(r, id); p != nil {
-		err := s.cluster.Call(p, func(cl *client.Client) error {
-			return cl.DeleteSession(r.Context(), id)
-		})
-		if err != nil {
-			s.proxyError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	if !s.sessions.Remove(id) {
+	if !s.sessions.Remove(r.PathValue("id")) {
 		s.writeError(w, http.StatusNotFound, "%v", ErrSessionNotFound)
 		return
 	}
@@ -835,22 +839,7 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	id := r.PathValue("id")
-	if p := s.sessionPeer(r, id); p != nil {
-		var out api.StepResponse
-		err := s.cluster.Call(p, func(cl *client.Client) error {
-			resp, cerr := cl.Step(r.Context(), id, req)
-			out = resp
-			return cerr
-		})
-		if err != nil {
-			s.proxyError(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, out)
-		return
-	}
-	ms, release, err := s.sessions.Acquire(id)
+	ms, release, err := s.sessions.Acquire(r.PathValue("id"))
 	if err != nil {
 		s.sessionError(w, err)
 		return
@@ -893,17 +882,11 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 // session's controller and streams one NDJSON object per DFS window,
 // closing with a summary line. The stream pins the session, so the
 // idle reaper cannot expire it mid-run, and graceful drain waits for
-// the stream to finish. On a non-owner node the stream is relayed
-// byte-for-byte from the owner, flushing as lines arrive.
+// the stream to finish.
 func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	var req api.StreamRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	id := r.PathValue("id")
-	if p := s.sessionPeer(r, id); p != nil {
-		s.proxyStream(w, r, p, id, req)
 		return
 	}
 	sensing, err := decodeSensing(req.Sensing)
@@ -911,7 +894,7 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "stream: %v", err)
 		return
 	}
-	ms, release, err := s.sessions.Acquire(id)
+	ms, release, err := s.sessions.Acquire(r.PathValue("id"))
 	if err != nil {
 		s.sessionError(w, err)
 		return
@@ -944,7 +927,7 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", ndjson)
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
@@ -1008,42 +991,6 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(sum)
 	if flusher != nil {
 		flusher.Flush()
-	}
-}
-
-// proxyStream relays an NDJSON stream from the session's owner,
-// flushing as bytes arrive so windows still reach the client live.
-func (s *Server) proxyStream(w http.ResponseWriter, r *http.Request, p *cluster.Peer, id string, req api.StreamRequest) {
-	var resp *http.Response
-	err := s.cluster.Call(p, func(cl *client.Client) error {
-		var cerr error
-		resp, cerr = cl.StreamRaw(r.Context(), id, req)
-		return cerr
-	})
-	if err != nil {
-		s.proxyError(w, err)
-		return
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return // our client went away
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if rerr != nil {
-			return // EOF or the owner went away mid-stream
-		}
 	}
 }
 

@@ -84,12 +84,12 @@ func TestSessionDropoutBurstInvalidatesWarm(t *testing.T) {
 		}
 	}
 
-	step(good) // cold: first solve of the session
-	step(good) // warm
-	step(good) // warm
+	step(good)  // cold: first solve of the session
+	step(good)  // warm
+	step(good)  // warm
 	step(burst) // cold: invalidated on entry, and again on exit
-	step(good) // cold: the blind optimum must not have survived
-	step(good) // warm again
+	step(good)  // cold: the blind optimum must not have survived
+	step(good)  // warm again
 
 	_, _, _, solves := s.Stats()
 	hits, _ := s.WarmStats()
