@@ -434,10 +434,8 @@ func dmpcBenchEngine(b *testing.B, rows, cols, clusters, admmWorkers int) *Engin
 // distributed (ADMM cluster-consensus) step across chip sizes — the
 // paper's 8-core Niagara plan and synthetic 64- and 256-core grids —
 // and across the distributed mode's worker-pool axis (1 vs GOMAXPROCS
-// parallel cluster solves). The centralized rung is skipped at 256
-// cores: one dense full-chip compile plus per-window solves at that
-// size is the intractable baseline the distributed subsystem exists to
-// avoid (DESIGN.md §10).
+// parallel cluster solves). The centralized rung runs at every size,
+// so the lanes show where the distributed mode starts to pay off.
 func BenchmarkDMPCStep(b *testing.B) {
 	ctx := context.Background()
 	cases := []struct {
@@ -468,9 +466,6 @@ func BenchmarkDMPCStep(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name+"/central", func(b *testing.B) {
-			if tc.rows >= 16 {
-				b.Skip("dense centralized solve is the intractable 256-core baseline")
-			}
 			e := dmpcBenchEngine(b, tc.rows, tc.cols, 0, 0)
 			s, err := e.NewOnlineSession()
 			if err != nil {

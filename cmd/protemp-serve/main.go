@@ -131,16 +131,11 @@ func main() {
 		}
 		opts = append(opts, protemp.WithFloorplan(fp))
 	}
-	switch *variant {
-	case "variable":
-		opts = append(opts, protemp.WithVariant(core.VariantVariable))
-	case "uniform":
-		opts = append(opts, protemp.WithVariant(core.VariantUniform))
-	case "gradient":
-		opts = append(opts, protemp.WithVariant(core.VariantGradient))
-	default:
-		log.Fatalf("unknown variant %q", *variant)
+	v, err := core.ParseVariant(*variant, core.VariantVariable)
+	if err != nil {
+		log.Fatal(err)
 	}
+	opts = append(opts, protemp.WithVariant(v))
 
 	var logger *slog.Logger
 	switch *logFormat {

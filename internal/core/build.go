@@ -4,14 +4,14 @@ import (
 	"protemp/internal/linalg"
 )
 
-// layout records the variable layout of a built problem.
+// layout records the variable layout of a barrier program.
 //
 // VariantVariable:  x = [fn_0..fn_{n-1}, pn_0..pn_{n-1}]          (dim 2n)
 // VariantGradient:  x = [fn..., pn..., g]                          (dim 2n+1)
-// VariantUniform:   x = [fn, pn]                                   (dim 2)
 //
 // fn_j = f_j / fmax_j and pn_j = p_j / pmax_j are normalized to [0, 1]
 // so the Newton systems stay well-scaled; g is the gradient bound in °C.
+// The uniform variant has no barrier program (see uniformAssignment).
 type layout struct {
 	variant Variant
 	nCores  int
@@ -19,29 +19,16 @@ type layout struct {
 }
 
 func newLayout(v Variant, nCores int) layout {
-	switch v {
-	case VariantUniform:
-		return layout{variant: v, nCores: nCores, dim: 2}
-	case VariantGradient:
-		return layout{variant: v, nCores: nCores, dim: 2*nCores + 1}
-	default:
-		return layout{variant: v, nCores: nCores, dim: 2 * nCores}
+	l := layout{variant: v, nCores: nCores, dim: 2 * nCores}
+	if v == VariantGradient {
+		l.dim++
 	}
+	return l
 }
 
-func (l layout) fIdx(j int) int {
-	if l.variant == VariantUniform {
-		return 0
-	}
-	return j
-}
+func (l layout) fIdx(j int) int { return j }
 
-func (l layout) pIdx(j int) int {
-	if l.variant == VariantUniform {
-		return 1
-	}
-	return l.nCores + j
-}
+func (l layout) pIdx(j int) int { return l.nCores + j }
 
 func (l layout) gIdx() int { return 2 * l.nCores }
 
@@ -50,6 +37,7 @@ func (l layout) gIdx() int { return 2 * l.nCores }
 type tempRow struct {
 	step  int
 	block int
+	core  bool // block is a core: the row counts toward PeakTemp
 	c0    float64
 	coef  linalg.Vector // length nCores, nonnegative
 }
@@ -76,7 +64,7 @@ func (s *Spec) tempRows() ([]tempRow, error) {
 	}
 	rows := make([]tempRow, len(compiled))
 	for i, r := range compiled {
-		rows[i] = tempRow{step: r.step, block: r.block, c0: r.c0Base, coef: r.coef}
+		rows[i] = tempRow{step: r.step, block: r.block, core: r.core, c0: r.c0Base, coef: r.coef}
 	}
 	return rows, nil
 }

@@ -27,10 +27,10 @@ import (
 // The multipliers come from the last Phase I that proved this instance
 // infeasible (sweepInstance.phaseI keeps them). Any λ ≥ 0 is valid, so
 // a stale λ from an earlier window can only fail to prove, never prove
-// wrongly, and it needs no invalidation. The bound is evaluated in the
-// instance's own layout: the uniform variant's single row coefficient
-// is coef.Sum(), and the gradient variant's pair rows are dropped (a
-// relaxation's infeasibility proves the full problem's).
+// wrongly, and it needs no invalidation. The gradient variant's pair
+// rows are dropped (a relaxation's infeasibility proves the full
+// problem's). The uniform variant never reaches the ladder: it is
+// decided in closed form (uniformAssignment).
 
 // certMargin scales the certificate's safety margin: L(ν) must exceed
 // R by certMargin·(|R| + Σλ), far above the rounding of either sum.
@@ -77,12 +77,8 @@ func (in *sweepInstance) certifyInfeasible(s *Spec) bool {
 // chip.
 func (in *sweepInstance) dualBound(s *Spec) (l, r, sum float64) {
 	lay := in.plan.lay
-	vars := lay.nCores
-	if lay.variant == VariantUniform {
-		vars = 1
-	}
 	// R = Σλ·(TMax − c0) = −Σλ·B over the rows.
-	w := in.dualW[:vars]
+	w := in.dualW
 	w.Fill(0)
 	for i, li := range in.dual {
 		if !(li > 0) {

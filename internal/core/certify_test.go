@@ -30,7 +30,8 @@ func uniformPeak(chip *power.Chip, rows []tempRow, fn float64, pn linalg.Vector)
 // probe to the full scan it replaced: over a grid of thermal maps, each
 // with its hottest row set to NaN, and frequencies across [0, 1], the
 // verdict matches peak <= tmax with the failing-row hint carried from
-// probe to probe, and uniformMax returns the reference bisection's
+// probe to probe, a fitting probe returns the scan's peak bit for bit,
+// and uniformMax returns the reference bisection's
 // fnMax bit for bit.
 func TestUniformFitsMatchesPeakScan(t *testing.T) {
 	f := niagaraFixture(t)
@@ -55,9 +56,14 @@ func TestUniformFitsMatchesPeakScan(t *testing.T) {
 			hot := 0
 			for k := 0; k <= 40; k++ {
 				fn := float64(k) / 40
-				want := uniformPeak(f.chip, rows, fn, ref) <= tmax
-				if got := uniformFits(f.chip, rows, tmax, fn, pn, &hot); got != want {
+				peak := uniformPeak(f.chip, rows, fn, ref)
+				want := peak <= tmax
+				gotPeak, got := uniformFits(f.chip, rows, tmax, fn, pn, &hot)
+				if got != want {
 					t.Fatalf("TStart %g, tmax %g, fn %g: fits %v, full scan %v", tstart, tmax, fn, got, want)
+				}
+				if got && gotPeak != peak {
+					t.Fatalf("TStart %g, tmax %g, fn %g: peak %v, full scan %v", tstart, tmax, fn, gotPeak, peak)
 				}
 				if !want {
 					fails++

@@ -43,9 +43,11 @@ type Decision struct {
 	Idle bool
 }
 
-// Decide picks the frequency vector for the next DFS window.
+// Decide picks the frequency vector for the next DFS window. A
+// non-finite temperature reading or a NaN requirement idles the window:
+// no table row is a safe answer to a garbage reading.
 func (c *Controller) Decide(maxCoreTemp, requiredFreq float64) Decision {
-	if math.IsNaN(maxCoreTemp) || math.IsNaN(requiredFreq) {
+	if math.IsNaN(maxCoreTemp) || math.IsInf(maxCoreTemp, 0) || math.IsNaN(requiredFreq) {
 		return c.idleDecision()
 	}
 	if requiredFreq < 0 {

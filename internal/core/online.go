@@ -46,8 +46,8 @@ type OnlineStepStats struct {
 	WarmAbandonIters int
 	// AssembleNanos, FactorNanos and LinesearchNanos split the solve's
 	// wall time into Hessian assembly, KKT factorization+solve and line
-	// search, a rejected warm attempt included; zero for degenerate
-	// (full-speed) steps that never enter the barrier.
+	// search, a rejected warm attempt included; zero for closed-form
+	// (full-speed or uniform) steps that never enter the barrier.
 	AssembleNanos   int64
 	FactorNanos     int64
 	LinesearchNanos int64
@@ -175,20 +175,20 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 		return nil, st, err
 	}
 
-	// Degenerate full-speed target: a feasibility check, not a solve.
-	// It yields no new interior iterate, but the previous optimum stays
-	// valid as a future seed — an overloaded stream alternates
-	// full-speed checks with downgraded re-solves, and dropping the
-	// seed here would break that warm chain every window.
-	if ftarget/o.spec.Chip.FMax() >= fullSpeedPhi {
-		a, err := fullSpeedAssignment(spec, o.inst.rows)
-		if err != nil {
-			o.prevX = nil
-			return nil, st, err
-		}
+	// A full-speed or uniform window is decided in closed form, not
+	// solved. It yields no new interior iterate, but the previous
+	// optimum stays valid as a future seed — an overloaded stream
+	// alternates full-speed checks with downgraded re-solves, and
+	// dropping the seed here would break that warm chain every window.
+	if fn, ok := closedForm(o.spec.Variant, ftarget/o.spec.Chip.FMax()); ok {
+		a := uniformAssignment(spec, o.inst.rows, fn)
 		if o.rec != nil {
 			o.rec.SolveStart(ftarget)
-			o.rec.Rung("full-speed")
+			if fn == 1 {
+				o.rec.Rung("full-speed")
+			} else {
+				o.rec.Rung("uniform")
+			}
 			o.rec.SolveEnd(a.Feasible, nil)
 		}
 		return a, st, nil

@@ -17,6 +17,20 @@ import (
 // to a feasibility check of the full-speed point.
 const fullSpeedPhi = 1 - 1e-9
 
+// closedForm reports whether a window at normalized target phi is
+// decided by uniformAssignment instead of the barrier, and at which
+// shared normalized frequency: full speed for every variant once phi
+// reaches fullSpeedPhi, and phi itself for the uniform variant.
+func closedForm(v Variant, phi float64) (fn float64, ok bool) {
+	switch {
+	case phi >= fullSpeedPhi:
+		return 1, true
+	case v == VariantUniform:
+		return phi, true
+	}
+	return 0, false
+}
+
 // Solve computes the optimal frequency assignment for the design point,
 // or Assignment{Feasible: false} when the paper's "infeasible solution"
 // signal applies. Solver failures other than infeasibility are returned
@@ -35,13 +49,12 @@ func SolveContext(ctx context.Context, s *Spec) (*Assignment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Degenerate target: the only candidate is full speed on all cores.
-	if s.FTarget/s.Chip.FMax() >= fullSpeedPhi {
+	if fn, ok := closedForm(s.Variant, s.FTarget/s.Chip.FMax()); ok {
 		rows, err := s.tempRows()
 		if err != nil {
 			return nil, err
 		}
-		return fullSpeedAssignment(s, rows)
+		return uniformAssignment(s, rows, fn), nil
 	}
 
 	in, err := s.build()
@@ -178,26 +191,26 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 	for j := 0; j < n; j++ {
 		model := s.Chip.CoreModelOf(j)
 		fn := clamp01(res.X[lay.fIdx(j)])
-		pn := clamp01(res.X[lay.pIdx(j)])
+		in.pn[j] = clamp01(res.X[lay.pIdx(j)])
 		a.Freqs[j] = fn * model.FMax
-		a.Powers[j] = pn * model.PMax
+		a.Powers[j] = in.pn[j] * model.PMax
 		a.AvgFreq += a.Freqs[j] / float64(n)
 		a.TotalPower += a.Powers[j]
 	}
 	if s.Variant == VariantGradient {
 		a.TGrad = res.X[lay.gIdx()]
 	}
-	a.PeakTemp = peakTemp(s, a.Powers)
+	a.PeakTemp, _ = scanRows(rows, in.pn, math.Inf(1))
 	return a, res.X, warm, nil
 }
 
-// SolveUniformBisect solves the uniform-frequency problem by direct
-// bisection on the scalar frequency: feasibility of f is monotone (more
-// frequency means more power means higher temperatures everywhere), so
-// the optimum is the largest feasible f if that exceeds the target, or
-// the target itself when the target is feasible. It is an independent
-// cross-check of the barrier path and is also what the run-time
-// fallback uses for off-grid targets.
+// SolveUniformBisect bisects the uniform-frequency problem on the
+// scalar frequency: feasibility of f is monotone (more frequency means
+// more power means higher temperatures everywhere), so the largest
+// feasible f is the largest supportable uniform target. The closed-form
+// uniform decision (uniformAssignment) tests the same rows at the
+// target itself, and the run-time downgrade ladder bisects the same
+// way (OnlineSolver.Downgrade).
 //
 // It returns the maximum supportable average frequency in Hz and whether
 // the requested target is supportable.
@@ -242,7 +255,8 @@ func uniformMax(ctx context.Context, chip *power.Chip, tmax float64, rows []temp
 			cancelled = true
 			return false
 		}
-		return uniformFits(chip, rows, tmax, fn, pn, &hot)
+		_, ok := uniformFits(chip, rows, tmax, fn, pn, &hot)
+		return ok
 	}
 	fnMax, ok := solver.BisectMax(0, 1, 1e-7, feasible)
 	if cancelled {
@@ -253,46 +267,69 @@ func uniformMax(ctx context.Context, chip *power.Chip, tmax float64, rows []temp
 
 // uniformFits reports whether every row stays at or below tmax over the
 // window when every core runs at normalized frequency fn, using pn
-// (length NumCores) for the normalized powers. It stops at the first
-// row over tmax, trying row *hot first — the row that failed the
-// previous probe of a bisection, where the next failure usually is —
-// and stores the failing row there. A NaN row never fails, as in a
-// peak scan's t > peak.
-func uniformFits(chip *power.Chip, rows []tempRow, tmax, fn float64, pn linalg.Vector, hot *int) bool {
+// (length NumCores) for the normalized powers, and when it does, the
+// hottest core row (Assignment.PeakTemp). It stops at the first row
+// over tmax, trying row *hot first — the row that failed the previous
+// probe of a bisection, where the next failure usually is — and stores
+// the failing row there.
+func uniformFits(chip *power.Chip, rows []tempRow, tmax, fn float64, pn linalg.Vector, hot *int) (float64, bool) {
 	for j := range pn {
 		model := chip.CoreModelOf(j)
 		pn[j] = model.AtFrequency(fn*model.FMax) / model.PMax
 	}
 	if h := *hot; h < len(rows) && rows[h].c0+rows[h].coef.Dot(pn) > tmax {
-		return false
+		return 0, false
 	}
-	for i, r := range rows {
-		if r.c0+r.coef.Dot(pn) > tmax {
-			*hot = i
-			return false
-		}
+	peak, over := scanRows(rows, pn, tmax)
+	if over >= 0 {
+		*hot = over
+		return 0, false
 	}
-	return true
+	return peak, true
 }
 
-// fullSpeedAssignment evaluates the single candidate point f = fmax
-// against prebuilt temperature rows.
-func fullSpeedAssignment(s *Spec, rows []tempRow) (*Assignment, error) {
-	hot := 0
-	if !uniformFits(s.Chip, rows, s.TMax, 1, linalg.NewVector(s.Chip.NumCores()), &hot) {
-		return &Assignment{}, nil
+// scanRows evaluates rows at normalized powers pn in order and returns
+// the index of the first row over tmax (-1 when none is) and the
+// hottest core row before it. The rows hold every core's temperature at
+// every sub-step of the window, so a full scan's peak is
+// Assignment.PeakTemp. A NaN row neither raises the peak nor fails.
+func scanRows(rows []tempRow, pn linalg.Vector, tmax float64) (peak float64, over int) {
+	peak = math.Inf(-1)
+	for i, r := range rows {
+		t := r.c0 + r.coef.Dot(pn)
+		if t > tmax {
+			return peak, i
+		}
+		if r.core && t > peak {
+			peak = t
+		}
 	}
+	return peak, -1
+}
+
+// uniformAssignment decides a window in closed form with every core at
+// normalized frequency fn: the full-speed window (fn = 1, the only
+// point meeting the workload row) and every uniform-variant window
+// (fn = φ). Power rises with frequency and every row gain is
+// nonnegative, so the uniform optimum sits on the workload row, fn = φ,
+// whenever that point meets every row, and no uniform point does
+// otherwise.
+func uniformAssignment(s *Spec, rows []tempRow, fn float64) *Assignment {
 	n := s.Chip.NumCores()
-	a := &Assignment{Feasible: true, Freqs: make([]float64, n), Powers: make([]float64, n)}
+	hot := 0
+	peak, ok := uniformFits(s.Chip, rows, s.TMax, fn, linalg.NewVector(n), &hot)
+	if !ok {
+		return &Assignment{}
+	}
+	a := &Assignment{Feasible: true, Freqs: make([]float64, n), Powers: make([]float64, n), PeakTemp: peak}
 	for j := 0; j < n; j++ {
 		model := s.Chip.CoreModelOf(j)
-		a.Freqs[j] = model.FMax
-		a.Powers[j] = model.PMax
-		a.AvgFreq += model.FMax / float64(n)
-		a.TotalPower += model.PMax
+		a.Freqs[j] = fn * model.FMax
+		a.Powers[j] = model.AtFrequency(a.Freqs[j])
+		a.AvgFreq += a.Freqs[j] / float64(n)
+		a.TotalPower += a.Powers[j]
 	}
-	a.PeakTemp = peakTemp(s, a.Powers)
-	return a, nil
+	return a
 }
 
 // heuristicStart tries cheap strictly feasible points (uniform
@@ -349,9 +386,6 @@ func heuristicStart(s *Spec, lay layout, rows []tempRow, phi float64) linalg.Vec
 // periphery cores hold thermal slack the uniform assignment cannot use
 // (the physics behind the paper's Fig. 9/10). Returns nil on failure.
 func rebalanceStart(s *Spec, lay layout, rows []tempRow, phi float64) linalg.Vector {
-	if lay.variant == VariantUniform {
-		return nil // a single shared frequency cannot rebalance
-	}
 	n := s.Chip.NumCores()
 	fn := phi + 1e-6
 	if fn >= 1 {
@@ -459,46 +493,13 @@ func phase1Start(s *Spec, lay layout) linalg.Vector {
 	phi := s.FTarget / s.Chip.FMax()
 	fn := phi + 0.5*(1-phi)
 	x := linalg.NewVector(lay.dim)
-	vars := lay.nCores
-	if lay.variant == VariantUniform {
-		vars = 1
-	}
-	for j := 0; j < vars; j++ {
+	for j := 0; j < lay.nCores; j++ {
 		model := s.Chip.CoreModelOf(j)
 		p := model.AtFrequency(fn*model.FMax) / model.PMax
 		x[lay.fIdx(j)] = fn
 		x[lay.pIdx(j)] = p + math.Min(1e-3, 0.5*(1-p))
 	}
 	return x
-}
-
-// peakTemp forward-simulates the window at the given core powers and
-// returns the hottest core temperature reached — the verification the
-// controller's guarantee rests on.
-func peakTemp(s *Spec, corePowers []float64) float64 {
-	chip := s.Chip
-	fp := chip.Floorplan()
-	nb := fp.NumBlocks()
-	p := chip.FixedPower()
-	for j, w := range corePowers {
-		p[chip.CoreBlockIndex(j)] = w
-	}
-	t0 := s.startTemps(nb)
-	peak := math.Inf(-1)
-	cores := fp.CoreIndices()
-	m := s.Window.Steps()
-	for k := 1; k <= m; k++ {
-		t, err := s.Window.TempAt(k, t0, p)
-		if err != nil {
-			return math.NaN()
-		}
-		for _, ci := range cores {
-			if t[ci] > peak {
-				peak = t[ci]
-			}
-		}
-	}
-	return peak
 }
 
 func clamp01(x float64) float64 {

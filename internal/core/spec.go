@@ -16,7 +16,8 @@
 // flatten the spatial profile). Temperatures are affine in p through
 // the discrete thermal dynamics, so all constraints are affine or
 // diagonal-quadratic and the program is solved by the interior-point
-// method in internal/solver.
+// method in internal/solver. The uniform restriction needs no solver:
+// its optimum is the target frequency itself whenever that fits.
 package core
 
 import (
@@ -183,7 +184,8 @@ type Assignment struct {
 	// (VariantGradient only; zero otherwise).
 	TGrad float64
 	// PeakTemp is the highest predicted core temperature over the
-	// window under this assignment (a forward simulation check).
+	// window under this assignment: the hottest core row of the
+	// compiled temperature rows at the assignment's normalized powers.
 	PeakTemp float64
 	// Gap is the solver's duality-gap bound.
 	Gap float64
@@ -193,8 +195,8 @@ type Assignment struct {
 	NewtonIters int
 	// AssembleNanos, FactorNanos and LinesearchNanos split the solver's
 	// wall time into Hessian assembly, KKT factorization+solve and line
-	// search, an abandoned warm attempt included (zero for degenerate
-	// paths that never enter the barrier, e.g. full speed).
+	// search, an abandoned warm attempt included (zero for closed-form
+	// decisions that never enter the barrier: full speed and uniform).
 	AssembleNanos   int64
 	FactorNanos     int64
 	LinesearchNanos int64

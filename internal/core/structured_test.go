@@ -7,13 +7,15 @@ import (
 )
 
 // TestSweepPlanCompilesPattern pins the structured-KKT wiring: every
-// variant's compiled plan must carry a non-nil arrow-structure hint.
+// barrier variant's compiled plan must carry a non-nil arrow-structure
+// hint (the uniform variant compiles rows only; see
+// TestUniformPlanCompilesRowsOnly).
 // If the Hessian-pattern compiler ever starts rejecting the problem
 // shape core emits, the solver silently falls back to the dense O(n³)
 // path — this test turns that silent regression into a failure.
 func TestSweepPlanCompilesPattern(t *testing.T) {
 	f := niagaraFixture(t)
-	for _, v := range []Variant{VariantVariable, VariantUniform, VariantGradient} {
+	for _, v := range []Variant{VariantVariable, VariantGradient} {
 		ts := TableSpec{Chip: f.chip, Window: f.window, TMax: 100, Variant: v}
 		pl, err := compileSweep(ts, nil)
 		if err != nil {
@@ -38,7 +40,7 @@ func TestSweepPlanCompilesPattern(t *testing.T) {
 func TestStructuredMatchesDenseClosedLoop(t *testing.T) {
 	f := niagaraFixture(t)
 	fmax := f.chip.FMax()
-	for _, v := range []Variant{VariantVariable, VariantUniform, VariantGradient} {
+	for _, v := range []Variant{VariantVariable, VariantGradient} {
 		t.Run(v.String(), func(t *testing.T) {
 			arrow, err := NewOnlineSolver(onlineSpec(t, v))
 			if err != nil {

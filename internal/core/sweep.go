@@ -66,6 +66,7 @@ type sweepPlan struct {
 // planRow is one compiled temperature row.
 type planRow struct {
 	step, block int
+	core        bool    // block is a core (tempRow.core)
 	t0Gain      float64 // ∂c0/∂TStart (row sum of A^step over the chip)
 	c0Base      float64 // TStart-independent part: drive + fixed power
 	coef        linalg.Vector
@@ -97,6 +98,10 @@ func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks boo
 	if t0 != nil && len(t0) != nb {
 		return nil, fmt.Errorf("core: t0 has %d entries for %d blocks", len(t0), nb)
 	}
+	isCore := make([]bool, nb)
+	for _, bi := range fp.CoreIndices() {
+		isCore[bi] = true
+	}
 	var blocks []int
 	if allBlocks {
 		for i := 0; i < nb; i++ {
@@ -111,7 +116,7 @@ func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks boo
 	rows := make([]planRow, 0, m*len(blocks))
 	for k := 1; k <= m; k++ {
 		for _, bi := range blocks {
-			row := planRow{step: k, block: bi}
+			row := planRow{step: k, block: bi, core: isCore[bi]}
 			t0Row, drive, gain, err := window.AffineRows(k, bi)
 			if err != nil {
 				return nil, err
@@ -160,24 +165,30 @@ type gradPair struct {
 // offset is affine in the (yet unknown) starting temperature. A non-nil
 // t0 pins explicit per-block starting temperatures (Spec.T0): offsets
 // are computed outright and instance.set ignores its tstart argument.
+//
+// A uniform plan compiles its rows only: uniformAssignment decides
+// every uniform window from them in closed form, so it has no barrier
+// program (no objective, constraints, pattern or Phase I).
 func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	chip := ts.Chip
 	fp := chip.Floorplan()
 	n := chip.NumCores()
+	rows, err := compileRows(chip, ts.Window, ts.ConstrainAllBlocks, t0)
+	if err != nil {
+		return nil, err
+	}
+	pl := &sweepPlan{ts: ts, rows: rows}
+	if ts.Variant == VariantUniform {
+		return pl, nil
+	}
 	lay := newLayout(ts.Variant, n)
-	pl := &sweepPlan{ts: ts, lay: lay}
+	pl.lay = lay
 
 	probe := Spec{
 		Chip: ts.Chip, Window: ts.Window, TMax: ts.TMax,
 		Variant: ts.Variant, GradWeight: ts.GradWeight, GradStride: ts.GradStride,
 		ConstrainAllBlocks: ts.ConstrainAllBlocks,
 	}
-
-	rows, err := compileRows(chip, ts.Window, ts.ConstrainAllBlocks, t0)
-	if err != nil {
-		return nil, err
-	}
-	pl.rows = rows
 
 	// Objective (shared, stateless).
 	objA := linalg.NewVector(lay.dim)
@@ -195,23 +206,15 @@ func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	pl.tempNZ = make([][]int, len(pl.rows))
 	for i, r := range pl.rows {
 		a := linalg.NewVector(lay.dim)
-		if ts.Variant == VariantUniform {
-			a[lay.pIdx(0)] = r.coef.Sum()
-		} else {
-			for j := 0; j < n; j++ {
-				a[lay.pIdx(j)] = r.coef[j]
-			}
+		for j := 0; j < n; j++ {
+			a[lay.pIdx(j)] = r.coef[j]
 		}
 		pl.tempA[i] = a
 		pl.tempNZ[i] = nonzeroIndices(a)
 	}
 
 	// Power-frequency couplings (constant, shared).
-	couplings := n
-	if ts.Variant == VariantUniform {
-		couplings = 1
-	}
-	for j := 0; j < couplings; j++ {
+	for j := 0; j < n; j++ {
 		model := chip.CoreModelOf(j)
 		d := linalg.NewVector(lay.dim)
 		d[lay.fIdx(j)] = 1 - model.IdleFrac
@@ -226,25 +229,16 @@ func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 
 	// Workload constraint coefficients (offset varies with FTarget).
 	pl.workA = linalg.NewVector(lay.dim)
-	if ts.Variant == VariantUniform {
-		pl.workA[lay.fIdx(0)] = -1
-		pl.workScale = 1
-	} else {
-		for j := 0; j < n; j++ {
-			pl.workA[lay.fIdx(j)] = -1
-		}
-		pl.workScale = float64(n)
+	for j := 0; j < n; j++ {
+		pl.workA[lay.fIdx(j)] = -1
 	}
+	pl.workScale = float64(n)
 	pl.workNZ = nonzeroIndices(pl.workA)
 
 	// Box constraints (constant, shared). The shared slice keeps the
 	// same ordering build() emits: couplings, workload, box — the
 	// workload slot is spliced in by the instance.
-	vars := 1
-	if ts.Variant != VariantUniform {
-		vars = n
-	}
-	for j := 0; j < vars; j++ {
+	for j := 0; j < n; j++ {
 		lo := linalg.NewVector(lay.dim)
 		lo[lay.fIdx(j)] = -1
 		hi := linalg.NewVector(lay.dim)
@@ -301,13 +295,9 @@ func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	// sibling instance shares the same coefficient vectors, so the one
 	// pattern serves the sweep, the online MPC path and every DMPC
 	// cluster. The f block is the frequency variables — lay.fIdx is the
-	// identity over [0, nf). A structure that fails to compile is not an
+	// identity over [0, n). A structure that fails to compile is not an
 	// error; those solves simply stay dense.
-	nf := n
-	if ts.Variant == VariantUniform {
-		nf = 1
-	}
-	if pat, err := solver.CompileHessianPattern(pl.instance().prob, nf); err == nil {
+	if pat, err := solver.CompileHessianPattern(pl.instance().prob, n); err == nil {
 		pl.pattern = pat
 	}
 	return pl, nil
@@ -341,23 +331,21 @@ func (pl *sweepPlan) slackPlan() (*solver.SlackPlan, error) {
 		for i := range in.temp {
 			soft[i] = true
 		}
-		nf := pl.ts.Chip.NumCores()
-		if pl.ts.Variant == VariantUniform {
-			nf = 1
-		}
-		pl.slack, pl.slackErr = solver.CompileSlackPhaseI(in.prob, nf, soft)
+		pl.slack, pl.slackErr = solver.CompileSlackPhaseI(in.prob, pl.ts.Chip.NumCores(), soft)
 	})
 	return pl.slack, pl.slackErr
 }
 
 // sweepInstance is one worker's mutable view of a compiled plan: a
 // problem whose constraint offsets are rewritten in place per grid
-// point, plus the tempRow buffer the start heuristics consume. The
-// coefficient vectors alias the plan and are never written.
+// point, plus the tempRow buffer the start heuristics, the closed form
+// and PeakTemp read. The coefficient vectors alias the plan and are
+// never written. A rows-only plan's instance has rows and no problem.
 type sweepInstance struct {
 	plan *sweepPlan
 	prob *solver.Problem
-	rows []tempRow // c0 refreshed per TStart; coef aliases the plan
+	rows []tempRow     // c0 refreshed per TStart; coef aliases the plan
+	pn   linalg.Vector // the optimum's normalized powers, for PeakTemp
 
 	temp []*solver.Affine // temperature constraints, aligned with rows
 	work *solver.Affine
@@ -383,8 +371,12 @@ func (pl *sweepPlan) instance() *sweepInstance {
 	in := &sweepInstance{plan: pl, curTStart: math.NaN()}
 	in.rows = make([]tempRow, len(pl.rows))
 	for i, r := range pl.rows {
-		in.rows[i] = tempRow{step: r.step, block: r.block, coef: r.coef}
+		in.rows[i] = tempRow{step: r.step, block: r.block, core: r.core, coef: r.coef}
 	}
+	if pl.objective == nil {
+		return in // a rows-only plan
+	}
+	in.pn = linalg.NewVector(pl.ts.Chip.NumCores())
 	in.prob = &solver.Problem{Objective: pl.objective}
 	in.temp = make([]*solver.Affine, len(pl.rows))
 	for i := range pl.rows {
@@ -394,9 +386,6 @@ func (pl *sweepPlan) instance() *sweepInstance {
 	// Splice the workload constraint between the couplings and the box
 	// constraints, matching Spec.build()'s ordering exactly.
 	couplings := pl.ts.Chip.NumCores()
-	if pl.ts.Variant == VariantUniform {
-		couplings = 1
-	}
 	for _, c := range pl.static[:couplings] {
 		in.prob.Constraints = append(in.prob.Constraints, c)
 	}
@@ -452,62 +441,67 @@ func (in *sweepInstance) phaseI(s *Spec, opts solver.Options) (linalg.Vector, er
 }
 
 // set instantiates the compiled problem at one grid point: refresh the
-// temperature offsets when TStart changed, always refresh the workload
-// offset, and return the equivalent per-point Spec (for the start
-// heuristics and the final forward-simulation check). The work is a
-// handful of scalar writes per constraint — no allocation, no thermal
-// re-evaluation.
+// row offsets when TStart changed, always refresh the workload offset,
+// and return the equivalent per-point Spec (for the start heuristics
+// and the closed form). The work is a handful of scalar writes per
+// constraint — no allocation, no thermal re-evaluation.
 func (in *sweepInstance) set(tstart, ftarget float64) *Spec {
 	pl := in.plan
 	if tstart != in.curTStart {
 		in.curTStart = tstart
 		for i := range in.rows {
-			c0 := pl.rows[i].t0Gain*tstart + pl.rows[i].c0Base
-			in.rows[i].c0 = c0
-			in.temp[i].B = c0 - pl.ts.TMax
+			in.rows[i].c0 = pl.rows[i].t0Gain*tstart + pl.rows[i].c0Base
 		}
-		for i, gp := range pl.gradPairs {
-			in.grad[i].B = in.rows[gp.ri].c0 - in.rows[gp.rj].c0
-		}
+		in.poseRows()
 	}
-	in.work.B = pl.workScale * ftarget / pl.ts.Chip.FMax()
-	return &Spec{
-		Chip:               pl.ts.Chip,
-		Window:             pl.ts.Window,
-		TStart:             tstart,
-		TMax:               pl.ts.TMax,
-		FTarget:            ftarget,
-		Variant:            pl.ts.Variant,
-		GradWeight:         pl.ts.GradWeight,
-		GradStride:         pl.ts.GradStride,
-		ConstrainAllBlocks: pl.ts.ConstrainAllBlocks,
-	}
+	s := in.pose(ftarget)
+	s.TStart = tstart
+	return s
 }
 
 // setMap instantiates the compiled problem at an explicit per-block
-// starting map instead of a uniform TStart: every temperature offset is
+// starting map instead of a uniform TStart: every row offset is
 // rewritten as c0 = t0Row·t0 + c0Base (one short dot product per row),
-// the gradient-pair and workload offsets follow, and the equivalent
-// per-point Spec is returned for the start heuristics and the forward
-// check. Only valid on plans compiled with a nil t0 (compileSweep's
-// deferred mode); the returned Spec aliases t0, which must stay
-// unmodified for the duration of the solve. This is the online MPC hot
-// path: each control window observes a fresh thermal map, and the
-// rewrite replaces the full problem rebuild the cold path pays.
+// the constraint offsets follow, and the equivalent per-point Spec is
+// returned for the start heuristics and the closed form. Only valid on
+// plans compiled with a nil t0 (compileSweep's deferred mode); the
+// returned Spec aliases t0, which must stay unmodified for the duration
+// of the solve. This is the online MPC hot path: each control window
+// observes a fresh thermal map, and the rewrite replaces the full
+// problem rebuild the cold path pays.
 func (in *sweepInstance) setMap(t0 linalg.Vector, ftarget float64) *Spec {
 	pl := in.plan
 	// Poison the uniform-TStart memo: NaN never compares equal, so a
 	// later set() always refreshes the offsets this call overwrites.
 	in.curTStart = math.NaN()
 	for i := range in.rows {
-		c0 := pl.rows[i].t0Row.Dot(t0) + pl.rows[i].c0Base
-		in.rows[i].c0 = c0
-		in.temp[i].B = c0 - pl.ts.TMax
+		in.rows[i].c0 = pl.rows[i].t0Row.Dot(t0) + pl.rows[i].c0Base
 	}
-	for i, gp := range pl.gradPairs {
+	in.poseRows()
+	s := in.pose(ftarget)
+	s.T0 = t0
+	return s
+}
+
+// poseRows copies the rows' offsets into the barrier program's
+// temperature and gradient-pair constraints (none on a rows-only plan).
+func (in *sweepInstance) poseRows() {
+	tmax := in.plan.ts.TMax
+	for i, c := range in.temp {
+		c.B = in.rows[i].c0 - tmax
+	}
+	for i, gp := range in.plan.gradPairs {
 		in.grad[i].B = in.rows[gp.ri].c0 - in.rows[gp.rj].c0
 	}
-	in.work.B = pl.workScale * ftarget / pl.ts.Chip.FMax()
+}
+
+// pose sets the workload offset for ftarget (a rows-only plan has none)
+// and returns the per-point Spec, starting state left to the caller.
+func (in *sweepInstance) pose(ftarget float64) *Spec {
+	pl := in.plan
+	if in.work != nil {
+		in.work.B = pl.workScale * ftarget / pl.ts.Chip.FMax()
+	}
 	return &Spec{
 		Chip:               pl.ts.Chip,
 		Window:             pl.ts.Window,
@@ -517,7 +511,6 @@ func (in *sweepInstance) setMap(t0 linalg.Vector, ftarget float64) *Spec {
 		GradWeight:         pl.ts.GradWeight,
 		GradStride:         pl.ts.GradStride,
 		ConstrainAllBlocks: pl.ts.ConstrainAllBlocks,
-		T0:                 t0,
 	}
 }
 
@@ -545,30 +538,26 @@ func (in *sweepInstance) warmSeed(s *Spec, prevX linalg.Vector) (linalg.Vector, 
 	}
 	n := s.Chip.NumCores()
 	phi := s.FTarget / s.Chip.FMax()
-	vars := n
-	if lay.variant == VariantUniform {
-		vars = 1
-	}
 
-	fn := linalg.NewVector(vars)
+	fn := linalg.NewVector(n)
 	var sum, headroom float64
-	for j := 0; j < vars; j++ {
+	for j := 0; j < n; j++ {
 		fn[j] = clamp01(prevX[lay.fIdx(j)])
 		sum += fn[j]
 		headroom += 1 - fn[j]
 	}
 	// Lift the frequency sum strictly above the new workload bound,
 	// spreading the deficit by headroom so no core is pushed past 1.
-	need := in.plan.workScale*phi + 1e-6*float64(vars) - sum
+	need := in.plan.workScale*phi + 1e-6*float64(n) - sum
 	if need > 0 {
 		if headroom <= need+1e-9 {
 			return nil, 0
 		}
-		for j := 0; j < vars; j++ {
+		for j := 0; j < n; j++ {
 			fn[j] += need * (1 - fn[j]) / headroom
 		}
 	}
-	for j := 0; j < vars; j++ {
+	for j := 0; j < n; j++ {
 		if fn[j] <= 0 || fn[j] >= 1 {
 			return nil, 0
 		}
@@ -578,7 +567,7 @@ func (in *sweepInstance) warmSeed(s *Spec, prevX linalg.Vector) (linalg.Vector, 
 	for _, slack := range []float64{1e-2, 1e-3, 1e-4} {
 		x := linalg.NewVector(lay.dim)
 		ok := true
-		for j := 0; j < vars; j++ {
+		for j := 0; j < n; j++ {
 			model := s.Chip.CoreModelOf(j)
 			pj := model.AtFrequency(fn[j]*model.FMax)/model.PMax + slack
 			if pj >= 1 {

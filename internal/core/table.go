@@ -333,8 +333,8 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 						warm bool
 						err  error
 					)
-					if spec.FTarget/ts.Chip.FMax() >= fullSpeedPhi {
-						a, err = fullSpeedAssignment(spec, inst.rows)
+					if fn, ok := closedForm(ts.Variant, spec.FTarget/ts.Chip.FMax()); ok {
+						a = uniformAssignment(spec, inst.rows, fn)
 					} else {
 						seed, gap := inst.warmSeed(spec, prevX)
 						a, x, warm, err = solveLadder(ctx, spec, inst, seed, gap, ws, nil)

@@ -225,14 +225,17 @@ func TestControllerDecisions(t *testing.T) {
 	if d.Idle {
 		t.Fatal("negative requirement should clamp to the lowest column")
 	}
-	// NaN inputs idle safely.
-	d = c.Decide(math.NaN(), 400e6)
-	if !d.Idle {
-		t.Fatal("NaN temperature must idle")
-	}
-	for _, f := range d.Freqs {
-		if f != 0 {
-			t.Fatal("idle decision must command zero frequency")
+	// Non-finite temperature readings idle safely: −Inf would otherwise
+	// round up to the coolest row, the least conservative entry.
+	for _, temp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d = c.Decide(temp, 400e6)
+		if !d.Idle {
+			t.Fatalf("temperature %v must idle, got %+v", temp, d)
+		}
+		for _, f := range d.Freqs {
+			if f != 0 {
+				t.Fatal("idle decision must command zero frequency")
+			}
 		}
 	}
 }

@@ -2,8 +2,10 @@ package dmpc
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"protemp/internal/core"
 	"protemp/internal/floorplan"
 	"protemp/internal/metrics"
 	"protemp/internal/power"
@@ -190,5 +192,62 @@ func TestConfigRejections(t *testing.T) {
 	}
 	if _, _, err := niagaraSolver(t, Options{}).Solve(context.Background(), 80, make([]float64, 3), 0.5e9); err == nil {
 		t.Error("short t0 accepted")
+	}
+}
+
+// TestClusterPeakTempMatchesForwardSim pins each cluster assignment's
+// PeakTemp, read off the cluster's compiled rows, to a forward
+// simulation of the cluster's own window — its sub-chip with the halo
+// demoted to fixed loads, from the round's start map — within 1e-9 °C,
+// for all three variants.
+func TestClusterPeakTempMatchesForwardSim(t *testing.T) {
+	chip, err := power.NewChip(floorplan.Niagara(), power.NiagaraCore(), power.UncoreShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := make([]float64, chip.Floorplan().NumBlocks())
+	for i := range t0 {
+		t0[i] = 60 + 3*math.Sin(float64(i))
+	}
+	ctx := context.Background()
+	const target = 0.6e9
+	for _, v := range []core.Variant{core.VariantVariable, core.VariantUniform, core.VariantGradient} {
+		s, err := New(Config{
+			Chip: chip, Params: thermal.DefaultParams(),
+			Dt: 1e-3, Steps: 100, TMax: 100, Variant: v,
+			Opts: Options{Clusters: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Solve(ctx, 0, t0, target); err != nil {
+			t.Fatal(err)
+		}
+		for c, sub := range s.subs {
+			a, _, err := sub.ol.Solve(ctx, 0, sub.t0c, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !a.Feasible {
+				t.Fatalf("%v cluster %d: window infeasible", v, c)
+			}
+			p := sub.chip.FixedPower()
+			for j, w := range a.Powers {
+				p[sub.chip.CoreBlockIndex(j)] = w
+			}
+			peak := math.Inf(-1)
+			for k := 1; k <= sub.window.Steps(); k++ {
+				temps, err := sub.window.TempAt(k, sub.t0c, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ci := range sub.chip.Floorplan().CoreIndices() {
+					peak = math.Max(peak, temps[ci])
+				}
+			}
+			if math.Abs(a.PeakTemp-peak) > 1e-9 {
+				t.Fatalf("%v cluster %d: PeakTemp %.12f °C, forward simulation %.12f °C", v, c, a.PeakTemp, peak)
+			}
+		}
 	}
 }

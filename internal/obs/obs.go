@@ -37,7 +37,8 @@ type Recorder interface {
 	WarmDecision(had, accepted bool, reason string)
 	// Rung names the ladder rung that produced the open span's result:
 	// "warm", "heuristic", "certified" (infeasible, proved from a kept
-	// Phase-I dual), "rebalance", "phase1", "full-speed", "bisect", ...
+	// Phase-I dual), "rebalance", "phase1", "full-speed", "uniform"
+	// (the closed-form decisions), "bisect", ...
 	Rung(name string)
 	// Centering records one barrier centering: the barrier parameter t,
 	// the Newton iterations spent, whether the centering converged, and

@@ -35,11 +35,11 @@ func TestStepDisabledRecorderAllocations(t *testing.T) {
 		})
 	}
 
-	// Measured 216 allocs/op for the warm solve itself; the ceiling
+	// Measured 10 allocs/op for the warm solve itself; the ceiling
 	// leaves no headroom for the disabled recorder on purpose.
 	disabled := step(t)
-	if disabled > 216 {
-		t.Errorf("disabled-recorder warm Step = %.0f allocs/op, want <= 216 (tracing leaked into the hot path?)", disabled)
+	if disabled > 10 {
+		t.Errorf("disabled-recorder warm Step = %.0f allocs/op, want <= 10 (tracing leaked into the hot path?)", disabled)
 	}
 
 	// Sanity: with the flight recorder on, the same step records — the
