@@ -13,13 +13,12 @@ import (
 // so the Newton systems stay well-scaled; g is the gradient bound in °C.
 // The uniform variant has no barrier program (see uniformAssignment).
 type layout struct {
-	variant Variant
-	nCores  int
-	dim     int
+	nCores int
+	dim    int
 }
 
 func newLayout(v Variant, nCores int) layout {
-	l := layout{variant: v, nCores: nCores, dim: 2 * nCores}
+	l := layout{nCores: nCores, dim: 2 * nCores}
 	if v == VariantGradient {
 		l.dim++
 	}

@@ -14,7 +14,7 @@ import (
 // sweepPlan is the compiled, grid-point-independent structure of one
 // TableSpec: the variable layout, the objective, every constraint
 // coefficient vector, and the affine dependence of each temperature
-// offset on TStart. The paper's Phase-1 sweep solves the same convex
+// offset on TStart (a uniform plan compiles the rows only). The paper's Phase-1 sweep solves the same convex
 // program nT×nF times with only two scalars changing — the starting
 // temperature (which shifts the temperature constraints' offsets) and
 // the frequency target (which shifts the workload constraint's offset).
@@ -452,9 +452,9 @@ func (in *sweepInstance) set(tstart, ftarget float64) *Spec {
 		for i := range in.rows {
 			in.rows[i].c0 = pl.rows[i].t0Gain*tstart + pl.rows[i].c0Base
 		}
-		in.poseRows()
+		in.syncRows()
 	}
-	s := in.pose(ftarget)
+	s := in.setTarget(ftarget)
 	s.TStart = tstart
 	return s
 }
@@ -477,15 +477,15 @@ func (in *sweepInstance) setMap(t0 linalg.Vector, ftarget float64) *Spec {
 	for i := range in.rows {
 		in.rows[i].c0 = pl.rows[i].t0Row.Dot(t0) + pl.rows[i].c0Base
 	}
-	in.poseRows()
-	s := in.pose(ftarget)
+	in.syncRows()
+	s := in.setTarget(ftarget)
 	s.T0 = t0
 	return s
 }
 
-// poseRows copies the rows' offsets into the barrier program's
+// syncRows copies the rows' offsets into the barrier program's
 // temperature and gradient-pair constraints (none on a rows-only plan).
-func (in *sweepInstance) poseRows() {
+func (in *sweepInstance) syncRows() {
 	tmax := in.plan.ts.TMax
 	for i, c := range in.temp {
 		c.B = in.rows[i].c0 - tmax
@@ -495,9 +495,10 @@ func (in *sweepInstance) poseRows() {
 	}
 }
 
-// pose sets the workload offset for ftarget (a rows-only plan has none)
-// and returns the per-point Spec, starting state left to the caller.
-func (in *sweepInstance) pose(ftarget float64) *Spec {
+// setTarget sets the workload offset for ftarget (a rows-only plan has
+// none) and returns the per-point Spec, starting state left to the
+// caller.
+func (in *sweepInstance) setTarget(ftarget float64) *Spec {
 	pl := in.plan
 	if in.work != nil {
 		in.work.B = pl.workScale * ftarget / pl.ts.Chip.FMax()
@@ -592,7 +593,7 @@ func (in *sweepInstance) warmSeed(s *Spec, prevX linalg.Vector) (linalg.Vector, 
 		if worst >= -1e-6 {
 			continue
 		}
-		if lay.variant == VariantGradient {
+		if s.Variant == VariantGradient {
 			// A tight margin keeps the seed's objective gap — and so the
 			// derived warm barrier weight — close to the optimum: tgrad at
 			// the optimum sits on the max pair gap, and every 0.1 °C of
