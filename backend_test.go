@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"protemp/internal/core"
 	"protemp/internal/experiments"
 	"protemp/internal/solver"
 )
@@ -12,13 +13,15 @@ import (
 // takes the dense KKT backend, Phase I included: a table sweep on the
 // Quick grid, an online session and a two-cluster DMPC session, each
 // driven across the capacity boundary so Phase I certifies
-// infeasibility on the way.
+// infeasibility on the way. It runs the gradient variant, the one that
+// still decides its windows by the barrier (the default variable
+// variant is solved on its dual).
 func TestProductionSolvesStayStructured(t *testing.T) {
 	ctx := context.Background()
 	before := solver.DenseSolves()
 
 	fid := experiments.Quick()
-	e, err := New(fastOpts(WithTableGrid(fid.TableTStarts, fid.TableFTargets), WithFlightRecorder(64, 1))...)
+	e, err := New(fastOpts(WithTableGrid(fid.TableTStarts, fid.TableFTargets), WithFlightRecorder(64, 1), WithVariant(core.VariantGradient))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +37,7 @@ func TestProductionSolvesStayStructured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := New(fastOpts(WithClusters(2), WithFlightRecorder(64, 1))...)
+	e2, err := New(fastOpts(WithClusters(2), WithFlightRecorder(64, 1), WithVariant(core.VariantGradient))...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func main() {
 		trip     = flag.Int("breaker-trip", 3, "consecutive peer failures that open its circuit breaker")
 		cooldown = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker interval before a half-open probe")
 
-		p95Budget = flag.Duration("step-p95-budget", 0, "step-solve p95 budget; above it new online/dmpc sessions degrade to table mode (0 = off)")
+		p95Budget = flag.Duration("step-p95-budget", 0, "online step p95 budget (step_nanos); above it new online/dmpc sessions degrade to table mode (0 = off)")
 		maxSteps  = flag.Int("max-steps", 0, "concurrent solver-backed steps admitted (0 = unbounded)")
 		stepQueue = flag.Int("step-queue", 0, "steps queued beyond -max-steps before 429 (with -max-steps)")
 	)

@@ -26,10 +26,10 @@ const Version = "0.8.0"
 // model, precomputed window response) serving any number of concurrent
 // optimizations, Phase-1 table generations, closed-loop simulations
 // and control sessions. Long-running methods take a context.Context
-// and honor cancellation down to the interior-point solver's Newton
-// iterations. Generated tables are cached in an engine-level LRU keyed
-// by (chip, grid, variant), so concurrent callers on one configuration
-// share a single Phase-1 sweep.
+// and honor cancellation down to the solvers' Newton iterations.
+// Generated tables are cached in an engine-level LRU keyed by (chip,
+// grid, variant), so concurrent callers on one configuration share a
+// single Phase-1 sweep.
 //
 // An Engine is immutable after New and safe for use from multiple
 // goroutines.
@@ -96,13 +96,17 @@ func New(opts ...Option) (*Engine, error) {
 	// name list cannot drift from what generations record.
 	e.recordSweep(core.TableStats{})
 	// Likewise the online-step instruments, registered (not observed) so
-	// /metrics exposes the step_* schema at zero before the first Step.
+	// /metrics exposes the step_* schema at zero before the first Step:
+	// step_nanos times each whole Step (solve, capacity probe and any
+	// re-solve), step_solve_nanos each solve within it.
+	e.reg.Histogram("step_nanos")
 	e.reg.Histogram("step_solve_nanos")
 	e.reg.Histogram("solve_assemble_nanos")
 	e.reg.Histogram("solve_factor_nanos")
 	e.reg.Histogram("solve_linesearch_nanos")
 	e.reg.Histogram("solve_rows")
-	for _, name := range []string{"step_solves", "step_warm_hits", "step_warm_rejects", "step_solve_errors", "solve_row_cuts", "solve_infeasible_certified"} {
+	for _, name := range []string{"step_solves", "step_warm_hits", "step_warm_rejects", "step_solve_errors",
+		"solve_row_cuts", "solve_infeasible_certified", "solve_uncentered", "solve_dual_unconverged"} {
 		e.reg.Counter(name)
 	}
 	// And the distributed-MPC instruments, so a scrape sees the dmpc_*
@@ -163,9 +167,10 @@ func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
 
 // MetricsSnapshot returns the current value of every engine-level
 // instrument — table cache and store counters, Phase-1 sweep cost, and
-// the online-step latency histogram (step_solve_nanos_p50/p95/p99 with
-// step_warm_hits/step_warm_rejects) — keyed by instrument name: the
-// payload a serving layer merges into its metrics endpoint.
+// the online-step latency histograms (step_nanos and step_solve_nanos
+// _p50/p95/p99 with step_warm_hits/step_warm_rejects) — keyed by
+// instrument name: the payload a serving layer merges into its metrics
+// endpoint.
 func (e *Engine) MetricsSnapshot() map[string]uint64 {
 	e.reg.Gauge("uptime_seconds").Set(int64(time.Since(e.start).Seconds()))
 	return e.reg.Snapshot()
@@ -208,11 +213,12 @@ func (e *Engine) LookupTable(key string) (*core.Table, bool) {
 }
 
 // StepLatencyQuantile returns the given quantile of the live
-// step_solve_nanos histogram (in nanoseconds) together with its
+// step_nanos histogram (in nanoseconds: whole online Steps, a
+// downgrade's capacity probe and re-solve included) together with its
 // observation count — the signal admission control keys off. With no
 // observations both return zero.
 func (e *Engine) StepLatencyQuantile(p float64) (nanos, count uint64) {
-	h := e.reg.Histogram("step_solve_nanos")
+	h := e.reg.Histogram("step_nanos")
 	return h.Quantile(p), h.Count()
 }
 
@@ -325,15 +331,16 @@ func (e *Engine) recordSweep(s core.TableStats) {
 }
 
 // observeStepSolve folds one online Step solve into the engine
-// registry: its wall time into the step_solve_nanos histogram (whose
-// p50/p95/p99 are the serving-latency SLO signals) and its warm-start
-// outcome into the step_* counters. Sessions call it once per solve.
+// registry: its wall time into the step_solve_nanos histogram and its
+// warm-start outcome into the step_* counters. Sessions call it once
+// per solve (a downgraded Step solves twice; step_nanos times the whole
+// Step).
 func (e *Engine) observeStepSolve(d time.Duration, st core.OnlineStepStats, err error) {
 	e.reg.Histogram("step_solve_nanos").ObserveDuration(d.Nanoseconds())
-	// Phase split and row screening (only for solves that actually
-	// entered the barrier — degenerate full-speed steps report zeros and
-	// would skew the distributions toward 0).
-	if st.NewtonIters > 0 {
+	// Phase split and row screening, only for solves that actually
+	// entered the barrier: closed-form and dual solves report no phase
+	// timings and would skew the distributions toward 0.
+	if st.AssembleNanos > 0 {
 		e.reg.Histogram("solve_assemble_nanos").ObserveDuration(st.AssembleNanos)
 		e.reg.Histogram("solve_factor_nanos").ObserveDuration(st.FactorNanos)
 		e.reg.Histogram("solve_linesearch_nanos").ObserveDuration(st.LinesearchNanos)
@@ -349,6 +356,12 @@ func (e *Engine) observeStepSolve(d time.Duration, st core.OnlineStepStats, err 
 	}
 	if st.Certified {
 		e.reg.Counter("solve_infeasible_certified").Inc()
+	}
+	if st.Uncentered {
+		e.reg.Counter("solve_uncentered").Inc()
+	}
+	if st.DualUnconverged {
+		e.reg.Counter("solve_dual_unconverged").Inc()
 	}
 	if err != nil {
 		e.reg.Counter("step_solve_errors").Inc()
@@ -425,6 +438,8 @@ func (e *Engine) observeDMPCStep(stats control.Stats, err error) {
 	e.reg.Counter("dmpc_warm_rejects").Add(uint64(stats.WarmRejects))
 	e.reg.Counter("dmpc_downgrades").Add(uint64(stats.Downgrades))
 	e.reg.Counter("dmpc_idles").Add(uint64(stats.Idles))
+	e.reg.Counter("solve_uncentered").Add(uint64(stats.Uncentered))
+	e.reg.Counter("solve_dual_unconverged").Add(uint64(stats.DualUnconverged))
 	if stats.Converged > 0 {
 		e.reg.Counter("dmpc_converged").Inc()
 	}

@@ -102,11 +102,13 @@ func TestGenerateTableCancelledBeforeStart(t *testing.T) {
 }
 
 func TestGenerateTableCancelledMidSweep(t *testing.T) {
-	// A deliberately large grid so cancellation lands mid-sweep.
+	// A deliberately large grid so cancellation lands mid-sweep, on the
+	// gradient variant: its barrier sweep takes seconds, while the
+	// default variable variant's dual sweep can finish within the delay.
 	e, err := New(fastOpts(WithTableGrid(
 		core.DefaultTStarts(),
 		core.DefaultFTargets(1e9),
-	))...)
+	), WithVariant(core.VariantGradient))...)
 	if err != nil {
 		t.Fatal(err)
 	}

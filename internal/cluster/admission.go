@@ -16,8 +16,8 @@ var ErrOverloaded = errors.New("cluster: overloaded, step queue full")
 
 // AdmissionConfig tunes the load-shedding admission controller.
 type AdmissionConfig struct {
-	// StepP95Budget is the solve-latency budget: while the live
-	// step_solve_nanos p95 exceeds it, new online/dmpc session creates
+	// StepP95Budget is the step-latency budget: while the live
+	// step_nanos p95 exceeds it, new online/dmpc session creates
 	// are degraded to the table-driven policy. Zero disables degrading.
 	StepP95Budget time.Duration
 	// MinSamples is the observation count below which the p95 is not
@@ -36,7 +36,7 @@ type AdmissionConfig struct {
 }
 
 // Admission is the load-shedding gate in front of solver work: create
-// degradation keyed off the live solve-latency histogram, and a
+// degradation keyed off the live step-latency histogram, and a
 // bounded semaphore + wait queue for steps. Safe for concurrent use.
 type Admission struct {
 	cfg    AdmissionConfig

@@ -5,7 +5,7 @@
 // network tier (fetch from the owner before paying for a Phase-1
 // sweep), and admission control sheds load — degrading new solver
 // sessions to the table policy and bounding the step queue — when the
-// live solve-latency histogram crosses its budget.
+// live step-latency histogram crosses its budget.
 package cluster
 
 import (

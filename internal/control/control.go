@@ -56,8 +56,12 @@ type Stats struct {
 	// (distributed) that fell back to a lower point or idled.
 	Downgrades int
 	Idles      int
-	// NewtonIters sums the interior-point iterations.
+	// NewtonIters sums the solver iterations.
 	NewtonIters int
+	// Uncentered and DualUnconverged count solves that ended uncentered
+	// (barrier) or out of budget (dual).
+	Uncentered      int
+	DualUnconverged int
 	// OuterIters, Converged, Fallbacks and PrimalResidC are the
 	// distributed controller's consensus accounting: ADMM rounds,
 	// windows whose consensus met its tolerance, windows decided by a
@@ -80,6 +84,8 @@ func (s *Stats) Add(o Stats) {
 	s.Downgrades += o.Downgrades
 	s.Idles += o.Idles
 	s.NewtonIters += o.NewtonIters
+	s.Uncentered += o.Uncentered
+	s.DualUnconverged += o.DualUnconverged
 	s.OuterIters += o.OuterIters
 	s.Converged += o.Converged
 	s.Fallbacks += o.Fallbacks
@@ -235,7 +241,8 @@ type online struct {
 func (o *online) Decide(ctx context.Context, st State) ([]float64, Stats, error) {
 	a, ds, err := o.ol.Downgrade(ctx, st.MaxCoreTemp, st.BlockTemps, st.RequiredFreq, o.span, o.observe)
 	stats := Stats{Solves: ds.Solves, WarmHits: ds.WarmHits, WarmRejects: ds.WarmRejects,
-		Downgrades: b2i(ds.Downgraded), Idles: b2i(ds.Idle), NewtonIters: ds.NewtonIters}
+		Downgrades: b2i(ds.Downgraded), Idles: b2i(ds.Idle), NewtonIters: ds.NewtonIters,
+		Uncentered: ds.Uncentered, DualUnconverged: ds.DualUnconverged}
 	if err != nil {
 		return nil, stats, err
 	}
@@ -259,6 +266,7 @@ func (d distributed) Decide(ctx context.Context, st State) ([]float64, Stats, er
 	a, ds, err := d.s.Solve(ctx, st.MaxCoreTemp, st.BlockTemps, st.RequiredFreq)
 	stats := Stats{Solves: ds.ClusterSolves, WarmHits: ds.WarmHits, WarmRejects: ds.WarmRejects,
 		Downgrades: ds.Downgrades, Idles: ds.Idles, NewtonIters: ds.NewtonIters,
+		Uncentered: ds.Uncentered, DualUnconverged: ds.DualUnconverged,
 		OuterIters: ds.OuterIters, Converged: b2i(ds.Converged), Fallbacks: b2i(ds.Fallback),
 		PrimalResidC: ds.PrimalResidC}
 	if err != nil {

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"protemp/internal/floorplan"
+	"protemp/internal/linalg"
 	"protemp/internal/power"
+	"protemp/internal/solver"
 	"protemp/internal/thermal"
 )
 
@@ -68,8 +70,10 @@ func kktBenchFixture(b *testing.B, cores int) fixture {
 // factor — on the dense 2n×2n Cholesky path versus the structured
 // arrow (block-elimination + Schur) path, across chip sizes. The two
 // lanes of each size solve the identical window sequence; only the
-// backend differs. CI records this pair as BENCH_kkt.json under the
-// regression gate.
+// backend differs. It runs the variable barrier program kept as the
+// dual solve's oracle (production decides these windows on the dual:
+// BenchmarkWindowDual). CI records this pair as BENCH_kkt.json under
+// the regression gate.
 func BenchmarkNewtonDirection(b *testing.B) {
 	ctx := context.Background()
 	for _, cores := range []int{8, 64, 256} {
@@ -80,7 +84,7 @@ func BenchmarkNewtonDirection(b *testing.B) {
 				if cores == 8 {
 					tmax, base = 100.0, 58.0
 				}
-				o, err := NewOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: tmax})
+				o, err := newOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: tmax}, true)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -131,14 +135,16 @@ func BenchmarkNewtonDirection(b *testing.B) {
 // saving is BenchmarkColdLadder's). The arrow lane is the production
 // path (the row-slack Phase-I program on the structured backend); the
 // dense lane runs the identical ladder with the compiled patterns
-// stripped, the reference the structured path replaced. CI records
-// both in BENCH_kkt.json.
+// stripped, the reference the structured path replaced. Like
+// BenchmarkNewtonDirection it runs the kept variable barrier program,
+// whose ladder is the gradient variant's. CI records both in
+// BENCH_kkt.json.
 func BenchmarkPhaseI(b *testing.B) {
 	ctx := context.Background()
 	for _, mode := range []string{"arrow", "dense"} {
 		b.Run(mode, func(b *testing.B) {
 			f := kktBenchFixture(b, 8)
-			o, err := NewOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: 100})
+			o, err := newOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: 100}, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -181,13 +187,13 @@ func BenchmarkPhaseI(b *testing.B) {
 // rebalance and Phase I all run, as on a session's first unsupportable
 // window) and with the dual of the previous proof ("carried": the
 // certificate proves the target unsupportable and skips the rebalance
-// and Phase I).
+// and Phase I), on the kept variable barrier program.
 func BenchmarkColdLadder(b *testing.B) {
 	ctx := context.Background()
 	for _, lane := range []string{"first", "carried"} {
 		b.Run(lane, func(b *testing.B) {
 			f := kktBenchFixture(b, 8)
-			o, err := NewOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: 100})
+			o, err := newOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: 100}, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -221,4 +227,96 @@ func BenchmarkColdLadder(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkWindowDual prices the variable variant's production window
+// decision, the dual working-set solve, on the windows
+// BenchmarkNewtonDirection times on the barrier: Niagara warm (the
+// online chain over four maps) and cold (warm state dropped before
+// every solve), and the 64-core mesh warm. CI records it in
+// BENCH_kkt.json next to the barrier lanes.
+func BenchmarkWindowDual(b *testing.B) {
+	ctx := context.Background()
+	for _, lane := range []struct {
+		name  string
+		cores int
+		warm  bool
+	}{{"niagara/warm", 8, true}, {"niagara/cold", 8, false}, {"mesh64/warm", 64, true}} {
+		b.Run(lane.name, func(b *testing.B) {
+			f := kktBenchFixture(b, lane.cores)
+			tmax, base := 95.0, 70.0
+			if lane.cores == 8 {
+				tmax, base = 100.0, 58.0
+			}
+			o, err := NewOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: tmax})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if o.inst.dws == nil {
+				b.Fatal("the variable variant's plan has no dual solver")
+			}
+			nb := f.chip.Floorplan().NumBlocks()
+			maps := make([][]float64, 4)
+			for k := range maps {
+				m := make([]float64, nb)
+				for j := range m {
+					m[j] = base + float64(k) + 2*float64(j%4)
+				}
+				maps[k] = m
+			}
+			ftarget := 0.4 * f.chip.FMax()
+			if _, _, err := o.Solve(ctx, 0, maps[0], ftarget); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !lane.warm {
+					o.Invalidate()
+				}
+				a, _, err := o.Solve(ctx, 0, maps[i%len(maps)], ftarget)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !a.Feasible {
+					b.Fatal("benchmark window unexpectedly infeasible")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkUniformMax prices the downgrade's capacity probe on a hot
+// Niagara window: the closed form (uniformMax, one pass over the rows
+// plus one uniformFits confirmation) against the 25-probe bisection of
+// uniformFits it replaced, kept here as the reference lane.
+func BenchmarkUniformMax(b *testing.B) {
+	ctx := context.Background()
+	f := kktBenchFixture(b, 8)
+	s := &Spec{Chip: f.chip, Window: f.window, TStart: 87, TMax: 100, FTarget: 400e6}
+	rows, err := s.tempRows()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pn := linalg.NewVector(f.chip.NumCores())
+	b.Run("closed-form", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := uniformMax(ctx, f.chip, s.TMax, rows, pn); err != nil || !ok {
+				b.Fatalf("uniformMax: ok %v, err %v", ok, err)
+			}
+		}
+	})
+	b.Run("bisect", func(b *testing.B) {
+		b.ReportAllocs()
+		hot := 0
+		for i := 0; i < b.N; i++ {
+			if _, ok := solver.BisectMax(0, 1, 1e-7, func(fn float64) bool {
+				_, fits := uniformFits(f.chip, rows, s.TMax, fn, pn, &hot)
+				return fits
+			}); !ok {
+				b.Fatal("bisection found no uniform point")
+			}
+		}
+	})
 }

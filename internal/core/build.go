@@ -11,7 +11,10 @@ import (
 //
 // fn_j = f_j / fmax_j and pn_j = p_j / pmax_j are normalized to [0, 1]
 // so the Newton systems stay well-scaled; g is the gradient bound in °C.
-// The uniform variant has no barrier program (see uniformAssignment).
+// The uniform variant has no barrier program (see uniformAssignment);
+// the variable one is solved on its dual (dual.go) and keeps its
+// program only as the gradient variant's Phase-I twin and the tests'
+// oracle.
 type layout struct {
 	nCores int
 	dim    int
@@ -39,6 +42,10 @@ type tempRow struct {
 	core  bool // block is a core: the row counts toward PeakTemp
 	c0    float64
 	coef  linalg.Vector // length nCores, nonnegative
+	// idle and dyn split the row at a uniform normalized frequency fn,
+	// where pn_j = i_j + (1−i_j)·fn²: t = c0 + idle + dyn·fn², with
+	// idle = Σ_j coef_j·i_j and dyn = Σ_j coef_j·(1−i_j) (uniformMax).
+	idle, dyn float64
 }
 
 // startTemps returns the initial temperature vector: the per-block T0
@@ -63,16 +70,18 @@ func (s *Spec) tempRows() ([]tempRow, error) {
 	}
 	rows := make([]tempRow, len(compiled))
 	for i, r := range compiled {
-		rows[i] = tempRow{step: r.step, block: r.block, core: r.core, c0: r.c0Base, coef: r.coef}
+		rows[i] = tempRow{step: r.step, block: r.block, core: r.core, c0: r.c0Base, coef: r.coef, idle: r.idle, dyn: r.dyn}
 	}
 	return rows, nil
 }
 
-// build assembles the solver.Problem for the spec by compiling a
-// single-point sweep plan and instantiating it at (TStart, FTarget) —
-// the same assembly GenerateTable's warm-started sweep uses, so the
-// cold per-point path and the sweep cannot drift apart. See
-// compileSweep for the constraint layout (the paper's Eqs. 2-5).
+// build assembles the barrier program for the spec by compiling a
+// single-point plan and instantiating it at (TStart, FTarget) — the
+// same assembly GenerateTable's sweep uses, so the cold per-point path
+// and the sweep cannot drift apart. See compileBarrier for the
+// constraint layout (the paper's Eqs. 2-5). SolveContext builds it for
+// the gradient variant only; the variable variant's program is kept as
+// the tests' oracle for the dual solve.
 func (s *Spec) build() (*sweepInstance, error) {
 	ts := TableSpec{
 		Chip: s.Chip, Window: s.Window, TMax: s.TMax,
@@ -84,7 +93,7 @@ func (s *Spec) build() (*sweepInstance, error) {
 	if s.T0 != nil {
 		t0 = linalg.VectorOf(s.T0...)
 	}
-	pl, err := compileSweep(ts, t0)
+	pl, err := compileBarrier(ts, t0)
 	if err != nil {
 		return nil, err
 	}

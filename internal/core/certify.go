@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"protemp/internal/linalg"
+	"protemp/internal/power"
 	"protemp/internal/solver"
 )
 
@@ -24,21 +25,19 @@ import (
 //     whose inner minima sit at f = clamp(ν / (2·w_j·(1−i_j)), 0, 1);
 //   - so L(ν) > R proves that no point meets every row.
 //
-// The multipliers come from the last Phase I that proved this instance
-// infeasible (sweepInstance.phaseI keeps them). Any λ ≥ 0 is valid, so
-// a stale λ from an earlier window can only fail to prove, never prove
-// wrongly, and it needs no invalidation. The gradient variant's pair
-// rows are dropped (a relaxation's infeasibility proves the full
-// problem's). The uniform variant never reaches the ladder: it is
-// decided in closed form (uniformAssignment).
+// On the ladder the multipliers come from the last Phase I that proved
+// this instance infeasible (sweepInstance.phaseI keeps them). Any
+// λ ≥ 0 is valid, so a stale λ from an earlier window can only fail to
+// prove, never prove wrongly, and it needs no invalidation. Only the
+// gradient variant reaches the ladder, and its pair rows are dropped
+// (a relaxation's infeasibility proves the full problem's). The
+// variable variant's dual solve (dual.go) applies the same bound to
+// its own working-set multipliers; the uniform variant is decided in
+// closed form (uniformAssignment).
 
 // certMargin scales the certificate's safety margin: L(ν) must exceed
 // R by certMargin·(|R| + Σλ), far above the rounding of either sum.
 const certMargin = 1e-9
-
-// certBisections bounds the search for the best ν. Any ν gives a valid
-// bound, so the count only trades cost for tightness.
-const certBisections = 60
 
 // keepDual stores the temperature-row multipliers of a Phase I that
 // ended in err, when err proves infeasibility. The temperature rows
@@ -67,13 +66,18 @@ func (in *sweepInstance) certifyInfeasible(s *Spec) bool {
 	if in.dual == nil {
 		return false
 	}
-	l, r, sum := in.dualBound(s)
+	return proves(in.dualBound(s))
+}
+
+// proves is the certificate's decision rule: the bound l exceeds r by
+// the margin, for multipliers summing to sum.
+func proves(l, r, sum float64) bool {
 	return sum > 0 && l > r+certMargin*(math.Abs(r)+sum)
 }
 
 // dualBound evaluates the certificate's two sides for the kept
-// multipliers at the instance's current offsets: the best lower bound
-// L(ν) found, R, and Σλ over the positive multipliers. s supplies the
+// multipliers at the instance's current offsets: the bound L at its
+// best ν, R, and Σλ over the positive multipliers. s supplies the
 // chip.
 func (in *sweepInstance) dualBound(s *Spec) (l, r, sum float64) {
 	lay := in.plan.lay
@@ -94,40 +98,31 @@ func (in *sweepInstance) dualBound(s *Spec) (l, r, sum float64) {
 	if sum == 0 {
 		return 0, 0, 0
 	}
+	if in.dualQ == nil {
+		in.dualQ = linalg.NewVector(len(w))
+	}
+	return lowerBound(s.Chip, w, in.dualQ, in.work.B), r, sum
+}
 
-	// lower evaluates L(ν) and the frequency sum of its minimizer.
-	b := in.work.B
-	lower := func(nu float64) (float64, float64) {
-		l, fsum := nu*b, 0.0
-		for j, wj := range w {
-			idle := s.Chip.CoreModelOf(j).IdleFrac
-			q := wj * (1 - idle)
-			f := 1.0
-			if q > 0 {
-				f = math.Min(1, nu/(2*q))
-			}
-			l += wj*idle + q*f*f - nu*f
-			fsum += f
-		}
-		return l, fsum
-	}
-	// L is concave with slope B − Σf(ν): bisect the slope's zero over
-	// [0, max 2·q_j], where every f is 1, keeping the best bound seen.
-	hi := 0.0
+// lowerBound returns max over ν ≥ 0 of
+// L(ν) = ν·b + Σ_j min_{f∈[0,1]} [w_j·(i_j + (1−i_j)f²) − ν·f], the
+// certificate's bound for weights w ≥ 0 and workload b. Each inner
+// minimum sits at f = min(ν/q_j, 1) with q_j = 2·w_j·(1−i_j), and L is
+// concave with slope b − Σ_j f_j(ν), so the best ν is waterFill's. q
+// is scratch of length NumCores.
+func lowerBound(chip *power.Chip, w, q linalg.Vector, b float64) float64 {
 	for j, wj := range w {
-		hi = math.Max(hi, 2*wj*(1-s.Chip.CoreModelOf(j).IdleFrac))
+		q[j] = 2 * wj * (1 - chip.CoreModelOf(j).IdleFrac)
 	}
-	l, _ = lower(0)
-	lo := 0.0
-	for k := 0; k < certBisections && hi > lo; k++ {
-		nu := lo + (hi-lo)/2
-		lk, fsum := lower(nu)
-		l = math.Max(l, lk)
-		if fsum < b {
-			lo = nu
-		} else {
-			hi = nu
+	nu := waterFill(q, b)
+	l := nu * b
+	for j, wj := range w {
+		idle := chip.CoreModelOf(j).IdleFrac
+		f := 1.0
+		if q[j] > nu {
+			f = nu / q[j]
 		}
+		l += wj*(idle+(1-idle)*f*f) - nu*f
 	}
-	return l, r, sum
+	return l
 }

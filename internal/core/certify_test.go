@@ -31,8 +31,9 @@ func uniformPeak(chip *power.Chip, rows []tempRow, fn float64, pn linalg.Vector)
 // with its hottest row set to NaN, and frequencies across [0, 1], the
 // verdict matches peak <= tmax with the failing-row hint carried from
 // probe to probe, a fitting probe returns the scan's peak bit for bit,
-// and uniformMax returns the reference bisection's
-// fnMax bit for bit.
+// and the closed-form uniformMax matches the reference bisection: the
+// same verdict, never below its fnMax nor more than its 1e-7 tolerance
+// above, and a value uniformFits accepts.
 func TestUniformFitsMatchesPeakScan(t *testing.T) {
 	f := niagaraFixture(t)
 	n := f.chip.NumCores()
@@ -76,8 +77,11 @@ func TestUniformFitsMatchesPeakScan(t *testing.T) {
 			want, wantOK := solver.BisectMax(0, 1, 1e-7, func(fn float64) bool {
 				return uniformPeak(f.chip, rows, fn, ref) <= tmax
 			})
-			if got != want || gotOK != wantOK {
+			if gotOK != wantOK || (gotOK && (got < want || got > want+1e-7)) {
 				t.Fatalf("TStart %g, tmax %g: uniformMax (%v, %v), reference (%v, %v)", tstart, tmax, got, gotOK, want, wantOK)
+			}
+			if _, fits := uniformFits(f.chip, rows, tmax, got, pn, &hot); gotOK && !fits {
+				t.Fatalf("TStart %g, tmax %g: uniformMax %v does not fit", tstart, tmax, got)
 			}
 		}
 	}

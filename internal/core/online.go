@@ -33,8 +33,9 @@ type OnlineSpec struct {
 
 // OnlineStepStats reports one Solve call's warm-start outcome.
 type OnlineStepStats struct {
-	// Warm reports that the solve was carried by a seed re-centered from
-	// the previous window's optimum.
+	// Warm reports that the solve was carried by the previous window's
+	// result: a barrier seed re-centered from its optimum, or the dual
+	// solve's working set and multipliers.
 	Warm bool
 	// WarmRejected reports that a previous optimum was available but the
 	// seed could not be made strictly feasible (or a centering seeded
@@ -46,8 +47,8 @@ type OnlineStepStats struct {
 	WarmAbandonIters int
 	// AssembleNanos, FactorNanos and LinesearchNanos split the solve's
 	// wall time into Hessian assembly, KKT factorization+solve and line
-	// search, a rejected warm attempt included; zero for closed-form
-	// (full-speed or uniform) steps that never enter the barrier.
+	// search, a rejected warm attempt included; zero for steps that
+	// never enter the barrier (full speed, uniform and the dual).
 	AssembleNanos   int64
 	FactorNanos     int64
 	LinesearchNanos int64
@@ -58,16 +59,22 @@ type OnlineStepStats struct {
 	// Certified reports an infeasible verdict proved from the kept
 	// Phase-I dual, skipping the rebalance and Phase I.
 	Certified bool
+	// Uncentered reports a cold barrier result whose final centering
+	// did not converge (Assignment.Gap is +Inf).
+	Uncentered bool
+	// DualUnconverged reports a dual solve that ran out of budget and
+	// decided the window by the uniform point at the target.
+	DualUnconverged bool
 }
 
 // OnlineSolver is the warm-started engine of the online MPC hot path:
 // the Phase-2 controller variant that re-solves the convex program
 // every control window on the observed thermal map. It compiles the
-// window-independent problem structure once (constraint coefficient
-// vectors, layout, objective — the same sweepPlan the Phase-1 sweep
-// uses), owns one solver workspace, and keeps the previous window's
-// optimum so consecutive Solve calls rewrite only the state-dependent
-// constraint offsets and warm-start the barrier from the last solution,
+// window-independent problem structure once (the same sweepPlan the
+// Phase-1 sweep uses), so consecutive Solve calls rewrite only the
+// state-dependent offsets, and keeps the previous window's result as
+// warm state: the variable variant's dual working set and multipliers,
+// or the gradient variant's barrier optimum, which seeds the barrier
 // with the cold heuristic/rebalance/Phase-I ladder as fallback.
 //
 // An OnlineSolver is NOT safe for concurrent use: it mutates its
@@ -85,9 +92,9 @@ type OnlineSolver struct {
 	inst *sweepInstance
 	ws   *solver.Workspace
 
-	prevX linalg.Vector // previous window's optimum; nil = cold
+	prevX linalg.Vector // previous window's barrier optimum; nil = cold
 	t0buf linalg.Vector // stable copy of the caller's thermal map
-	pn    linalg.Vector // Downgrade's bisection powers, sized on first use
+	pn    linalg.Vector // Downgrade's capacity-probe powers, sized on first use
 
 	rec obs.Recorder // nil = tracing disabled
 }
@@ -95,6 +102,14 @@ type OnlineSolver struct {
 // NewOnlineSolver validates the spec and compiles the problem
 // structure. The compile cost is paid once per session, not per window.
 func NewOnlineSolver(os OnlineSpec) (*OnlineSolver, error) {
+	return newOnlineSolver(os, os.Variant == VariantGradient)
+}
+
+// newOnlineSolver is NewOnlineSolver with the plan chosen explicitly:
+// barrier compiles the variant's barrier program (the only plan of the
+// gradient variant; for the variable variant, the tests' oracle for
+// the dual solve) instead of the production rows-only plan.
+func newOnlineSolver(os OnlineSpec, barrier bool) (*OnlineSolver, error) {
 	probe := Spec{
 		Chip: os.Chip, Window: os.Window, TMax: os.TMax,
 		Variant: os.Variant, GradWeight: os.GradWeight, GradStride: os.GradStride,
@@ -108,7 +123,11 @@ func NewOnlineSolver(os OnlineSpec) (*OnlineSolver, error) {
 		Variant: os.Variant, GradWeight: os.GradWeight, GradStride: os.GradStride,
 		ConstrainAllBlocks: os.ConstrainAllBlocks,
 	}
-	plan, err := compileSweep(ts, nil)
+	compile := compileSweep
+	if barrier {
+		compile = compileBarrier
+	}
+	plan, err := compile(ts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -125,12 +144,19 @@ func NewOnlineSolver(os OnlineSpec) (*OnlineSolver, error) {
 // Spec returns the fixed problem the solver was compiled for.
 func (o *OnlineSolver) Spec() OnlineSpec { return o.spec }
 
-// Warm reports whether the next Solve has a previous optimum to seed
+// Warm reports whether the next Solve has a previous result to start
 // from.
-func (o *OnlineSolver) Warm() bool { return o.prevX != nil }
+func (o *OnlineSolver) Warm() bool {
+	return o.prevX != nil || (o.inst.dws != nil && o.inst.dws.warm)
+}
 
 // Invalidate drops the warm state; the next Solve starts cold.
-func (o *OnlineSolver) Invalidate() { o.prevX = nil }
+func (o *OnlineSolver) Invalidate() {
+	o.prevX = nil
+	if o.inst.dws != nil {
+		o.inst.dws.invalidate()
+	}
+}
 
 // SetRecorder installs (or, with nil, removes) the trace recorder the
 // next Solve calls report to. Callers must never pass a typed-nil
@@ -144,11 +170,13 @@ func (o *OnlineSolver) SetRecorder(rec obs.Recorder) { o.rec = rec }
 // tstart °C. ftarget is the required average core frequency in Hz.
 //
 // The call rewrites the compiled problem's state-dependent offsets in
-// place, seeds the barrier from the previous window's optimum when one
-// survives re-centering, and falls back to the cold start ladder
-// otherwise. Cancelling ctx aborts at the next Newton iteration with
-// ctx.Err(); per the invalidate-on-error contract the warm state is
-// dropped, so the following Solve is a correct cold solve.
+// place and decides the window: in closed form (uniform, full speed),
+// on the dual from the previous working set (variable), or by the
+// barrier seeded from the previous window's optimum when one survives
+// re-centering, with the cold start ladder otherwise (gradient).
+// Cancelling ctx aborts at the next Newton iteration with ctx.Err();
+// per the invalidate-on-error contract the warm state is dropped, so
+// the following Solve is a correct cold solve.
 func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, ftarget float64) (*Assignment, OnlineStepStats, error) {
 	var st OnlineStepStats
 	var spec *Spec
@@ -165,7 +193,7 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 		spec = o.inst.set(tstart, ftarget)
 	}
 	if err := spec.Validate(); err != nil {
-		o.prevX = nil
+		o.Invalidate()
 		return nil, st, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -176,10 +204,10 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 	}
 
 	// A full-speed or uniform window is decided in closed form, not
-	// solved. It yields no new interior iterate, but the previous
-	// optimum stays valid as a future seed — an overloaded stream
-	// alternates full-speed checks with downgraded re-solves, and
-	// dropping the seed here would break that warm chain every window.
+	// solved. It yields no new result, but the previous one stays valid
+	// as warm state — an overloaded stream alternates full-speed checks
+	// with downgraded re-solves, and dropping it here would break that
+	// warm chain every window.
 	if fn, ok := closedForm(o.spec.Variant, ftarget/o.spec.Chip.FMax()); ok {
 		a := uniformAssignment(spec, o.inst.rows, fn)
 		if o.rec != nil {
@@ -194,11 +222,31 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 		return a, st, nil
 	}
 
-	hadPrev := o.prevX != nil
-	seed, gap := o.inst.warmSeed(spec, o.prevX)
 	if o.rec != nil {
 		o.rec.SolveStart(ftarget)
 	}
+	if d := o.inst.dws; d != nil {
+		warm := d.warm
+		a, err := d.solve(ctx, spec, o.inst.rows, o.rec)
+		if o.rec != nil {
+			if a != nil {
+				o.rec.Screen(a.Rows, a.Cuts)
+			}
+			o.rec.SolveEnd(err == nil && a.Feasible, err)
+		}
+		if err != nil {
+			return nil, st, err // the dual dropped its warm state
+		}
+		st.Warm = warm
+		st.NewtonIters = a.NewtonIters
+		st.Rows = a.Rows
+		st.Cuts = a.Cuts
+		st.DualUnconverged = a.dualUnconverged
+		return a, st, nil
+	}
+
+	hadPrev := o.prevX != nil
+	seed, gap := o.inst.warmSeed(spec, o.prevX)
 	a, x, warm, err := solveLadder(ctx, spec, o.inst, seed, gap, o.ws, o.rec)
 	if o.rec != nil {
 		feasible := err == nil && a != nil && a.Feasible
@@ -221,6 +269,7 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 	st.Rows = a.Rows
 	st.Cuts = a.Cuts
 	st.Certified = a.certified
+	st.Uncentered = a.uncentered
 	if a.Feasible {
 		o.prevX = x
 	}
@@ -237,7 +286,7 @@ type DowngradeStats struct {
 	// Solves counts the window solves (one, or two after a downgrade);
 	// WarmHits / WarmRejects, NewtonIters, LinesearchNanos, Rows, Cuts
 	// and Certified sum their OnlineStepStats (rejected warm attempts
-	// included).
+	// included), as do Uncentered and DualUnconverged.
 	Solves          int
 	WarmHits        int
 	WarmRejects     int
@@ -246,8 +295,10 @@ type DowngradeStats struct {
 	Rows            int
 	Cuts            int
 	Certified       int
+	Uncentered      int
+	DualUnconverged int
 	// Downgraded reports that the required target was unsupportable and
-	// the window re-solved at the bisected maximum; Idle that the window
+	// the window re-solved at the uniform capacity; Idle that the window
 	// idled (nothing supportable, or the downgraded re-solve failed).
 	Downgraded bool
 	Idle       bool
@@ -255,17 +306,19 @@ type DowngradeStats struct {
 
 // Downgrade decides one window with the run-time phase's fallback
 // ladder — the one place the rule is written: solve at the required
-// target; if that is unsupportable from the observed state, bisect the
-// largest supportable uniform target and re-solve just inside it
-// (0.98·maxF, the run-time analogue of the paper's "next lower
-// frequency point"); if even that fails, idle the window. An idle
-// window returns an all-zero assignment and a nil error.
+// target; if that is unsupportable from the observed state, find the
+// largest supportable uniform target (in closed form, uniformMax) and
+// re-solve just inside it (0.98·maxF, the run-time analogue of the
+// paper's "next lower frequency point"); if even that fails, idle the
+// window. An idle window returns an all-zero assignment and a nil
+// error.
 //
 // observe, when non-nil, receives every solve's wall time, warm-start
-// outcome and error. span, when non-nil, records the bisection as a
-// "bisect" solve span and marks the step a "bisect-downgrade"
-// fallback; it must be driven by the calling goroutine alone. Errors
-// (including ctx cancellation) end the ladder and are returned as is.
+// outcome and error. span, when non-nil, records the capacity probe as
+// a "bisect" solve span (the rung keeps the name of the bisection it
+// replaced) and marks the step a "bisect-downgrade" fallback; it must
+// be driven by the calling goroutine alone. Errors (including ctx
+// cancellation) end the ladder and are returned as is.
 func (o *OnlineSolver) Downgrade(ctx context.Context, tstart float64, t0 []float64, required float64, span obs.Recorder, observe func(time.Duration, OnlineStepStats, error)) (*Assignment, DowngradeStats, error) {
 	var ds DowngradeStats
 	a, err := o.countedSolve(ctx, tstart, t0, required, &ds, observe)
@@ -277,7 +330,7 @@ func (o *OnlineSolver) Downgrade(ctx context.Context, tstart float64, t0 []float
 		span.SolveStart(required)
 		span.Rung("bisect")
 	}
-	maxF, err := o.bisect(ctx)
+	maxF, err := o.capacity(ctx)
 	if span != nil {
 		span.SolveEnd(maxF > 0, err)
 	}
@@ -296,12 +349,12 @@ func (o *OnlineSolver) Downgrade(ctx context.Context, tstart float64, t0 []float
 	return &Assignment{Feasible: true, Freqs: make([]float64, n), Powers: make([]float64, n)}, ds, nil
 }
 
-// bisect is SolveUniformBisectContext for the window the last Solve
-// set up: it bisects over the instance's rows, whose offsets already
-// hold this window's map (the solver's stable copy), instead of
-// rebuilding every row. It returns the largest supportable uniform
-// average frequency in Hz, zero when none is.
-func (o *OnlineSolver) bisect(ctx context.Context) (float64, error) {
+// capacity is SolveUniformBisectContext for the window the last Solve
+// set up: it reads the instance's rows, whose offsets already hold this
+// window's map (the solver's stable copy), instead of rebuilding every
+// row. It returns the largest supportable uniform average frequency in
+// Hz, zero when none is.
+func (o *OnlineSolver) capacity(ctx context.Context) (float64, error) {
 	chip := o.spec.Chip
 	if o.pn == nil {
 		o.pn = linalg.NewVector(chip.NumCores())
@@ -329,6 +382,12 @@ func (o *OnlineSolver) countedSolve(ctx context.Context, tstart float64, t0 []fl
 	}
 	if st.Certified {
 		ds.Certified++
+	}
+	if st.Uncentered {
+		ds.Uncentered++
+	}
+	if st.DualUnconverged {
+		ds.DualUnconverged++
 	}
 	ds.NewtonIters += st.NewtonIters
 	ds.LinesearchNanos += st.LinesearchNanos

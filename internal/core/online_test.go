@@ -268,7 +268,7 @@ func TestDowngradeBisectMatchesSpec(t *testing.T) {
 			if _, _, err := o.Solve(ctx, 0, m, 0.5*fmax); err != nil {
 				t.Fatal(err)
 			}
-			got, err := o.bisect(ctx)
+			got, err := o.capacity(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,11 +26,11 @@ func TestScreenedMatchesDenseGrid(t *testing.T) {
 				name = v.String() + "/warm"
 			}
 			t.Run(name, func(t *testing.T) {
-				screened, err := NewOnlineSolver(onlineSpec(t, v))
+				screened, err := newOnlineSolver(onlineSpec(t, v), true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dense, err := NewOnlineSolver(onlineSpec(t, v))
+				dense, err := newOnlineSolver(onlineSpec(t, v), true)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -18,7 +18,7 @@ import (
 const fullSpeedPhi = 1 - 1e-9
 
 // closedForm reports whether a window at normalized target phi is
-// decided by uniformAssignment instead of the barrier, and at which
+// decided by uniformAssignment instead of a solve, and at which
 // shared normalized frequency: full speed for every variant once phi
 // reaches fullSpeedPhi, and phi itself for the uniform variant.
 func closedForm(v Variant, phi float64) (fn float64, ok bool) {
@@ -34,13 +34,15 @@ func closedForm(v Variant, phi float64) (fn float64, ok bool) {
 // Solve computes the optimal frequency assignment for the design point,
 // or Assignment{Feasible: false} when the paper's "infeasible solution"
 // signal applies. Solver failures other than infeasibility are returned
-// as errors.
+// as errors. The uniform variant and full-speed windows are decided in
+// closed form, the variable variant on its dual (dual.go) and the
+// gradient variant by the barrier's start ladder.
 func Solve(s *Spec) (*Assignment, error) {
 	return SolveContext(context.Background(), s)
 }
 
 // SolveContext is Solve with cancellation: ctx is polled once per
-// Newton iteration of the interior-point method, so a cancelled or
+// Newton iteration (and during the dual's row scans), so a cancelled or
 // expired context aborts the solve promptly with ctx.Err().
 func SolveContext(ctx context.Context, s *Spec) (*Assignment, error) {
 	if err := s.Validate(); err != nil {
@@ -56,6 +58,13 @@ func SolveContext(ctx context.Context, s *Spec) (*Assignment, error) {
 		}
 		return uniformAssignment(s, rows, fn), nil
 	}
+	if s.Variant == VariantVariable {
+		rows, err := s.tempRows()
+		if err != nil {
+			return nil, err
+		}
+		return newDualWS(s.Chip).solve(ctx, s, rows, nil)
+	}
 
 	in, err := s.build()
 	if err != nil {
@@ -65,8 +74,9 @@ func SolveContext(ctx context.Context, s *Spec) (*Assignment, error) {
 	return a, err
 }
 
-// solveLadder solves a prebuilt problem instance through the start
-// ladder: the warm seed (a re-centered neighboring optimum) when one is
+// solveLadder solves a prebuilt barrier instance (the gradient
+// variant's, or the tests' variable oracle) through the start ladder:
+// the warm seed (a re-centered neighboring optimum) when one is
 // supplied, then the cheap feasibility heuristics, then the
 // infeasibility certificate from the instance's kept Phase-I dual
 // (certify.go), then the physics-guided rebalance, then the row-slack
@@ -187,6 +197,13 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 		Rows:            res.Rows,
 		Cuts:            abandoned.Cuts + res.Cuts,
 		abandonedIters:  abandoned.NewtonIters,
+		uncentered:      !res.Centered,
+	}
+	if a.uncentered {
+		// Only a cold result gets here (WarmStart abandons a seed whose
+		// centering does not converge): a strictly feasible point, but
+		// no optimality certificate.
+		a.Gap = math.Inf(1)
 	}
 	for j := 0; j < n; j++ {
 		model := s.Chip.CoreModelOf(j)
@@ -204,13 +221,14 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 	return a, res.X, warm, nil
 }
 
-// SolveUniformBisect bisects the uniform-frequency problem on the
-// scalar frequency: feasibility of f is monotone (more frequency means
-// more power means higher temperatures everywhere), so the largest
-// feasible f is the largest supportable uniform target. The closed-form
-// uniform decision (uniformAssignment) tests the same rows at the
-// target itself, and the run-time downgrade ladder bisects the same
-// way (OnlineSolver.Downgrade).
+// SolveUniformBisect finds the largest supportable uniform target:
+// feasibility of a uniform frequency f is monotone (more frequency
+// means more power means higher temperatures everywhere), and each row
+// is quadratic in f, so the maximum is found in closed form
+// (uniformMax) — the name is kept from the bisection it replaced. The
+// closed-form uniform decision (uniformAssignment) tests the same rows
+// at the target itself, and the run-time downgrade ladder probes the
+// same capacity (OnlineSolver.Downgrade).
 //
 // It returns the maximum supportable average frequency in Hz and whether
 // the requested target is supportable.
@@ -219,9 +237,7 @@ func SolveUniformBisect(s *Spec) (maxFreq float64, targetOK bool, err error) {
 }
 
 // SolveUniformBisectContext is SolveUniformBisect with cancellation:
-// ctx is polled at every bisection probe, so a session cancelled
-// mid-Step does not keep evaluating thermal rows for a caller that has
-// already gone away.
+// ctx is polled before the rows are evaluated.
 func SolveUniformBisectContext(ctx context.Context, s *Spec) (maxFreq float64, targetOK bool, err error) {
 	if err := s.Validate(); err != nil {
 		return 0, false, err
@@ -241,37 +257,47 @@ func SolveUniformBisectContext(ctx context.Context, s *Spec) (maxFreq float64, t
 	return fnMax * fmax, fnMax*fmax+1e-3 >= s.FTarget, nil
 }
 
-// uniformMax bisects the largest normalized uniform frequency whose
-// window stays at or below tmax over rows, with ok=false when even
-// zero frequency overheats. pn is scratch of length NumCores. ctx is
-// polled at every probe.
+// uniformMax returns the largest normalized uniform frequency whose
+// window stays at or below tmax over rows, with ok=false when even zero
+// frequency overheats. It is closed form: at uniform fn row r reads
+// c0_r + idle_r + dyn_r·fn², so with b_r = tmax − c0_r − idle_r the
+// maximum is fn* = min(1, min_r √(b_r/dyn_r)), and no uniform frequency
+// fits when some b_r < 0. One uniformFits pass, starting at the
+// binding row, confirms fn* against the rows as every probe evaluates
+// them and nudges it down where rounding puts it a hair over. NaN rows
+// never bind (as in uniformFits). pn is scratch of length NumCores;
+// ctx is polled once.
 func uniformMax(ctx context.Context, chip *power.Chip, tmax float64, rows []tempRow, pn linalg.Vector) (float64, bool, error) {
-	cancelled := false
-	hot := 0
-	feasible := func(fn float64) bool {
-		if cancelled || ctx.Err() != nil {
-			// Claim infeasibility to collapse the remaining probes
-			// cheaply; the flag makes the result unambiguous below.
-			cancelled = true
-			return false
+	if err := ctx.Err(); err != nil {
+		return 0, false, err
+	}
+	fn, hot := 1.0, 0
+	for i, r := range rows {
+		b := tmax - r.c0 - r.idle
+		if b < 0 {
+			return 0, false, nil
 		}
-		_, ok := uniformFits(chip, rows, tmax, fn, pn, &hot)
-		return ok
+		if b < r.dyn*fn*fn {
+			fn, hot = math.Sqrt(b/r.dyn), i
+		}
 	}
-	fnMax, ok := solver.BisectMax(0, 1, 1e-7, feasible)
-	if cancelled {
-		return 0, false, ctx.Err()
+	for step := 0x1p-52; step < 0x1p-30; step *= 16 {
+		if _, ok := uniformFits(chip, rows, tmax, fn, pn, &hot); ok {
+			return fn, true, nil
+		}
+		fn = math.Max(0, fn-step)
 	}
-	return fnMax, ok, nil
+	_, ok := uniformFits(chip, rows, tmax, 0, pn, &hot)
+	return 0, ok, nil
 }
 
 // uniformFits reports whether every row stays at or below tmax over the
 // window when every core runs at normalized frequency fn, using pn
 // (length NumCores) for the normalized powers, and when it does, the
 // hottest core row (Assignment.PeakTemp). It stops at the first row
-// over tmax, trying row *hot first — the row that failed the previous
-// probe of a bisection, where the next failure usually is — and stores
-// the failing row there.
+// over tmax, trying row *hot first — the row that bound uniformMax, or
+// failed the previous probe, where the next failure usually is — and
+// stores the failing row there.
 func uniformFits(chip *power.Chip, rows []tempRow, tmax, fn float64, pn linalg.Vector, hot *int) (float64, bool) {
 	for j := range pn {
 		model := chip.CoreModelOf(j)

@@ -15,9 +15,13 @@
 // loose in the gradient variant, where a core may burn extra power to
 // flatten the spatial profile). Temperatures are affine in p through
 // the discrete thermal dynamics, so all constraints are affine or
-// diagonal-quadratic and the program is solved by the interior-point
-// method in internal/solver. The uniform restriction needs no solver:
-// its optimum is the target frequency itself whenever that fits.
+// diagonal-quadratic. The variable model separates per core once the
+// few binding temperature rows are priced, so it is solved on its dual
+// by a working-set Newton method (dual.go); the gradient extension's
+// pairwise rows break that separation and it is solved by the
+// interior-point method in internal/solver. The uniform restriction
+// needs no solver: its optimum is the target frequency itself whenever
+// that fits.
 package core
 
 import (
@@ -187,23 +191,28 @@ type Assignment struct {
 	// window under this assignment: the hottest core row of the
 	// compiled temperature rows at the assignment's normalized powers.
 	PeakTemp float64
-	// Gap is the solver's duality-gap bound.
+	// Gap is the solver's duality-gap bound: +Inf for a barrier result
+	// whose final centering did not converge (a strictly feasible point,
+	// not a certified optimum).
 	Gap float64
 	// NewtonIters counts solver work, for the §5.1 cost accounting:
 	// the barrier solve's iterations plus those of a warm attempt that
-	// was abandoned before the cold ladder ran (Phase I is not counted).
+	// was abandoned before the cold ladder ran (Phase I is not counted),
+	// or the dual solve's Newton steps.
 	NewtonIters int
-	// AssembleNanos, FactorNanos and LinesearchNanos split the solver's
+	// AssembleNanos, FactorNanos and LinesearchNanos split the barrier's
 	// wall time into Hessian assembly, KKT factorization+solve and line
-	// search, an abandoned warm attempt included (zero for closed-form
-	// decisions that never enter the barrier: full speed and uniform).
+	// search, an abandoned warm attempt included (zero for decisions
+	// that never enter the barrier: full speed, uniform and the dual).
 	AssembleNanos   int64
 	FactorNanos     int64
 	LinesearchNanos int64
 	// Rows is the final barrier solve's working set of temperature rows
 	// (solver.Result.Rows); Cuts counts the re-solves the solver's
 	// full-row checks forced, an abandoned warm attempt's included.
-	// Their work is part of NewtonIters and the phase timings.
+	// Their work is part of NewtonIters and the phase timings. For the
+	// dual solve they are its working set's size and the rows its scans
+	// added.
 	Rows int
 	Cuts int
 
@@ -213,4 +222,10 @@ type Assignment struct {
 	// certified marks an infeasible verdict proved by the kept Phase-I
 	// dual, with no rebalance or Phase I run (certify.go).
 	certified bool
+	// uncentered marks a cold barrier result whose final centering did
+	// not converge (Gap is +Inf).
+	uncentered bool
+	// dualUnconverged marks a dual solve that ran out of budget and was
+	// decided by the uniform point at φ (dual.go).
+	dualUnconverged bool
 }

@@ -7,8 +7,10 @@ import (
 )
 
 // TestSweepPlanCompilesPattern pins the structured-KKT wiring: every
-// barrier variant's compiled plan must carry a non-nil arrow-structure
-// hint (the uniform variant compiles rows only; see
+// barrier program — the gradient variant's plan, and the variable
+// program kept as its Phase-I twin and the dual solve's oracle — must
+// carry a non-nil arrow-structure hint (the uniform and variable
+// production plans compile rows only; see
 // TestUniformPlanCompilesRowsOnly).
 // If the Hessian-pattern compiler ever starts rejecting the problem
 // shape core emits, the solver silently falls back to the dense O(n³)
@@ -17,7 +19,7 @@ func TestSweepPlanCompilesPattern(t *testing.T) {
 	f := niagaraFixture(t)
 	for _, v := range []Variant{VariantVariable, VariantGradient} {
 		ts := TableSpec{Chip: f.chip, Window: f.window, TMax: 100, Variant: v}
-		pl, err := compileSweep(ts, nil)
+		pl, err := compileBarrier(ts, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -42,11 +44,11 @@ func TestStructuredMatchesDenseClosedLoop(t *testing.T) {
 	fmax := f.chip.FMax()
 	for _, v := range []Variant{VariantVariable, VariantGradient} {
 		t.Run(v.String(), func(t *testing.T) {
-			arrow, err := NewOnlineSolver(onlineSpec(t, v))
+			arrow, err := newOnlineSolver(onlineSpec(t, v), true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dense, err := NewOnlineSolver(onlineSpec(t, v))
+			dense, err := newOnlineSolver(onlineSpec(t, v), true)
 			if err != nil {
 				t.Fatal(err)
 			}

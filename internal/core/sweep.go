@@ -14,7 +14,8 @@ import (
 // sweepPlan is the compiled, grid-point-independent structure of one
 // TableSpec: the variable layout, the objective, every constraint
 // coefficient vector, and the affine dependence of each temperature
-// offset on TStart (a uniform plan compiles the rows only). The paper's Phase-1 sweep solves the same convex
+// offset on TStart (a uniform or variable plan compiles the rows only;
+// see compileSweep). The paper's Phase-1 sweep solves the same convex
 // program nT×nF times with only two scalars changing — the starting
 // temperature (which shifts the temperature constraints' offsets) and
 // the frequency target (which shifts the workload constraint's offset).
@@ -67,6 +68,7 @@ type sweepPlan struct {
 type planRow struct {
 	step, block int
 	core        bool    // block is a core (tempRow.core)
+	idle, dyn   float64 // tempRow.idle and tempRow.dyn
 	t0Gain      float64 // ∂c0/∂TStart (row sum of A^step over the chip)
 	c0Base      float64 // TStart-independent part: drive + fixed power
 	coef        linalg.Vector
@@ -138,7 +140,10 @@ func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks boo
 				if g < 0 {
 					return nil, fmt.Errorf("core: negative heat gain at step %d block %d", k, bi)
 				}
-				coef[j] = g * chip.CoreModelOf(j).PMax
+				model := chip.CoreModelOf(j)
+				coef[j] = g * model.PMax
+				row.idle += coef[j] * model.IdleFrac
+				row.dyn += coef[j] * (1 - model.IdleFrac)
 			}
 			row.coef = coef
 			rows = append(rows, row)
@@ -155,21 +160,38 @@ type gradPair struct {
 	nz     []int
 }
 
-// compileSweep builds the plan: everything about the TableSpec's convex
-// program that does not depend on (TStart, FTarget), computed exactly
-// once per sweep instead of once per grid point. It is also the single
-// assembly behind Spec.build(), so the cold per-point path and the
-// sweep cannot drift apart.
+// compileSweep builds the plan the production paths decide from (the
+// table sweep and the online solver): everything about the TableSpec's
+// window that does not depend on (TStart, FTarget), computed exactly
+// once per sweep instead of once per grid point.
 //
 // A nil t0 selects the uniform-TStart mode, where each temperature
 // offset is affine in the (yet unknown) starting temperature. A non-nil
 // t0 pins explicit per-block starting temperatures (Spec.T0): offsets
 // are computed outright and instance.set ignores its tstart argument.
 //
-// A uniform plan compiles its rows only: uniformAssignment decides
-// every uniform window from them in closed form, so it has no barrier
-// program (no objective, constraints, pattern or Phase I).
+// A uniform or variable plan compiles its rows only: uniformAssignment
+// decides every uniform window from them in closed form and the dual
+// solve (dual.go) every variable window, so neither has a barrier
+// program (no objective, constraints, pattern or Phase I). The
+// gradient variant's plan is its barrier program (compileBarrier).
 func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
+	if ts.Variant == VariantGradient {
+		return compileBarrier(ts, t0)
+	}
+	rows, err := compileRows(ts.Chip, ts.Window, ts.ConstrainAllBlocks, t0)
+	if err != nil {
+		return nil, err
+	}
+	return &sweepPlan{ts: ts, rows: rows}, nil
+}
+
+// compileBarrier builds the barrier program of a variable or gradient
+// TableSpec (the paper's Eqs. 2-5) over its compiled rows. It is the
+// single assembly behind the gradient variant's plan, its Phase-I twin
+// and Spec.build(), so the cold per-point path and the sweep cannot
+// drift apart; t0 is as for compileSweep.
+func compileBarrier(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	chip := ts.Chip
 	fp := chip.Floorplan()
 	n := chip.NumCores()
@@ -178,9 +200,6 @@ func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 		return nil, err
 	}
 	pl := &sweepPlan{ts: ts, rows: rows}
-	if ts.Variant == VariantUniform {
-		return pl, nil
-	}
 	lay := newLayout(ts.Variant, n)
 	pl.lay = lay
 
@@ -321,7 +340,7 @@ func (pl *sweepPlan) slackPlan() (*solver.SlackPlan, error) {
 		if pl.ts.Variant == VariantGradient {
 			ts := pl.ts
 			ts.Variant = VariantVariable
-			if base, pl.slackErr = compileSweep(ts, nil); pl.slackErr != nil {
+			if base, pl.slackErr = compileBarrier(ts, nil); pl.slackErr != nil {
 				return
 			}
 			pl.slackTwin = base
@@ -338,14 +357,16 @@ func (pl *sweepPlan) slackPlan() (*solver.SlackPlan, error) {
 
 // sweepInstance is one worker's mutable view of a compiled plan: a
 // problem whose constraint offsets are rewritten in place per grid
-// point, plus the tempRow buffer the start heuristics, the closed form
-// and PeakTemp read. The coefficient vectors alias the plan and are
-// never written. A rows-only plan's instance has rows and no problem.
+// point, plus the tempRow buffer the start heuristics, the closed form,
+// the dual solve and PeakTemp read. The coefficient vectors alias the
+// plan and are never written. A rows-only plan's instance has rows and
+// no problem; a variable one has the dual solver and its warm state.
 type sweepInstance struct {
 	plan *sweepPlan
 	prob *solver.Problem
 	rows []tempRow     // c0 refreshed per TStart; coef aliases the plan
 	pn   linalg.Vector // the optimum's normalized powers, for PeakTemp
+	dws  *dualWS       // variable rows-only plans only
 
 	temp []*solver.Affine // temperature constraints, aligned with rows
 	work *solver.Affine
@@ -357,11 +378,12 @@ type sweepInstance struct {
 	twin *sweepInstance
 
 	// dual holds the temperature-row multipliers of the last Phase I
-	// that proved this instance infeasible, dualW the certificate's
-	// per-core weights; both are nil until that first proof (see
-	// certifyInfeasible).
+	// that proved this instance infeasible, dualW and dualQ the
+	// certificate's per-core weights and scratch; all are nil until
+	// they are first needed (see certifyInfeasible).
 	dual  linalg.Vector
 	dualW linalg.Vector
+	dualQ linalg.Vector
 
 	curTStart float64 // last TStart the offsets were computed for
 }
@@ -371,10 +393,14 @@ func (pl *sweepPlan) instance() *sweepInstance {
 	in := &sweepInstance{plan: pl, curTStart: math.NaN()}
 	in.rows = make([]tempRow, len(pl.rows))
 	for i, r := range pl.rows {
-		in.rows[i] = tempRow{step: r.step, block: r.block, core: r.core, coef: r.coef}
+		in.rows[i] = tempRow{step: r.step, block: r.block, core: r.core, coef: r.coef, idle: r.idle, dyn: r.dyn}
 	}
 	if pl.objective == nil {
-		return in // a rows-only plan
+		// A rows-only plan: closed form, or the dual solve.
+		if pl.ts.Variant == VariantVariable {
+			in.dws = newDualWS(pl.ts.Chip)
+		}
+		return in
 	}
 	in.pn = linalg.NewVector(pl.ts.Chip.NumCores())
 	in.prob = &solver.Problem{Objective: pl.objective}

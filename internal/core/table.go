@@ -226,16 +226,17 @@ func (ts TableSpec) CacheKey() string {
 }
 
 // GenerateTable runs Phase 1 as a warm-started sweep: the TableSpec's
-// convex program is compiled once (constraint coefficients, layouts,
-// objective — everything independent of the grid point), then each
-// TStart row is walked in ascending-FTarget order, seeding every solve
-// from its feasible lower-frequency neighbor's optimum with the
-// heuristic/rebalance/Phase-I ladder as fallback. Rows are dispatched
-// to parallel workers, each owning one problem instance and one solver
-// workspace, so the per-point cost is offset rewrites plus Newton
-// iterations — not problem assembly or allocation. Because a row is one
-// warm-start chain, parallelism tops out at len(TStarts) regardless of
-// Workers.
+// window is compiled once (compileSweep: everything independent of the
+// grid point), then each TStart row is walked in ascending-FTarget
+// order as one warm chain — the variable variant's dual solve starts
+// from its lower-frequency neighbor's working set and multipliers, the
+// gradient variant's barrier from its feasible neighbor's optimum with
+// the heuristic/rebalance/Phase-I ladder as fallback. Rows are
+// dispatched to parallel workers, each owning one problem instance and
+// one solver workspace, so the per-point cost is offset rewrites plus
+// Newton iterations — not problem assembly or allocation. Because a row
+// is one warm-start chain, parallelism tops out at len(TStarts)
+// regardless of Workers.
 //
 // A solver error at any point aborts the generation and stops the
 // dispatch of remaining rows. The context is honored down through the
@@ -321,6 +322,9 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 				// once at exit, and the sweep mutexes guard only the
 				// first error and the observer.
 				var prevX linalg.Vector
+				if inst.dws != nil {
+					inst.dws.invalidate()
+				}
 				for fi := 0; fi < nF; fi++ {
 					if aborted.Load() || ctx.Err() != nil {
 						break
@@ -335,6 +339,9 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 					)
 					if fn, ok := closedForm(ts.Variant, spec.FTarget/ts.Chip.FMax()); ok {
 						a = uniformAssignment(spec, inst.rows, fn)
+					} else if d := inst.dws; d != nil {
+						warm = d.warm
+						a, err = d.solve(ctx, spec, inst.rows, nil)
 					} else {
 						seed, gap := inst.warmSeed(spec, prevX)
 						a, x, warm, err = solveLadder(ctx, spec, inst, seed, gap, ws, nil)

@@ -227,3 +227,29 @@ func TestGoldenMultiClusterStaysSafe(t *testing.T) {
 		t.Fatalf("outer iterations %d < windows %d", st.OuterIters, st.Steps)
 	}
 }
+
+// TestGoldenDualConverges runs the golden trajectories of the default
+// variable variant — centralized, one cluster and two — and requires
+// every window and cluster solve to finish on its dual within the
+// Newton and cut budgets: none may fall back to the uniform point
+// (Stats.DualUnconverged).
+func TestGoldenDualConverges(t *testing.T) {
+	r := newGoldenRig(t)
+	for _, tc := range []struct {
+		name string
+		pol  *sim.ProTemp
+	}{
+		{"central", r.online(t, core.VariantVariable)},
+		{"clusters1", r.distributed(t, core.VariantVariable, 1)},
+		{"clusters2", r.distributed(t, core.VariantVariable, 2)},
+	} {
+		r.run(t, tc.pol, 11, nil)
+		st := tc.pol.Stats()
+		if st.Solves == 0 {
+			t.Fatalf("%s: no solves", tc.name)
+		}
+		if st.DualUnconverged != 0 {
+			t.Fatalf("%s: %d of %d solves ran out of dual budget", tc.name, st.DualUnconverged, st.Solves)
+		}
+	}
+}

@@ -133,7 +133,7 @@ type StepStats struct {
 	WarmHits    int
 	WarmRejects int
 	// Downgrades counts clusters that could not support the target and
-	// re-solved at their bisected maximum; Idles counts clusters forced
+	// re-solved at their uniform capacity; Idles counts clusters forced
 	// to a zero-frequency window.
 	Downgrades int
 	Idles      int
@@ -148,8 +148,12 @@ type StepStats struct {
 	// duals to keep contracting across windows.
 	Converged bool
 	Fallback  bool
-	// NewtonIters sums the interior-point iterations across clusters.
+	// NewtonIters sums the solver iterations across clusters.
 	NewtonIters int
+	// Uncentered and DualUnconverged count cluster solves that ended
+	// uncentered or out of dual budget (core.DowngradeStats).
+	Uncentered      int
+	DualUnconverged int
 }
 
 // Solver is the distributed-MPC counterpart of core.OnlineSolver: one
@@ -590,6 +594,8 @@ func (st *StepStats) add(ds core.DowngradeStats) {
 	st.WarmHits += ds.WarmHits
 	st.WarmRejects += ds.WarmRejects
 	st.NewtonIters += ds.NewtonIters
+	st.Uncentered += ds.Uncentered
+	st.DualUnconverged += ds.DualUnconverged
 	if ds.Downgraded {
 		st.Downgrades++
 	}

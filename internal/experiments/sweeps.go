@@ -36,12 +36,13 @@ func (s *Setup) Fig9(ctx context.Context) (*SweepResult, error) {
 
 // maxSupported finds the highest supportable average-frequency targets
 // at the given starting temperature for the uniform and the variable
-// assignment. The uniform bound comes from the dedicated scalar
-// bisection; the variable bound is found by bisecting the target of the
-// full program, seeded at the uniform bound — a uniform assignment is a
-// feasible witness for the variable program, so the variable bound can
-// never fall below it (the solver's strict-feasibility margins would
-// otherwise bias the measurement near the boundary).
+// assignment. The uniform bound comes from the closed-form capacity
+// (core.SolveUniformBisect); the variable bound is found by bisecting
+// the target of the full program, seeded at the uniform bound — a
+// uniform assignment is a feasible witness for the variable program,
+// so the variable bound can never fall below it (the solver's
+// strict-feasibility margins would otherwise bias the measurement near
+// the boundary).
 func (s *Setup) maxSupported(ctx context.Context, tstart float64) (uniform, variable float64, err error) {
 	uniform, _, err = core.SolveUniformBisect(s.Spec(tstart, 0, core.VariantUniform))
 	if err != nil {

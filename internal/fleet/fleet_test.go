@@ -259,10 +259,11 @@ func TestFleetCancellation(t *testing.T) {
 	}
 }
 
-// solveCancelCtx is a run context that is live until a barrier solve
-// polls it, and cancelled from that first poll on: it lands a
-// cancellation deterministically inside the first window's solve, and
-// it records that the solve saw the run's context at all.
+// solveCancelCtx is a run context that is live until a solve polls it
+// — the barrier, or the dual solve of the default variable variant —
+// and cancelled from that first poll on: it lands a cancellation
+// deterministically inside the first window's solve, and it records
+// that the solve saw the run's context at all.
 type solveCancelCtx struct {
 	context.Context
 	fired atomic.Bool
@@ -276,7 +277,7 @@ func (c *solveCancelCtx) Err() error {
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
 	for {
 		f, more := frames.Next()
-		if strings.HasPrefix(f.Function, "protemp/internal/solver.") {
+		if strings.HasPrefix(f.Function, "protemp/internal/solver.") || strings.HasPrefix(f.Function, "protemp/internal/core.(*dualWS).") {
 			c.fired.Store(true)
 			return context.Canceled
 		}
@@ -288,9 +289,9 @@ func (c *solveCancelCtx) Err() error {
 
 // TestFleetCancelReachesInflightSolve checks that a cell's context
 // reaches the solver policies' in-flight solves: a cell cancelled
-// during its first window's barrier solve aborts that solve at its
-// first Newton poll and ends with ctx.Err(), rather than finishing the
-// window under a context the cancellation cannot reach.
+// during its first window's solve aborts that solve at its first poll
+// and ends with ctx.Err(), rather than finishing the window under a
+// context the cancellation cannot reach.
 func TestFleetCancelReachesInflightSolve(t *testing.T) {
 	eng := fastEngine(t)
 	for _, p := range []fleet.PolicySpec{{Kind: "protemp-online"}, {Kind: "protemp-dmpc", Clusters: 2}} {
@@ -301,7 +302,7 @@ func TestFleetCancelReachesInflightSolve(t *testing.T) {
 				t.Fatalf("batch err = %v, want context.Canceled", err)
 			}
 			if !ctx.fired.Load() {
-				t.Fatal("no barrier solve polled the run's context")
+				t.Fatal("no solve polled the run's context")
 			}
 			if rr := res.Runs[0]; rr.Summary != nil || rr.Error != context.Canceled.Error() {
 				t.Fatalf("cell ended with summary %v, error %q; want no summary and %q", rr.Summary, rr.Error, context.Canceled)

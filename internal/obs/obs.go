@@ -37,13 +37,17 @@ type Recorder interface {
 	WarmDecision(had, accepted bool, reason string)
 	// Rung names the ladder rung that produced the open span's result:
 	// "warm", "heuristic", "certified" (infeasible, proved from a kept
-	// Phase-I dual), "rebalance", "phase1", "full-speed", "uniform"
-	// (the closed-form decisions), "bisect", ...
+	// Phase-I dual), "rebalance", "phase1" (the barrier's start ladder),
+	// "dual" (the variable variant's dual working-set solve),
+	// "full-speed", "uniform" (the closed-form decisions), "bisect"
+	// (the downgrade's closed-form capacity probe), ...
 	Rung(name string)
 	// Centering records one barrier centering: the barrier parameter t,
 	// the Newton iterations spent, whether the centering converged, and
 	// the centering's wall time split into Hessian assembly, KKT
-	// factorization+solve, and line search (nanoseconds).
+	// factorization+solve, and line search (nanoseconds). A dual solve
+	// records each Newton round on a fixed working set the same way,
+	// with t the working set's size and no phase split.
 	Centering(t float64, newtonIters int, converged bool, assembleNs, factorNs, linesearchNs int64)
 	// Screen records the open span's row screening: the working set's
 	// size at the accepted solve and the cut re-solves it took.

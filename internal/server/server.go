@@ -319,9 +319,9 @@ func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // validateGrid rejects absurd Phase-1 grid requests before they burn
 // CPU: every grid point must be finite and the total solve count must
-// stay within the configured bound. (Each grid point is one
-// interior-point solve — an unbounded request is a denial-of-service
-// lever, not a bigger table.)
+// stay within the configured bound. (Each grid point is one convex
+// solve — an unbounded request is a denial-of-service lever, not a
+// bigger table.)
 func (s *Server) validateGrid(tstarts, ftargets []float64) error {
 	for _, t := range tstarts {
 		if !isFinite(t) {
@@ -740,7 +740,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission: under solve-latency overload a new solver-backed
+	// Admission: under step-latency overload a new solver-backed
 	// session is accepted but served by the table-driven policy.
 	degraded := false
 	if (mode == "online" || mode == "dmpc") && s.admission.DegradeCreate() {

@@ -100,7 +100,11 @@ type Stepper struct {
 	busySteps   []int
 	utilization linalg.Vector
 
+	// queue is the task FIFO, live from qhead on: popping advances
+	// qhead and pushing compacts in place, so one buffer serves the run.
 	queue       []workload.Task
+	qhead       int
+	idle        []int // Assigner.Pick's candidate buffer
 	tasks       []workload.Task
 	nextArrival int
 	t           float64
@@ -228,7 +232,7 @@ func (s *Stepper) State() WindowState {
 			pending += c.remaining
 		}
 	}
-	for _, task := range s.queue {
+	for _, task := range s.queue[s.qhead:] {
 		pending += task.Work
 	}
 	required := 0.0
@@ -242,7 +246,7 @@ func (s *Stepper) State() WindowState {
 		MaxCoreTemp:  s.coreTemps.Max(),
 		RequiredFreq: required,
 		Utilization:  s.utilization.Clone(),
-		QueueLen:     len(s.queue),
+		QueueLen:     len(s.queue) - s.qhead,
 	}
 }
 
@@ -289,26 +293,33 @@ func (s *Stepper) advance(cmd linalg.Vector) {
 	// ----- simulate the window at thermal sub-steps -----
 	for sub := 0; sub < s.spw; sub++ {
 		for s.nextArrival < len(s.tasks) && s.tasks[s.nextArrival].Arrival <= s.t {
+			if s.qhead > 0 && len(s.queue) == cap(s.queue) {
+				n := copy(s.queue, s.queue[s.qhead:])
+				s.queue, s.qhead = s.queue[:n], 0
+			}
 			s.queue = append(s.queue, s.tasks[s.nextArrival])
 			s.nextArrival++
 		}
 		// Assign queued tasks to idle cores that can actually run.
-		for len(s.queue) > 0 {
-			var idle []int
+		for s.qhead < len(s.queue) {
+			s.idle = s.idle[:0]
 			for i := range s.cores {
 				if !s.cores[i].busy && s.freqs[i] > 0 {
-					idle = append(idle, i)
+					s.idle = append(s.idle, i)
 				}
 			}
 			for i := 0; i < s.n; i++ {
 				s.coreTemps[i] = s.temps[s.chip.CoreBlockIndex(i)]
 			}
-			pick := s.cfg.Assigner.Pick(idle, s.coreTemps)
+			pick := s.cfg.Assigner.Pick(s.idle, s.coreTemps)
 			if pick < 0 {
 				break
 			}
-			task := s.queue[0]
-			s.queue = s.queue[1:]
+			task := s.queue[s.qhead]
+			s.qhead++
+			if s.qhead == len(s.queue) {
+				s.queue, s.qhead = s.queue[:0], 0
+			}
 			s.cores[pick].busy = true
 			s.cores[pick].remaining = task.Work
 			s.res.Wait.Add(s.t - task.Arrival)
@@ -381,7 +392,7 @@ func (s *Stepper) advance(cmd linalg.Vector) {
 	}
 
 	// ----- termination -----
-	done := s.nextArrival == len(s.tasks) && len(s.queue) == 0
+	done := s.nextArrival == len(s.tasks) && s.qhead == len(s.queue)
 	if done {
 		for _, c := range s.cores {
 			if c.busy {
@@ -404,7 +415,7 @@ func (s *Stepper) Result() *Result {
 	if s.coreTime > 0 {
 		s.res.ViolationFrac = s.violTime / s.coreTime
 	}
-	unfinished := len(s.queue) + (len(s.tasks) - s.nextArrival)
+	unfinished := len(s.queue) - s.qhead + (len(s.tasks) - s.nextArrival)
 	for _, c := range s.cores {
 		if c.busy {
 			unfinished++

@@ -185,7 +185,12 @@ func (g *Generator) Generate() (*Trace, error) {
 		rateLow = 0 // degenerate: always-high is plain Poisson at rateHigh
 	}
 
+	// Pre-size the task slice for the expected arrival count plus a
+	// few standard deviations, so a trace is not grown by doubling.
 	tr := &Trace{}
+	if want := rateAvg * g.Duration; want >= 1 && want < 1e8 {
+		tr.Tasks = make([]Task, 0, int(want+4*math.Sqrt(want))+16)
+	}
 	now := 0.0
 	high := true
 	stateEnd := g.drawBurst(rng, high)
@@ -223,6 +228,9 @@ func (g *Generator) Generate() (*Trace, error) {
 			Class:   c.Name,
 		})
 		id++
+	}
+	if len(tr.Tasks) == 0 {
+		tr.Tasks = nil // as an empty append-grown trace
 	}
 	return tr, nil
 }

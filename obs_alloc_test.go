@@ -3,6 +3,8 @@ package protemp
 import (
 	"context"
 	"testing"
+
+	"protemp/internal/core"
 )
 
 // TestStepDisabledRecorderAllocations pins the tentpole's overhead
@@ -35,11 +37,12 @@ func TestStepDisabledRecorderAllocations(t *testing.T) {
 		})
 	}
 
-	// Measured 10 allocs/op for the warm solve itself; the ceiling
-	// leaves no headroom for the disabled recorder on purpose.
+	// Measured 4 allocs/op for the warm dual solve itself (the
+	// assignment, its two per-core slices and the window's Spec); the
+	// ceiling leaves no headroom for the disabled recorder on purpose.
 	disabled := step(t)
-	if disabled > 10 {
-		t.Errorf("disabled-recorder warm Step = %.0f allocs/op, want <= 10 (tracing leaked into the hot path?)", disabled)
+	if disabled > 4 {
+		t.Errorf("disabled-recorder warm Step = %.0f allocs/op, want <= 4 (tracing leaked into the hot path?)", disabled)
 	}
 
 	// Sanity: with the flight recorder on, the same step records — the
@@ -99,9 +102,10 @@ func TestEngineFlightRecorderCapturesStep(t *testing.T) {
 // solve_rows, solve_row_cuts and solve_linesearch_nanos instruments,
 // and the trace's solve spans carry the same rows and cuts. The
 // solve_infeasible_certified counter matches the spans on the
-// "certified" rung, which the repeated hot windows reach.
+// "certified" rung, which the repeated hot windows reach. It runs the
+// gradient variant, whose windows the barrier decides.
 func TestStepReportsRowScreening(t *testing.T) {
-	e, err := New(WithWindow(1e-3, 100), WithFlightRecorder(8, 2))
+	e, err := New(WithWindow(1e-3, 100), WithFlightRecorder(8, 2), WithVariant(core.VariantGradient))
 	if err != nil {
 		t.Fatal(err)
 	}

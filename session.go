@@ -7,6 +7,7 @@ import (
 	"protemp/internal/control"
 	"protemp/internal/core"
 	"protemp/internal/linalg"
+	"protemp/internal/metrics"
 	"protemp/internal/sim"
 )
 
@@ -56,6 +57,10 @@ type Session struct {
 	// a long solve holds mu.
 	statsMu sync.Mutex
 	total   control.Stats
+
+	// stepNanos is the engine's step_nanos histogram on online
+	// sessions (nil otherwise): one observation per Step.
+	stepNanos *metrics.Histogram
 }
 
 // NewSession opens a table-driven control session on the engine's
@@ -83,10 +88,11 @@ func (e *Engine) NewSessionFromTable(table *core.Table) (*Session, error) {
 
 // NewOnlineSession opens a model-predictive session that solves the
 // convex program at every Step on the full thermal map — no Phase-1
-// table, one interior-point solve per window. The problem structure is
-// compiled here, once: every Step after that rewrites only the
-// state-dependent constraint offsets and warm-starts the barrier from
-// the previous window's optimum (cold ladder as fallback), which is
+// table, one solve per window (two after a downgrade). The problem
+// structure is compiled here, once: every Step after that rewrites only
+// the state-dependent offsets and starts from the previous window's
+// result — the dual working set for the variable variant, the barrier
+// optimum for the gradient one (cold ladder as fallback) — which is
 // what makes the per-window solve cheap enough to serve live traffic.
 func (e *Engine) NewOnlineSession() (*Session, error) {
 	ol, err := core.NewOnlineSolver(core.OnlineSpec{
@@ -98,7 +104,8 @@ func (e *Engine) NewOnlineSession() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{engine: e, w: control.Online(ol, e.flight, e.observeStepSolve)}, nil
+	return &Session{engine: e, w: control.Online(ol, e.flight, e.observeStepSolve),
+		stepNanos: e.reg.Histogram("step_nanos")}, nil
 }
 
 // NewDMPCSession opens a distributed model-predictive session: the
@@ -173,6 +180,9 @@ func (s *Session) Step(ctx context.Context, st State) ([]float64, error) {
 	s.mu.Lock()
 	freqs, stats, err := s.w.Decide(ctx, control.State(st))
 	s.mu.Unlock()
+	if s.stepNanos != nil && stats.Steps > 0 {
+		s.stepNanos.ObserveDuration(stats.Nanos)
+	}
 	s.statsMu.Lock()
 	s.total.Add(stats)
 	s.statsMu.Unlock()

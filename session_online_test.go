@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +14,6 @@ import (
 	"protemp/internal/linalg"
 	"protemp/internal/obs"
 	"protemp/internal/sim"
-	"protemp/internal/solver"
 	"protemp/internal/workload"
 )
 
@@ -235,83 +233,6 @@ func TestOnlineSessionCancelDoesNotPoisonWarmState(t *testing.T) {
 	}
 }
 
-// windowTally wraps a policy and resets a per-window tally before each
-// decision, so an observe callback can attribute solver work to the
-// window that spent it.
-type windowTally struct {
-	sim.Policy
-	abandoned, worst, windows int
-}
-
-func (p *windowTally) Decide(st sim.WindowState) linalg.Vector {
-	p.abandoned = 0
-	f := p.Policy.Decide(st)
-	p.worst = max(p.worst, p.abandoned)
-	p.windows++
-	return f
-}
-
-// TestRejectedWarmStartIsAbandonedEarly steps an online solver through
-// the fleet's mixed scenario and checks that a warm start whose
-// centering stalls is dropped at that centering: no window spends more
-// than MaxNewton Newton iterations in rejected warm attempts, where
-// grinding on through the remaining barrier stages cost up to seven
-// times that. The trace names the barrier weight the seed stalled at.
-func TestRejectedWarmStartIsAbandonedEarly(t *testing.T) {
-	ctx := context.Background()
-	e, err := New(fastOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, ok := fleet.Builtin().Get("mixed")
-	if !ok {
-		t.Fatal("no mixed scenario")
-	}
-	trace, err := sc.Build(1, e.Chip().NumCores(), sc.Horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: e.Variant()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tally := &windowTally{}
-	rejects, rejectIters := 0, 0
-	observe := func(_ time.Duration, st core.OnlineStepStats, _ error) {
-		if st.WarmRejected {
-			rejects++
-			rejectIters += st.WarmAbandonIters
-		}
-		if st.WarmAbandonIters > st.NewtonIters {
-			t.Errorf("abandoned warm attempt (%d iterations) exceeds the solve's total %d", st.WarmAbandonIters, st.NewtonIters)
-		}
-		tally.abandoned += st.WarmAbandonIters
-	}
-	flight := obs.NewFlightRecorder(1024, 1)
-	tally.Policy = sim.NewProTemp(ctx, control.Online(ol, flight, observe), nil)
-	if _, err := e.Simulate(ctx, tally, trace); err != nil {
-		t.Fatal(err)
-	}
-	stalled := 0
-	for _, tr := range flight.Traces() {
-		for _, sp := range tr.Solves {
-			if sp.WarmHad && !sp.WarmAccepted && strings.Contains(sp.WarmReason, "centering at t=") {
-				stalled++
-			}
-		}
-	}
-	if stalled == 0 {
-		t.Error("no trace names the barrier weight of a stalled warm centering")
-	}
-	if rejects == 0 || rejectIters == 0 {
-		t.Fatalf("%d windows, no warm start was abandoned mid-solve: the scenario no longer exercises the rule", tally.windows)
-	}
-	if limit := solver.DefaultOptions().MaxNewton; tally.worst > limit {
-		t.Fatalf("a window spent %d Newton iterations in rejected warm starts, over MaxNewton %d", tally.worst, limit)
-	}
-	t.Logf("%d windows, %d warm rejects costing %d iterations, worst window %d", tally.windows, rejects, rejectIters, tally.worst)
-}
-
 // certifiedProbe wraps a policy and, after each decision, collects the
 // window's solves that the infeasibility certificate decided (rung
 // "certified" in the step trace), with the state they were solved at.
@@ -348,10 +269,11 @@ func (p *certifiedProbe) Decide(st sim.WindowState) linalg.Vector {
 // fresh SolveContext on the same Spec: a fresh instance holds no Phase-I
 // dual, so that solve runs the full ladder, and it must find the
 // target infeasible too. The scenario must exercise the certificate,
-// and the solver's Certified accounting must match the trace.
+// and the solver's Certified accounting must match the trace. It runs
+// the gradient variant, the one whose ladder keeps a Phase-I dual.
 func TestCertifiedWindowsAreInfeasible(t *testing.T) {
 	ctx := context.Background()
-	e, err := New(fastOpts()...)
+	e, err := New(fastOpts(WithVariant(core.VariantGradient))...)
 	if err != nil {
 		t.Fatal(err)
 	}
