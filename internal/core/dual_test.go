@@ -151,8 +151,9 @@ func dualVsOracle(t *testing.T, s *Spec, phase1 bool, tally *oracleTally) {
 
 // TestDualMatchesBarrierOracle pins the dual solve against the variable
 // barrier program it replaced (see dualVsOracle) on the Niagara default
-// grid from a uniform TStart and from explicit thermal maps, and on the
-// 64-core mesh across its capacity boundary.
+// grid from a uniform TStart and from explicit thermal maps, on a leaky
+// Niagara with every block constrained, and on the 64-core mesh across
+// its capacity boundary.
 func TestDualMatchesBarrierOracle(t *testing.T) {
 	t.Run("niagara", func(t *testing.T) {
 		f := niagaraFixture(t)
@@ -171,6 +172,34 @@ func TestDualMatchesBarrierOracle(t *testing.T) {
 		}
 		if tally.feasible == 0 || tally.infeasible == 0 {
 			t.Fatalf("the grid does not cross the boundary: %+v", tally)
+		}
+		t.Logf("%+v", tally)
+	})
+	t.Run("niagara-leaky-all-blocks", func(t *testing.T) {
+		// A 20% leakage floor (i_j > 0 in every closed form) with the
+		// uncore blocks constrained too (their rows join the working set
+		// under their own blocks).
+		f := niagaraFixture(t)
+		model := power.NiagaraCore()
+		model.IdleFrac = 0.2
+		chip, err := power.NewChip(f.chip.Floorplan(), model, power.UncoreShare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tally oracleTally
+		for _, base := range []float64{55, 75, 88} {
+			s := &Spec{Chip: chip, Window: f.window, T0: thermalMap(t, base), TMax: 100, ConstrainAllBlocks: true}
+			uniform, _, err := SolveUniformBisect(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ft := range []float64{0.3 * chip.FMax(), 0.6 * chip.FMax(), 1.01 * uniform, 1.05 * uniform} {
+				s.FTarget = math.Min(ft, chip.FMax())
+				dualVsOracle(t, s, true, &tally)
+			}
+		}
+		if tally.feasible == 0 || tally.infeasible == 0 {
+			t.Fatalf("the points do not cross the boundary: %+v", tally)
 		}
 		t.Logf("%+v", tally)
 	})
