@@ -56,7 +56,6 @@ func uniformBarrier(t *testing.T, s *Spec) (freqs []float64, total float64, feas
 	// from a point strictly inside every hard constraint.
 	opts := solver.DefaultOptions()
 	opts.Tol = 1e-7
-	before := solver.DenseSolves()
 	var x0 linalg.Vector
 	for _, slack := range []float64{1e-3, 1e-2, 5e-2} {
 		fn := phi + 1e-4*(1-phi) + 1e-9
@@ -92,9 +91,6 @@ func uniformBarrier(t *testing.T, s *Spec) (freqs []float64, total float64, feas
 	}
 	if !res.Centered {
 		t.Fatalf("the reference barrier did not center (x %v)", res.X)
-	}
-	if solver.DenseSolves() == before {
-		t.Fatal("the reference program did not run on the dense backend")
 	}
 	freqs = make([]float64, n)
 	for j := range freqs {

@@ -17,7 +17,13 @@ import (
 // window, the many-core chip TestUniformClosedFormMatchesBarrier uses.
 func meshFixture(t *testing.T) fixture {
 	t.Helper()
-	fp := floorplan.Tilera64()
+	return manyCoreFixture(t, floorplan.Tilera64(), 0.5e-3)
+}
+
+// manyCoreFixture builds a 750 MHz / 0.9 W-core chip on fp with a
+// dt-step, 100-step window.
+func manyCoreFixture(t *testing.T, fp *floorplan.Floorplan, dt float64) fixture {
+	t.Helper()
 	chip, err := power.NewChip(fp, power.CoreModel{FMax: 750e6, PMax: 0.9}, power.UncoreShare)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +32,7 @@ func meshFixture(t *testing.T) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disc, err := model.Discretize(0.5e-3)
+	disc, err := model.Discretize(dt)
 	if err != nil {
 		t.Fatal(err)
 	}

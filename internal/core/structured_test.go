@@ -4,30 +4,41 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"protemp/internal/floorplan"
 )
 
 // TestSweepPlanCompilesPattern pins the structured-KKT wiring: every
 // barrier program — the gradient variant's plan, and the variable
 // program kept as its Phase-I twin and the dual solve's oracle — must
-// carry a non-nil arrow-structure hint (the uniform and variable
-// production plans compile rows only; see
-// TestUniformPlanCompilesRowsOnly).
-// If the Hessian-pattern compiler ever starts rejecting the problem
-// shape core emits, the solver silently falls back to the dense O(n³)
-// path — this test turns that silent regression into a failure.
+// carry an arrow pattern that matches its own instance, and so must its
+// row-slack Phase-I program (the uniform and variable production plans
+// compile rows only; see TestUniformPlanCompilesRowsOnly). With every
+// block constrained, uncore rows with no gain from core power are
+// constant rows, which compile as zero rows of G.
 func TestSweepPlanCompilesPattern(t *testing.T) {
-	f := niagaraFixture(t)
-	for _, v := range []Variant{VariantVariable, VariantGradient} {
-		ts := TableSpec{Chip: f.chip, Window: f.window, TMax: 100, Variant: v}
-		pl, err := compileBarrier(ts, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if pl.pattern == nil {
-			t.Fatalf("%v: compiled plan has no Hessian pattern (structured path dead)", v)
-		}
-		if !pl.pattern.Matches(pl.instance().prob) {
-			t.Fatalf("%v: compiled pattern does not match its own instance", v)
+	grid, err := floorplan.ManyCore(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fx := range []struct {
+		name string
+		f    fixture
+	}{{"niagara", niagaraFixture(t)}, {"manycore4x4", manyCoreFixture(t, grid, 1e-3)}} {
+		for _, v := range []Variant{VariantVariable, VariantGradient} {
+			for _, all := range []bool{false, true} {
+				ts := TableSpec{Chip: fx.f.chip, Window: fx.f.window, TMax: 100, Variant: v, ConstrainAllBlocks: all}
+				pl, err := compileBarrier(ts, nil)
+				if err != nil {
+					t.Fatalf("%s %v all=%v: %v", fx.name, v, all, err)
+				}
+				if !pl.pattern.Matches(pl.instance().prob) {
+					t.Fatalf("%s %v all=%v: compiled pattern does not match its own instance", fx.name, v, all)
+				}
+				if _, err := pl.slackPlan(); err != nil {
+					t.Fatalf("%s %v all=%v: Phase I: %v", fx.name, v, all, err)
+				}
+			}
 		}
 	}
 }
@@ -38,17 +49,28 @@ func TestSweepPlanCompilesPattern(t *testing.T) {
 // takes the dense Cholesky path — driven through the same closed-loop
 // window sequence must produce the same trajectory: identical
 // feasibility verdicts, frequencies within solver tolerance, and the
-// same thermal guarantee.
+// same thermal guarantee. The all-blocks lanes constrain every block,
+// uncore rows with no gain from core power included.
 func TestStructuredMatchesDenseClosedLoop(t *testing.T) {
 	f := niagaraFixture(t)
 	fmax := f.chip.FMax()
-	for _, v := range []Variant{VariantVariable, VariantGradient} {
-		t.Run(v.String(), func(t *testing.T) {
-			arrow, err := newOnlineSolver(onlineSpec(t, v), true)
+	for _, tc := range []struct {
+		v   Variant
+		all bool
+	}{{VariantVariable, false}, {VariantGradient, false}, {VariantVariable, true}, {VariantGradient, true}} {
+		v := tc.v
+		name := v.String()
+		if tc.all {
+			name += "/all-blocks"
+		}
+		t.Run(name, func(t *testing.T) {
+			spec := onlineSpec(t, v)
+			spec.ConstrainAllBlocks = tc.all
+			arrow, err := newOnlineSolver(spec, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dense, err := newOnlineSolver(onlineSpec(t, v), true)
+			dense, err := newOnlineSolver(spec, true)
 			if err != nil {
 				t.Fatal(err)
 			}

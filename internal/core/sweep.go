@@ -48,10 +48,9 @@ type sweepPlan struct {
 	// coefficient vectors are constant, offsets are row c0 differences.
 	gradPairs []gradPair
 
-	// pattern is the compiled arrow-structure hint of the problem's
-	// barrier Hessian, shared read-only by every instance (the solver
-	// re-verifies it per solve). nil means the structure did not
-	// compile and solves stay on the dense path.
+	// pattern is the compiled arrow structure of the problem's barrier
+	// Hessian, shared read-only by every instance (the solver
+	// re-verifies it per solve); nil on a rows-only plan.
 	pattern *solver.HessianPattern
 
 	// slack is the row-slack Phase-I program (see slackPlan), compiled
@@ -314,10 +313,9 @@ func compileBarrier(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	// sibling instance shares the same coefficient vectors, so the one
 	// pattern serves the sweep, the online MPC path and every DMPC
 	// cluster. The f block is the frequency variables — lay.fIdx is the
-	// identity over [0, n). A structure that fails to compile is not an
-	// error; those solves simply stay dense.
-	if pat, err := solver.CompileHessianPattern(pl.instance().prob, n); err == nil {
-		pl.pattern = pat
+	// identity over [0, n).
+	if pl.pattern, err = solver.CompileHessianPattern(pl.instance().prob, n); err != nil {
+		return nil, err
 	}
 	return pl, nil
 }

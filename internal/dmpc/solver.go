@@ -24,7 +24,7 @@ type Options struct {
 	// clamped to [1, NumCores].
 	Clusters int
 	// MaxOuter bounds the ADMM outer (consensus) iterations per window;
-	// default 4.
+	// default 6.
 	MaxOuter int
 	// PrimalTolC is the consensus stopping tolerance: the largest
 	// owner-vs-observer disagreement on a boundary block's temperature
@@ -38,33 +38,36 @@ type Options struct {
 	// it trigger the fallback ladder. Default 1.0; never below
 	// PrimalTolC.
 	AcceptTolC float64
-	// DualStep scales the dual price update. The raw update is
+	// Workers bounds the cluster solves running in parallel each
+	// iteration; default GOMAXPROCS.
+	Workers int
+}
+
+const (
+	// dualStep scales the dual price update. The raw update is
 	// Newton-like — the boundary disagreement divided by the halo
 	// block's measured initial-state gain — but a full step oscillates:
 	// the observing cluster's controller reacts to a cooler boundary by
 	// spending the freed thermal headroom, which heats the boundary
-	// back. The damped default 0.5 absorbs that feedback.
-	DualStep float64
-	// StallFactor declares the iteration stalled when the primal
-	// residual fails to shrink below StallFactor × previous residual,
-	// triggering the fallback ladder. Default 0.9.
-	StallFactor float64
-	// HaloPowerFrac is the fixed power a halo core is assumed to draw,
+	// back. The damped step absorbs that feedback.
+	dualStep = 0.5
+	// stallFactor declares the iteration stalled when the primal
+	// residual fails to shrink below stallFactor × previous residual,
+	// triggering the fallback ladder.
+	stallFactor = 0.9
+	// haloPowerFrac is the fixed power a halo core is assumed to draw,
 	// as a fraction of its PMax — the observer's stand-in for a
-	// neighbor's unknown DVFS decision. Default 0.5.
-	HaloPowerFrac float64
-	// Workers bounds the cluster solves running in parallel each
-	// iteration; default GOMAXPROCS.
-	Workers int
-	// FallbackCores is the largest chip (in cores) the centralized
-	// fallback rung will solve; bigger chips fall back to the
-	// conservative worst-case-boundary rung instead, because compiling
-	// the dense full-chip program is exactly the cost the decomposition
-	// exists to avoid. Default 32.
-	FallbackCores int
-	// LambdaMaxC clamps the per-edge dual correction, in °C. Default 25.
-	LambdaMaxC float64
-}
+	// neighbor's unknown DVFS decision.
+	haloPowerFrac = 0.5
+	// lambdaMaxC clamps the per-edge dual correction, in °C.
+	lambdaMaxC = 25
+	// fallbackCores is the largest chip (in cores) the centralized
+	// fallback rung will solve (Solver.fallbackCores); bigger chips fall
+	// back to the conservative worst-case-boundary rung instead, because
+	// compiling the full-chip program is exactly the cost the
+	// decomposition exists to avoid.
+	fallbackCores = 32
+)
 
 func (o Options) withDefaults(nCores int) Options {
 	if o.Clusters <= 0 {
@@ -85,23 +88,8 @@ func (o Options) withDefaults(nCores int) Options {
 	if o.AcceptTolC < o.PrimalTolC {
 		o.AcceptTolC = o.PrimalTolC
 	}
-	if o.DualStep <= 0 {
-		o.DualStep = 0.5
-	}
-	if o.StallFactor <= 0 {
-		o.StallFactor = 0.9
-	}
-	if o.HaloPowerFrac <= 0 {
-		o.HaloPowerFrac = 0.5
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.FallbackCores <= 0 {
-		o.FallbackCores = 32
-	}
-	if o.LambdaMaxC <= 0 {
-		o.LambdaMaxC = 25
 	}
 	return o
 }
@@ -167,6 +155,9 @@ type Solver struct {
 	opts Options
 	part *Partition
 	subs []*clusterSub
+	// fallbackCores is the largest chip the centralized fallback rung
+	// solves (the fallbackCores constant; tests lower it).
+	fallbackCores int
 
 	// lambda holds the dual state: one °C correction per (cluster, halo
 	// block), persisted across windows and reset by Invalidate.
@@ -254,7 +245,7 @@ func New(cfg Config) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Solver{cfg: cfg, opts: opts, part: part,
+	s := &Solver{cfg: cfg, opts: opts, part: part, fallbackCores: fallbackCores,
 		subs:   make([]*clusterSub, part.K),
 		lambda: make([][]float64, part.K),
 		ownEnd: make([]float64, fp.NumBlocks()),
@@ -329,7 +320,7 @@ func (s *Solver) consensusStep() (int, error) {
 // buildCluster assembles a cluster's sub-chip and compiles its online
 // subproblem. Member blocks keep their full-chip geometry and fixed
 // powers; halo core blocks are demoted to uncore with a fixed
-// HaloPowerFrac·PMax draw (the observer's stand-in for the neighbor's
+// haloPowerFrac·PMax draw (the observer's stand-in for the neighbor's
 // DVFS decision), halo non-core blocks keep their fixed powers.
 func (s *Solver) buildCluster(cl *Cluster) (*clusterSub, error) {
 	fp := s.cfg.Chip.Floorplan()
@@ -349,7 +340,7 @@ func (s *Solver) buildCluster(cl *Cluster) (*clusterSub, error) {
 		isHalo := li >= len(cl.Blocks)
 		if isHalo && blk.Kind == floorplan.KindCore {
 			blk.Kind = floorplan.KindUncore
-			fixed[li] = s.opts.HaloPowerFrac * coreModel.PMax
+			fixed[li] = haloPowerFrac * coreModel.PMax
 		} else {
 			fixed[li] = parentFixed[b]
 		}
@@ -473,7 +464,7 @@ func (s *Solver) Solve(ctx context.Context, tstart float64, t0 []float64, ftarge
 			}
 			break
 		}
-		if primal > s.opts.StallFactor*prevPrimal {
+		if primal > stallFactor*prevPrimal {
 			if s.rec != nil {
 				s.rec.Outer(it, primal, 0)
 			}
@@ -644,9 +635,9 @@ func (s *Solver) primalResidual() float64 {
 }
 
 // updateDuals performs the ADMM-style price update: each cluster's
-// halo-temperature correction moves by DualStep × (owner's prediction
+// halo-temperature correction moves by dualStep × (owner's prediction
 // − observer's prediction) / (the halo block's initial-state gain at
-// the consensus step), clamped to ±LambdaMaxC. Dividing by the
+// the consensus step), clamped to ±lambdaMaxC. Dividing by the
 // measured gain makes this a Newton step on the price: one full update
 // moves the observer's next prediction onto the owner's. Returns the
 // largest correction applied (the dual residual, °C).
@@ -654,13 +645,13 @@ func (s *Solver) updateDuals() float64 {
 	var worst float64
 	for c, sub := range s.subs {
 		for hi, b := range sub.halo {
-			d := s.opts.DualStep * (s.ownEnd[b] - sub.haloEnd[hi]) / sub.haloGain[hi]
+			d := dualStep * (s.ownEnd[b] - sub.haloEnd[hi]) / sub.haloGain[hi]
 			next := s.lambda[c][hi] + d
-			if next > s.opts.LambdaMaxC {
-				next = s.opts.LambdaMaxC
+			if next > lambdaMaxC {
+				next = lambdaMaxC
 			}
-			if next < -s.opts.LambdaMaxC {
-				next = -s.opts.LambdaMaxC
+			if next < -lambdaMaxC {
+				next = -lambdaMaxC
 			}
 			if step := math.Abs(next - s.lambda[c][hi]); step > worst {
 				worst = step
@@ -672,14 +663,14 @@ func (s *Solver) updateDuals() float64 {
 }
 
 // fallback runs the ladder below the consensus loop. Rung 1: on chips
-// small enough to afford it (≤ FallbackCores cores) re-solve the full
+// small enough to afford it (≤ fallbackCores cores) re-solve the full
 // centralized program, lazily compiling it on first use. Rung 2: on
 // larger chips, one conservative round with every halo temperature
 // pinned to TMax — the hottest admissible boundary, so the Euler
 // update's monotonicity makes each cluster's constraint enforcement an
 // upper bound on the true coupled system.
 func (s *Solver) fallback(ctx context.Context, tstart float64, t0g []float64, ftarget float64, stats *StepStats) (*core.Assignment, StepStats, error) {
-	if s.cfg.Chip.NumCores() <= s.opts.FallbackCores {
+	if s.cfg.Chip.NumCores() <= s.fallbackCores {
 		if s.rec != nil {
 			s.rec.Fallback("central")
 		}

@@ -87,7 +87,7 @@ func TestInvalidateResetsWarmAndDuals(t *testing.T) {
 
 // TestFallbackCentralized forces the consensus loop to give up after
 // one iteration with an unreachable tolerance; on a chip under the
-// FallbackCores limit the centralized rung must produce the decision.
+// fallbackCores limit the centralized rung must produce the decision.
 func TestFallbackCentralized(t *testing.T) {
 	s := niagaraSolver(t, Options{Clusters: 2, MaxOuter: 1, PrimalTolC: 1e-12, AcceptTolC: 1e-12})
 	a, stats, err := s.Solve(context.Background(), 85, nil, 0.7e9)
@@ -105,11 +105,12 @@ func TestFallbackCentralized(t *testing.T) {
 	}
 }
 
-// TestFallbackWorstCase forces the conservative rung (FallbackCores
+// TestFallbackWorstCase forces the conservative rung (fallbackCores
 // below the chip size): every halo pinned to TMax must still yield a
 // usable, in-range decision.
 func TestFallbackWorstCase(t *testing.T) {
-	s := niagaraSolver(t, Options{Clusters: 2, MaxOuter: 1, PrimalTolC: 1e-12, AcceptTolC: 1e-12, FallbackCores: 1})
+	s := niagaraSolver(t, Options{Clusters: 2, MaxOuter: 1, PrimalTolC: 1e-12, AcceptTolC: 1e-12})
+	s.fallbackCores = 1
 	a, stats, err := s.Solve(context.Background(), 85, nil, 0.7e9)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"protemp/internal/linalg"
@@ -223,7 +222,10 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 		return nil, fmt.Errorf("solver: start has dim %d, want %d", len(x0), n)
 	}
 	if !p.IsStrictlyFeasible(x0) {
-		return nil, fmt.Errorf("solver: start is not strictly feasible (max violation %v); run PhaseI first", p.MaxViolation(x0))
+		return nil, fmt.Errorf("solver: start is not strictly feasible (max violation %v); run Phase I first", p.MaxViolation(x0))
+	}
+	if p.Pattern != nil && !p.Pattern.matches(p) {
+		return nil, errors.New("solver: the problem's compiled pattern no longer matches it")
 	}
 	if ws == nil {
 		ws = NewWorkspace(n)
@@ -231,25 +233,24 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 		ws.ensure(n)
 	}
 
-	// Backend selection: the structured path needs a compiled pattern
-	// that still describes this problem instance (a pointer walk);
-	// anything else — no pattern, the generic PhaseI augmentation, a
-	// hand-built problem — stays dense. Both backends live in the workspace, so
-	// neither branch allocates. The structured path screens its row
-	// constraints (screen.go): it solves on the working set, checks
-	// every row at the result, and re-solves from x0 after a cut.
+	// Backend selection: a problem without a pattern (a hand-built
+	// problem, or a reference solve that strips it) runs dense; one with
+	// a pattern, verified above, runs on the arrow backend. Both backends
+	// live in the workspace, so neither branch allocates. The structured
+	// path screens its row constraints (screen.go): it solves on the
+	// working set, checks every row at the result, and re-solves from x0
+	// after a cut.
 	var ops kktOps
 	var scr *arrowOps
-	if p.Pattern != nil && p.Pattern.matches(p) {
+	if p.Pattern == nil {
+		ws.dops = denseOps{p: p, ws: ws}
+		ops = &ws.dops
+	} else {
 		ws.ensureArrow(p.Pattern)
 		ws.aops = arrowOps{p: p, pat: p.Pattern, ws: ws}
 		scr = &ws.aops
 		scr.seed(x0, o.allRows)
 		ops = scr
-	} else {
-		denseSolves.Add(1)
-		ws.dops = denseOps{p: p, ws: ws}
-		ops = &ws.dops
 	}
 
 	x := x0.Clone()
@@ -339,17 +340,6 @@ func stages(x linalg.Vector, m int, o Options, ws *Workspace, ops kktOps, res *R
 	}
 	return t, nil
 }
-
-// denseSolves counts, process-wide, the barrier solves that ran on the
-// dense KKT backend.
-var denseSolves atomic.Uint64
-
-// DenseSolves reports how many barrier solves, process-wide, have run
-// on the dense KKT backend: a problem with no compiled pattern, or one
-// whose pattern no longer matches it. Every production problem compiles
-// a pattern (Phase I included), so the count only moves for hand-built
-// problems and for reference solves that strip the pattern.
-func DenseSolves() uint64 { return denseSolves.Load() }
 
 // machEps is the double-precision unit round-off.
 const machEps = 2.220446049250313e-16

@@ -230,26 +230,21 @@ func TestMaxViolation(t *testing.T) {
 }
 
 func TestErrInfeasibleSentinel(t *testing.T) {
-	err := PhaseIInfeasibleError(t)
+	err := infeasibleBoxError(t)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("error %v not ErrInfeasible", err)
 	}
 }
 
-// PhaseIInfeasibleError builds an infeasible system (x <= -1, x >= 1)
-// and returns PhaseI's error; shared with the sentinel test above.
-func PhaseIInfeasibleError(t *testing.T) error {
+// infeasibleBoxError builds an infeasible system (x <= -1, x >= 1)
+// and returns the row-slack Phase I's error; shared with the sentinel
+// test above.
+func infeasibleBoxError(t *testing.T) error {
 	t.Helper()
-	p := &Problem{
-		Objective: &Affine{A: linalg.VectorOf(1)},
-		Constraints: []Func{
-			&Affine{A: linalg.VectorOf(1), B: 1},  // x + 1 <= 0
-			&Affine{A: linalg.VectorOf(-1), B: 1}, // 1 - x <= 0
-		},
-	}
-	_, err := PhaseI(p, linalg.VectorOf(0), Options{})
+	_, ph := softBox(t, 1, 1, -1)
+	_, err := ph.Find(linalg.VectorOf(0), Options{})
 	if err == nil {
-		t.Fatal("infeasible system accepted by PhaseI")
+		t.Fatal("infeasible system accepted by Phase I")
 	}
 	return err
 }

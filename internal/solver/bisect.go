@@ -1,18 +1,14 @@
 package solver
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // BisectMax finds (to absolute tolerance tol) the largest v in [lo, hi]
 // for which feasible(v) holds, assuming feasibility is monotone
 // downward: feasible(v) implies feasible(u) for every u in [lo, v].
 //
-// It returns ok=false when even lo is infeasible. The uniform-frequency
-// variant of Pro-Temp is exactly this problem — "the highest common
-// frequency whose thermal trajectory stays below tmax" — and serves as
-// an independent cross-check of the barrier solver.
+// It returns ok=false when even lo is infeasible. The experiments use
+// it to find the highest supportable average-frequency target of the
+// variable program.
 func BisectMax(lo, hi, tol float64, feasible func(float64) bool) (float64, bool) {
 	if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
 		return 0, false
@@ -35,35 +31,4 @@ func BisectMax(lo, hi, tol float64, feasible func(float64) bool) (float64, bool)
 		}
 	}
 	return lo, true
-}
-
-// BisectRoot finds a root of the continuous monotone function f on
-// [lo, hi] to tolerance tol. f(lo) and f(hi) must bracket zero.
-func BisectRoot(lo, hi, tol float64, f func(float64) float64) (float64, error) {
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if (flo > 0) == (fhi > 0) {
-		return 0, fmt.Errorf("solver: root not bracketed: f(%v)=%v, f(%v)=%v", lo, flo, hi, fhi)
-	}
-	if tol <= 0 {
-		tol = 1e-12 * (1 + math.Abs(hi))
-	}
-	for hi-lo > tol {
-		mid := lo + (hi-lo)/2
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if (fm > 0) == (flo > 0) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return lo + (hi-lo)/2, nil
 }

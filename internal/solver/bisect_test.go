@@ -67,40 +67,3 @@ func TestBisectMaxProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBisectRoot(t *testing.T) {
-	r, err := BisectRoot(0, 4, 1e-12, func(x float64) float64 { return x*x - 2 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-math.Sqrt2) > 1e-9 {
-		t.Fatalf("root = %v, want √2", r)
-	}
-}
-
-func TestBisectRootEndpoints(t *testing.T) {
-	r, err := BisectRoot(0, 1, 1e-12, func(x float64) float64 { return x })
-	if err != nil || r != 0 {
-		t.Fatalf("r = %v, err = %v", r, err)
-	}
-	r, err = BisectRoot(-1, 0, 1e-12, func(x float64) float64 { return x })
-	if err != nil || r != 0 {
-		t.Fatalf("r = %v, err = %v", r, err)
-	}
-}
-
-func TestBisectRootNotBracketed(t *testing.T) {
-	if _, err := BisectRoot(1, 2, 1e-12, func(x float64) float64 { return x }); err == nil {
-		t.Fatal("unbracketed root accepted")
-	}
-}
-
-func TestBisectRootDecreasing(t *testing.T) {
-	r, err := BisectRoot(0, 2, 1e-12, func(x float64) float64 { return 1 - x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-1) > 1e-9 {
-		t.Fatalf("root = %v, want 1", r)
-	}
-}

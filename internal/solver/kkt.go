@@ -9,7 +9,8 @@ import (
 // kktOps abstracts the Newton-KKT backend of one centering: assembling
 // the barrier gradient/Hessian, solving for the Newton direction, and
 // evaluating the barrier value and strict feasibility of trial points.
-// The dense backend is the historical path; the arrow backend exploits
+// The dense backend solves problems without a pattern (hand-built ones
+// and the references tests compare against); the arrow backend exploits
 // a compiled HessianPattern. Both live inside the Workspace, so
 // selecting one allocates nothing.
 type kktOps interface {

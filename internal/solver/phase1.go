@@ -8,81 +8,9 @@ import (
 	"protemp/internal/linalg"
 )
 
-// PhaseI finds a strictly feasible point of p's constraint set, or
-// returns ErrInfeasible. It solves the standard auxiliary program
-//
-//	minimize    s
-//	subject to  fi(x) − s <= 0
-//
-// over (x, s), starting from any x0 (the fi must be defined everywhere,
-// which holds for the affine/quadratic constraints used here), and
-// stops as soon as an iterate has s < −margin. The constraint set
-// should bound x for bounded s (Pro-Temp's frequency box constraints
-// do), otherwise the auxiliary problem may wander. The slack column
-// touches every constraint, so the program has no arrow shape and runs
-// on the dense backend; compiled problems use SlackPlan instead, and
-// PhaseI is the reference it is checked against.
-func PhaseI(p *Problem, x0 linalg.Vector, opts Options) (linalg.Vector, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	n := p.Dim()
-	if len(x0) != n {
-		return nil, fmt.Errorf("solver: start has dim %d, want %d", len(x0), n)
-	}
-	if len(p.Constraints) == 0 {
-		return x0.Clone(), nil
-	}
-	if p.IsStrictlyFeasible(x0) {
-		return x0.Clone(), nil
-	}
-
-	// Build the augmented problem over (x, s).
-	aug := &Problem{
-		Objective:   &Affine{A: unitVector(n+1, n)},
-		Constraints: make([]Func, len(p.Constraints)),
-	}
-	for i, c := range p.Constraints {
-		aug.Constraints[i] = &slackShifted{inner: c, scratch: linalg.NewMatrix(n, n)}
-	}
-
-	// Strictly feasible start for the augmented problem.
-	viol := p.MaxViolation(x0)
-	z0 := make(linalg.Vector, n+1)
-	copy(z0, x0)
-	z0[n] = viol + 1 + 0.1*abs(viol)
-	x, _, err := minimizeSlack(p, aug, z0, opts, nil)
-	return x, err
-}
-
-// minimizeSlack runs a Phase-I barrier over aug, whose last variable is
-// the slack, from the strictly feasible z0. It stops as soon as the
-// slack drops below −opts.Tol (−1e-9 when Tol is unset) and returns the
-// x part when it is strictly feasible for p; an optimum slack s >= 0
-// certifies ErrInfeasible, returned with the barrier's multipliers
-// (indexed like aug's constraints).
-func minimizeSlack(p, aug *Problem, z0 linalg.Vector, opts Options, ws *Workspace) (linalg.Vector, linalg.Vector, error) {
-	n := len(z0) - 1
-	margin := opts.Tol
-	if margin <= 0 {
-		margin = 1e-9
-	}
-	o := opts
-	o.StopEarly = func(z linalg.Vector) bool { return z[n] < -margin }
-	res, err := BarrierWS(aug, z0, o, ws)
-	if err != nil {
-		return nil, nil, fmt.Errorf("solver: phase I: %w", err)
-	}
-	x := res.X[:n].Clone()
-	if res.X[n] >= 0 || !p.IsStrictlyFeasible(x) {
-		return nil, res.Lambda, fmt.Errorf("%w: phase I optimum s = %v", ErrInfeasible, res.X[n])
-	}
-	return x, nil, nil
-}
-
 // SlackPlan is the compiled row-slack Phase-I program of one problem
-// shape. Unlike PhaseI, which shifts every constraint by the slack, it
-// puts the slack s only on the constraints marked soft:
+// shape. It finds a strictly feasible point, or certifies that none
+// exists, by putting a slack s on the constraints marked soft:
 //
 //	minimize    s
 //	subject to  fi(x) − s <= 0   (i soft, each an Affine)
@@ -110,8 +38,8 @@ type SlackPlan struct {
 // *Affine; every other constraint must be an *Affine or a
 // *DiagQuadratic). nf is the arrow split of p (see
 // CompileHessianPattern): the slack joins the dense block, so a soft
-// row stays a G row. When the augmented structure does not compile, the
-// plan has no pattern and its solves run on the dense backend.
+// row stays a G row. An augmented structure that does not compile is an
+// error.
 func CompileSlackPhaseI(p *Problem, nf int, soft []bool) (*SlackPlan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -150,9 +78,11 @@ func CompileSlackPhaseI(p *Problem, nf int, soft []bool) (*SlackPlan, error) {
 			return nil, fmt.Errorf("solver: constraint %d (%T) has no row-slack form", i, c)
 		}
 	}
-	if pat, err := CompileHessianPattern(aug, nf); err == nil {
-		aug.Pattern = pat
+	pat, err := CompileHessianPattern(aug, nf)
+	if err != nil {
+		return nil, fmt.Errorf("solver: phase I: %w", err)
 	}
+	aug.Pattern = pat
 	return &SlackPlan{soft: slices.Clone(soft), aug: aug}, nil
 }
 
@@ -241,70 +171,27 @@ func (ph *SlackPhaseI) Find(x0 linalg.Vector, opts Options) (linalg.Vector, erro
 	z0 := make(linalg.Vector, n+1)
 	copy(z0, x0)
 	z0[n] = worst + 1
-	x, lambda, err := minimizeSlack(ph.src, ph.aug, z0, opts, ph.ws)
-	ph.lambda = lambda
-	return x, err
-}
-
-// Solve runs PhaseI if needed, then Barrier.
-func Solve(p *Problem, x0 linalg.Vector, opts Options) (*Result, error) {
-	start := x0
-	if !p.IsStrictlyFeasible(x0) {
-		feasible, err := PhaseI(p, x0, opts)
-		if err != nil {
-			return nil, err
-		}
-		start = feasible
+	// Stop as soon as the slack drops below −Tol (−1e-9 when unset); an
+	// optimum slack s >= 0 certifies infeasibility.
+	margin := opts.Tol
+	if margin <= 0 {
+		margin = 1e-9
 	}
-	return Barrier(p, start, opts)
-}
-
-// slackShifted wraps f(x) as g(x, s) = f(x) − s for Phase I.
-type slackShifted struct {
-	inner   Func
-	scratch *linalg.Matrix
-}
-
-func (f *slackShifted) Dim() int { return f.inner.Dim() + 1 }
-
-func (f *slackShifted) Value(z linalg.Vector) float64 {
-	n := f.inner.Dim()
-	return f.inner.Value(z[:n]) - z[n]
-}
-
-func (f *slackShifted) Gradient(g, z linalg.Vector) {
-	n := f.inner.Dim()
-	f.inner.Gradient(g[:n], z[:n])
-	g[n] = -1
-}
-
-func (f *slackShifted) AddHessian(h *linalg.Matrix, w float64, z linalg.Vector) {
-	n := f.inner.Dim()
-	for i := 0; i < n; i++ {
-		row := f.scratch.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
+	opts.StopEarly = func(z linalg.Vector) bool { return z[n] < -margin }
+	res, err := BarrierWS(ph.aug, z0, opts, ph.ws)
+	if err != nil {
+		return nil, fmt.Errorf("solver: phase I: %w", err)
 	}
-	f.inner.AddHessian(f.scratch, w, z[:n])
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if v := f.scratch.At(i, j); v != 0 {
-				h.AddAt(i, j, v)
-			}
-		}
+	x := res.X[:n].Clone()
+	if res.X[n] >= 0 || !ph.src.IsStrictlyFeasible(x) {
+		ph.lambda = res.Lambda
+		return nil, fmt.Errorf("%w: phase I optimum s = %v", ErrInfeasible, res.X[n])
 	}
+	return x, nil
 }
 
 func unitVector(n, i int) linalg.Vector {
 	v := linalg.NewVector(n)
 	v[i] = 1
 	return v
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

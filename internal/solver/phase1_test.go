@@ -6,60 +6,79 @@ import (
 	"math/rand"
 	"testing"
 
+	"protemp/internal/floorplan"
 	"protemp/internal/linalg"
+	"protemp/internal/power"
+	"protemp/internal/thermal"
 )
+
+// softBox returns the box lo <= x_j <= hi on every coordinate with
+// every row soft: the row-slack Phase I may start anywhere.
+func softBox(t *testing.T, n int, lo, hi float64) (*Problem, *SlackPhaseI) {
+	t.Helper()
+	p := &Problem{Objective: &Affine{A: linalg.Constant(n, 1)}}
+	for j := 0; j < n; j++ {
+		l := linalg.NewVector(n)
+		l[j] = -1
+		h := linalg.NewVector(n)
+		h[j] = 1
+		p.Constraints = append(p.Constraints, NewSparseAffine(l, lo), NewSparseAffine(h, -hi))
+	}
+	soft := make([]bool, len(p.Constraints))
+	for i := range soft {
+		soft[i] = true
+	}
+	sp, err := CompileSlackPhaseI(p, 0, soft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, sp.Bind(p)
+}
 
 func TestPhaseIFindsInterior(t *testing.T) {
 	// Feasible set: 1 <= x <= 3 per coordinate, start far outside.
-	n := 3
-	p := &Problem{Objective: &Affine{A: linalg.Constant(n, 1)}}
-	for j := 0; j < n; j++ {
-		lo := linalg.NewVector(n)
-		lo[j] = -1
-		hi := linalg.NewVector(n)
-		hi[j] = 1
-		p.Constraints = append(p.Constraints,
-			&Affine{A: lo, B: 1},
-			&Affine{A: hi, B: -3},
-		)
-	}
-	x, err := PhaseI(p, linalg.Constant(n, -10), Options{})
+	p, ph := softBox(t, 3, 1, 3)
+	x, err := ph.Find(linalg.Constant(3, -10), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !p.IsStrictlyFeasible(x) {
-		t.Fatalf("PhaseI point %v not strictly feasible", x)
+		t.Fatalf("Phase I point %v not strictly feasible", x)
 	}
 }
 
 func TestPhaseIReturnsStartIfFeasible(t *testing.T) {
-	p := boxProblem(t, linalg.VectorOf(0.5, 0.5))
+	_, ph := softBox(t, 2, 0, 1)
 	start := linalg.VectorOf(0.25, 0.75)
-	x, err := PhaseI(p, start, Options{})
+	x, err := ph.Find(start, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !x.Equal(start, 0) {
-		t.Fatalf("PhaseI moved an already-feasible start: %v", x)
+		t.Fatalf("Phase I moved an already-feasible start: %v", x)
 	}
 }
 
+// TestPhaseIQuadraticConstraints keeps a quadratic coupling
+// f² − p <= 0 hard while the slack lifts p over the soft row p >= 0.3.
 func TestPhaseIQuadraticConstraints(t *testing.T) {
-	// Feasible set: x² + y² <= 1 (split into two diag quadratics is not
-	// needed — one works), plus x >= 0.3 making the naive origin start
-	// infeasible.
-	ball, err := NewDiagQuadratic(linalg.VectorOf(1, 1), linalg.NewVector(2), -1)
+	coupling, err := NewDiagQuadratic(linalg.VectorOf(1, 0), linalg.VectorOf(0, -1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := &Problem{
 		Objective: &Affine{A: linalg.VectorOf(0, 1)},
 		Constraints: []Func{
-			ball,
-			&Affine{A: linalg.VectorOf(-1, 0), B: 0.3},
+			NewSparseAffine(linalg.VectorOf(0, -1), 0.3),
+			coupling,
+			NewSparseAffine(linalg.VectorOf(0, 1), -1),
 		},
 	}
-	x, err := PhaseI(p, linalg.VectorOf(-5, 5), Options{})
+	sp, err := CompileSlackPhaseI(p, 1, []bool{true, false, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := sp.Bind(p).Find(linalg.VectorOf(0.1, 0.05), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,40 +87,20 @@ func TestPhaseIQuadraticConstraints(t *testing.T) {
 	}
 }
 
-func TestSolveEndToEndFromInfeasibleStart(t *testing.T) {
-	c := linalg.VectorOf(0.2, 0.9)
-	p := boxProblem(t, c)
-	res, err := Solve(p, linalg.VectorOf(-7, 12), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.X.Equal(c, 1e-5) {
-		t.Fatalf("X = %v, want %v", res.X, c)
-	}
-}
-
-func TestSolveNoConstraints(t *testing.T) {
-	obj, _ := NewDiagQuadratic(linalg.VectorOf(1), linalg.VectorOf(-4), 0)
-	p := &Problem{Objective: obj}
-	res, err := Solve(p, linalg.VectorOf(100), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-2) > 1e-6 {
-		t.Fatalf("X = %v, want 2", res.X)
-	}
-}
-
 func TestPhaseIDimensionMismatch(t *testing.T) {
-	p := boxProblem(t, linalg.VectorOf(0.5))
-	if _, err := PhaseI(p, linalg.VectorOf(1, 2), Options{}); err == nil {
+	_, ph := softBox(t, 1, 0, 1)
+	if _, err := ph.Find(linalg.VectorOf(1, 2), Options{}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
 
 func TestPhaseINoConstraints(t *testing.T) {
 	p := &Problem{Objective: &Affine{A: linalg.VectorOf(1)}}
-	x, err := PhaseI(p, linalg.VectorOf(42), Options{})
+	sp, err := CompileSlackPhaseI(p, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := sp.Bind(p).Find(linalg.VectorOf(42), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,19 +112,8 @@ func TestPhaseINoConstraints(t *testing.T) {
 // Near-infeasible: the box [0.499, 0.501] is tiny but nonempty; Phase I
 // must still find it from far away.
 func TestPhaseITightBox(t *testing.T) {
-	n := 2
-	p := &Problem{Objective: &Affine{A: linalg.Constant(n, 1)}}
-	for j := 0; j < n; j++ {
-		lo := linalg.NewVector(n)
-		lo[j] = -1
-		hi := linalg.NewVector(n)
-		hi[j] = 1
-		p.Constraints = append(p.Constraints,
-			&Affine{A: lo, B: 0.499},
-			&Affine{A: hi, B: -0.501},
-		)
-	}
-	x, err := PhaseI(p, linalg.Constant(n, 50), Options{})
+	p, ph := softBox(t, 2, 0.499, 0.501)
+	x, err := ph.Find(linalg.Constant(2, 50), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +122,116 @@ func TestPhaseITightBox(t *testing.T) {
 	}
 }
 
+// niagaraUniformProgram builds the two-variable uniform program x =
+// [fn, pn] on Niagara (1 ms steps, 100-step window, TMax 100 °C) from a
+// uniform tstart at an average target of fmhz: one row per (step, core
+// block), coef.Sum()·pn + c0 − TMax <= 0, soft; core 0's coupling, the
+// workload row fn >= φ and the boxes, hard. It returns the program, its
+// soft mask and the closed-form Phase-I start, strictly inside every
+// hard constraint.
+func niagaraUniformProgram(t *testing.T, tstart, fmhz float64) (*Problem, []bool, linalg.Vector) {
+	t.Helper()
+	fp := floorplan.Niagara()
+	chip, err := power.NewChip(fp, power.NiagaraCore(), power.UncoreShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := thermal.NewRC(fp, thermal.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	disc, err := model.Discretize(1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window, err := disc.Window(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tmax = 100
+	n := chip.NumCores()
+	obj := linalg.NewVector(2)
+	for j := 0; j < n; j++ {
+		obj[1] += chip.CoreModelOf(j).PMax
+	}
+	p := &Problem{Objective: &Affine{A: obj}}
+	fixed := chip.FixedPower()
+	for k := 1; k <= window.Steps(); k++ {
+		for _, bi := range fp.CoreIndices() {
+			t0Row, drive, gain, err := window.AffineRows(k, bi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coef := 0.0
+			for j := 0; j < n; j++ {
+				coef += gain[chip.CoreBlockIndex(j)] * chip.CoreModelOf(j).PMax
+			}
+			c0 := t0Row.Sum()*tstart + drive + gain.Dot(fixed)
+			p.Constraints = append(p.Constraints, NewSparseAffine(linalg.VectorOf(0, coef), c0-tmax))
+		}
+	}
+	soft := make([]bool, len(p.Constraints))
+	for i := range soft {
+		soft[i] = true
+	}
+	idle := chip.CoreModelOf(0).IdleFrac
+	coupling, err := NewDiagQuadratic(linalg.VectorOf(1-idle, 0), linalg.VectorOf(0, -1), idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi := fmhz * 1e6 / chip.FMax()
+	p.Constraints = append(p.Constraints,
+		coupling,
+		NewSparseAffine(linalg.VectorOf(-1, 0), phi),
+		NewSparseAffine(linalg.VectorOf(-1, 0), 0),
+		NewSparseAffine(linalg.VectorOf(1, 0), -1),
+		NewSparseAffine(linalg.VectorOf(0, 1), -1),
+	)
+	soft = append(soft, make([]bool, 5)...)
+	fn := phi + 0.5*(1-phi)
+	pn := idle + (1-idle)*fn*fn
+	return p, soft, linalg.VectorOf(fn, pn+math.Min(1e-3, 0.5*(1-pn)))
+}
+
 // TestSlackPhaseIMatchesPhaseI compares the row-slack Phase-I program
-// with the generic dense PhaseI on random arrow-shaped programs whose
-// row caps are scaled from comfortably loose to unsatisfiable: the two
-// agree on feasible vs infeasible, every point returned is strictly
-// feasible, the row-slack solves stay on the structured backend, and a
-// bound instance reads its source's offsets live.
+// on the arrow backend with the same program run dense, its pattern
+// stripped, on random arrow-shaped programs whose row caps are scaled
+// from comfortably loose to unsatisfiable: the two agree on feasible vs
+// infeasible, every point returned is strictly feasible, and a bound
+// instance reads its source's offsets live. One more input is the
+// two-variable uniform program at Niagara 47 °C / 700 MHz, where
+// (0.700001, 0.4900024) is strictly feasible: both lanes must find a
+// point (the generic dense Phase I this program replaced called it
+// infeasible).
 func TestSlackPhaseIMatchesPhaseI(t *testing.T) {
+	// verdict runs Find on both backends and reports feasibility.
+	verdict := func(t *testing.T, p *Problem, ph *SlackPhaseI, x0 linalg.Vector) bool {
+		t.Helper()
+		aug := ph.Problem()
+		pat := aug.Pattern
+		if pat == nil {
+			t.Fatal("row-slack program has no compiled pattern")
+		}
+		var feasible [2]bool
+		for lane, name := range []string{"arrow", "dense"} {
+			if lane == 1 {
+				aug.Pattern = nil
+			}
+			x, err := ph.Find(x0, Options{})
+			aug.Pattern = pat
+			if err != nil && !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if feasible[lane] = err == nil; feasible[lane] && !p.IsStrictlyFeasible(x) {
+				t.Fatalf("%s: point violates by %g", name, p.MaxViolation(x))
+			}
+		}
+		if feasible[0] != feasible[1] {
+			t.Fatalf("arrow feasible=%v, dense %v", feasible[0], feasible[1])
+		}
+		return feasible[0]
+	}
+
 	rng := rand.New(rand.NewSource(7))
 	feasible, infeasible := 0, 0
 	for trial := 0; trial < 6; trial++ {
@@ -157,9 +248,6 @@ func TestSlackPhaseIMatchesPhaseI(t *testing.T) {
 			t.Fatal(err)
 		}
 		ph := sp.Bind(p)
-		if ph.Problem().Pattern == nil {
-			t.Fatal("row-slack program has no compiled pattern")
-		}
 		caps := make([]float64, rows)
 		for r := range caps {
 			caps[r] = p.Constraints[m-rows+r].(*Affine).B
@@ -168,27 +256,8 @@ func TestSlackPhaseIMatchesPhaseI(t *testing.T) {
 			for r, b := range caps {
 				p.Constraints[m-rows+r].(*Affine).B = scale * b
 			}
-			before := DenseSolves()
-			x, err := ph.Find(x0, Options{})
-			if DenseSolves() != before {
-				t.Fatal("row-slack Phase I ran on the dense backend")
-			}
-			_, refErr := PhaseI(p, x0, Options{})
-			got, want := err == nil, refErr == nil
-			if err != nil && !errors.Is(err, ErrInfeasible) {
-				t.Fatalf("trial %d scale %g: %v", trial, scale, err)
-			}
-			if refErr != nil && !errors.Is(refErr, ErrInfeasible) {
-				t.Fatalf("trial %d scale %g: reference: %v", trial, scale, refErr)
-			}
-			if got != want {
-				t.Fatalf("trial %d scale %g: row-slack feasible=%v (%v), generic PhaseI %v (%v)", trial, scale, got, err, want, refErr)
-			}
-			if got {
+			if verdict(t, p, ph, x0) {
 				feasible++
-				if !p.IsStrictlyFeasible(x) {
-					t.Fatalf("trial %d scale %g: point violates by %g", trial, scale, p.MaxViolation(x))
-				}
 			} else {
 				infeasible++
 			}
@@ -196,6 +265,18 @@ func TestSlackPhaseIMatchesPhaseI(t *testing.T) {
 	}
 	if feasible == 0 || infeasible == 0 {
 		t.Fatalf("%d feasible, %d infeasible: the cases do not cross the boundary", feasible, infeasible)
+	}
+
+	p, soft, x0 := niagaraUniformProgram(t, 47, 700)
+	if v := p.MaxViolation(linalg.VectorOf(0.700001, 0.4900024)); v >= 0 {
+		t.Fatalf("Niagara 47 °C / 700 MHz: the witness violates by %g", v)
+	}
+	sp, err := CompileSlackPhaseI(p, 1, soft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !verdict(t, p, sp.Bind(p), x0) {
+		t.Fatal("Niagara 47 °C / 700 MHz: a strictly feasible program called infeasible")
 	}
 }
 

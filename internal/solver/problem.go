@@ -1,9 +1,11 @@
 // Package solver implements the convex optimization machinery the paper
 // delegates to CVX ([25], [27]): a log-barrier interior-point method
-// with damped Newton centering and backtracking line search, a Phase-I
-// stage that either finds a strictly feasible point or certifies
-// infeasibility, and a monotone bisection used to cross-check the
-// scalar (uniform-frequency) problems.
+// with damped Newton centering and backtracking line search, on a
+// structured arrow backend for compiled problems (see
+// CompileHessianPattern) and a dense one for problems without a
+// pattern; a row-slack Phase-I program (SlackPlan) that either finds a
+// strictly feasible point or certifies infeasibility; and a monotone
+// bisection (BisectMax) for a scalar capacity search.
 //
 // Problems are smooth convex programs
 //
@@ -12,7 +14,8 @@
 //
 // where every fi exposes value, gradient and Hessian. The Pro-Temp
 // formulation only needs affine and diagonal-quadratic functions, both
-// provided here, but the solver accepts any smooth convex Func.
+// provided here, and those are the only shapes a pattern compiles; the
+// dense backend (a nil pattern) accepts any smooth convex Func.
 package solver
 
 import (
@@ -134,12 +137,12 @@ func (f *DiagQuadratic) AddHessian(h *linalg.Matrix, w float64, x linalg.Vector)
 // Problem is a smooth convex program: minimize Objective subject to
 // every Constraints[i](x) <= 0.
 //
-// Pattern, when non-nil, is a structure hint: the compiled arrow shape
-// of the barrier Hessian (see CompileHessianPattern). The solver
-// verifies it against the problem at solve start and takes the
-// block-elimination fast path on a match, falling back to dense
-// assembly and Cholesky otherwise — results are equivalent either way,
-// only the cost changes.
+// Pattern is the compiled arrow shape of the barrier Hessian (see
+// CompileHessianPattern). When set, the solver verifies it against the
+// problem at solve start and solves by block elimination; a pattern
+// that no longer matches is an error. A nil Pattern selects dense
+// assembly and Cholesky — the reference tests compare the arrow
+// backend against, with equivalent results at a higher cost.
 type Problem struct {
 	Objective   Func
 	Constraints []Func

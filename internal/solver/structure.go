@@ -21,11 +21,13 @@ import (
 //   - dDiag:    affine with one nonzero in the dense block (power box
 //     rows) → dense diagonal
 //   - row:      affine with several nonzeros, all in the dense block
-//     (temperature rows, gradient pairs) → one row of the shared G
-//     matrix, accumulated into the dense block by blocked SYRK
+//     (temperature rows, gradient pairs), or with none (a constant
+//     row) → one row of the shared G matrix, accumulated into the
+//     dense block by blocked SYRK
 //
-// Anything else fails compilation and the solver stays on the dense
-// path. A pattern is compiled against one materialized Problem but is
+// Anything else fails compilation, and the caller reports the error:
+// a problem that carries a pattern solves on the arrow backend or not
+// at all. A pattern is compiled against one materialized Problem but is
 // valid for every sibling instance of the same plan: the coefficient
 // vectors are shared (matches verifies data-pointer identity) while the
 // offsets B are read live from the instance's constraints, which is
@@ -93,8 +95,7 @@ func (hp *HessianPattern) NumRows() int { return len(hp.rows) }
 
 // CompileHessianPattern classifies p's constraints against the f/dense
 // split [0,nf) | [nf,dim). It returns an error when any constraint (or
-// the objective) falls outside the arrow shapes above; callers treat
-// that as "stay dense", not as a solve failure.
+// the objective) falls outside the arrow shapes above.
 func CompileHessianPattern(p *Problem, nf int) (*HessianPattern, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -132,9 +133,6 @@ func CompileHessianPattern(p *Problem, nf int) (*HessianPattern, error) {
 					}
 				}
 			}
-			if len(nz) == 0 {
-				return nil, fmt.Errorf("solver: constraint %d is constant", ci)
-			}
 			nF := 0
 			for _, i := range nz {
 				if i < nf {
@@ -142,6 +140,10 @@ func CompileHessianPattern(p *Problem, nf int) (*HessianPattern, error) {
 				}
 			}
 			switch {
+			case nF == 0 && len(nz) != 1:
+				// A dense-block row; a constant one (an uncore block with
+				// no gain from core power) is a zero row of G.
+				hp.rows = append(hp.rows, patRow{ci: ci, aPtr: &c.A[0]})
 			case nF == len(nz) && len(nz) == 1:
 				hp.fDiag = append(hp.fDiag, patScalar{ci: ci, idx: nz[0], a: c.A[nz[0]], aPtr: &c.A[0]})
 			case nF == len(nz):
@@ -151,8 +153,6 @@ func CompileHessianPattern(p *Problem, nf int) (*HessianPattern, error) {
 				hp.rank1 = &patRank1{ci: ci, nz: nz, a: c.A, aPtr: &c.A[0]}
 			case nF == 0 && len(nz) == 1:
 				hp.dDiag = append(hp.dDiag, patScalar{ci: ci, idx: nz[0] - nf, a: c.A[nz[0]], aPtr: &c.A[0]})
-			case nF == 0:
-				hp.rows = append(hp.rows, patRow{ci: ci, aPtr: &c.A[0]})
 			default:
 				return nil, fmt.Errorf("solver: constraint %d mixes f and dense nonzeros", ci)
 			}
@@ -202,19 +202,17 @@ func CompileHessianPattern(p *Problem, nf int) (*HessianPattern, error) {
 }
 
 // Matches reports whether the pattern still describes p — the same
-// check BarrierWS runs before selecting the structured backend.
-// Callers compiling a pattern once and reusing it across problem
-// instances can assert the hint is still live (a false return means
-// every solve silently takes the dense path).
+// check BarrierWS runs before every solve of a problem carrying the
+// pattern. Callers compiling a pattern once and reusing it across
+// problem instances can assert the pattern is still live (a false
+// return means every solve fails).
 func (hp *HessianPattern) Matches(p *Problem) bool { return hp.matches(p) }
 
 // matches reports whether the pattern still describes p: same shape,
 // same objective, and every classified constraint at its compiled index
 // with the identical coefficient storage. Sibling instances of one
 // compiled plan share coefficient vectors, so the check is a pointer
-// walk — O(m) with no arithmetic — done once per solve, and any drift
-// (the generic PhaseI augmentation, a hand-built problem) falls back
-// to dense.
+// walk — O(m) with no arithmetic — done once per solve.
 func (hp *HessianPattern) matches(p *Problem) bool {
 	if p.Dim() != hp.dim || len(p.Constraints) != hp.m || p.Objective != hp.objective {
 		return false

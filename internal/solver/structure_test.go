@@ -98,22 +98,33 @@ func randomArrowProblem(rng *rand.Rand, n int, withRank1, withRows bool) (*Probl
 // solution within the duality-gap tolerance, same objective, same
 // convergence verdict. The structured backend is forced via the
 // pattern hint; the dense lane runs the identical problem with the
-// hint stripped.
+// hint stripped. The constant-row case appends two rows with no
+// nonzeros (an uncore block with no gain from core power), which
+// compile as zero rows of G: one inside the screening band, so it
+// enters the working set, and one screened out.
 func TestStructuredBarrierMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
 		n                  int
 		withRank1, withRow bool
+		constRows          bool
 	}{
-		{1, true, true}, // uniform-like: nf border degenerate
-		{2, true, false},
-		{5, false, true},
-		{8, true, true},
-		{13, true, true},
+		{1, true, true, false}, // uniform-like: nf border degenerate
+		{2, true, false, false},
+		{5, false, true, false},
+		{8, true, true, false},
+		{13, true, true, false},
+		{5, true, true, true},
 	}
 	for _, tc := range cases {
 		for trial := 0; trial < 3; trial++ {
 			p, x0 := randomArrowProblem(rng, tc.n, tc.withRank1, tc.withRow)
+			if tc.constRows {
+				p.Constraints = append(p.Constraints,
+					&Affine{A: linalg.NewVector(p.Dim()), B: -0.5},
+					NewSparseAffine(linalg.NewVector(p.Dim()), -7),
+				)
+			}
 			pat, err := CompileHessianPattern(p, tc.n)
 			if err != nil {
 				t.Fatalf("n=%d rank1=%v rows=%v: compile: %v", tc.n, tc.withRank1, tc.withRow, err)
@@ -193,14 +204,13 @@ func TestStructuredBarrierFailureParity(t *testing.T) {
 	}
 }
 
-// TestPatternMatchRejectsDrift pins the fallback rule: a pattern
-// compiled against one problem must not match a problem whose
-// constraint storage was swapped (the Phase-I augmentation case), so
-// such solves silently take the dense path instead of reading stale
-// coefficients.
+// TestPatternMatchRejectsDrift pins the match rule: a pattern compiled
+// against one problem must not match a problem whose constraint storage
+// was swapped, and a solve of such a problem fails rather than read
+// stale coefficients or fall back to the dense backend.
 func TestPatternMatchRejectsDrift(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	p, _ := randomArrowProblem(rng, 4, true, true)
+	p, x0 := randomArrowProblem(rng, 4, true, true)
 	pat, err := CompileHessianPattern(p, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +235,19 @@ func TestPatternMatchRejectsDrift(t *testing.T) {
 	r := &Problem{Objective: p.Objective, Constraints: swapped}
 	if pat.matches(r) {
 		t.Fatal("pattern matches a problem with reallocated coefficient storage")
+	}
+	// A problem carrying the stale pattern fails its solve, cold and
+	// warm, instead of running on the dense backend.
+	r.Pattern = pat
+	if _, err := Barrier(r, x0, Options{}); err == nil {
+		t.Fatal("a stale pattern solved")
+	}
+	if _, err := WarmStart(r, x0, nil, 0, Options{}, nil); err == nil {
+		t.Fatal("a stale pattern warm-started")
+	}
+	r.Pattern = nil
+	if _, err := Barrier(r, x0, Options{}); err != nil {
+		t.Fatalf("dense reference: %v", err)
 	}
 
 	// B offsets are read live, not compiled: mutating them must NOT
