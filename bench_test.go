@@ -626,13 +626,13 @@ func BenchmarkBarrierSolve(b *testing.B) {
 	})
 }
 
-// BenchmarkUniformBisect times the uniform capacity probe through
-// SolveUniformBisect (closed form since the bisection was retired;
-// internal/core's BenchmarkUniformMax prices both).
-func BenchmarkUniformBisect(b *testing.B) {
+// BenchmarkUniformCapacity times the closed-form uniform capacity
+// probe through core.UniformCapacity (internal/core's
+// BenchmarkUniformMax prices both).
+func BenchmarkUniformCapacity(b *testing.B) {
 	s := setupBench(b)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SolveUniformBisect(s.Spec(87, 400e6, core.VariantUniform)); err != nil {
+		if _, _, err := core.UniformCapacity(s.Spec(87, 400e6, core.VariantUniform)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -335,34 +335,24 @@ func (e *Engine) recordSweep(s core.TableStats) {
 // warm-start outcome into the step_* counters. Sessions call it once
 // per solve (a downgraded Step solves twice; step_nanos times the whole
 // Step).
-func (e *Engine) observeStepSolve(d time.Duration, st core.OnlineStepStats, err error) {
+func (e *Engine) observeStepSolve(d time.Duration, w core.Work, err error) {
 	e.reg.Histogram("step_solve_nanos").ObserveDuration(d.Nanoseconds())
 	// Phase split and row screening, only for solves that actually
 	// entered the barrier: closed-form and dual solves report no phase
 	// timings and would skew the distributions toward 0.
-	if st.AssembleNanos > 0 {
-		e.reg.Histogram("solve_assemble_nanos").ObserveDuration(st.AssembleNanos)
-		e.reg.Histogram("solve_factor_nanos").ObserveDuration(st.FactorNanos)
-		e.reg.Histogram("solve_linesearch_nanos").ObserveDuration(st.LinesearchNanos)
-		e.reg.Histogram("solve_rows").Observe(uint64(st.Rows))
-		e.reg.Counter("solve_row_cuts").Add(uint64(st.Cuts))
+	if w.AssembleNanos > 0 {
+		e.reg.Histogram("solve_assemble_nanos").ObserveDuration(w.AssembleNanos)
+		e.reg.Histogram("solve_factor_nanos").ObserveDuration(w.FactorNanos)
+		e.reg.Histogram("solve_linesearch_nanos").ObserveDuration(w.LinesearchNanos)
+		e.reg.Histogram("solve_rows").Observe(uint64(w.Rows))
+		e.reg.Counter("solve_row_cuts").Add(uint64(w.Cuts))
 	}
-	e.reg.Counter("step_solves").Inc()
-	if st.Warm {
-		e.reg.Counter("step_warm_hits").Inc()
-	}
-	if st.WarmRejected {
-		e.reg.Counter("step_warm_rejects").Inc()
-	}
-	if st.Certified {
-		e.reg.Counter("solve_infeasible_certified").Inc()
-	}
-	if st.Uncentered {
-		e.reg.Counter("solve_uncentered").Inc()
-	}
-	if st.DualUnconverged {
-		e.reg.Counter("solve_dual_unconverged").Inc()
-	}
+	e.reg.Counter("step_solves").Add(uint64(w.Solves))
+	e.reg.Counter("step_warm_hits").Add(uint64(w.WarmHits))
+	e.reg.Counter("step_warm_rejects").Add(uint64(w.WarmRejects))
+	e.reg.Counter("solve_infeasible_certified").Add(uint64(w.Certified))
+	e.reg.Counter("solve_uncentered").Add(uint64(w.Uncentered))
+	e.reg.Counter("solve_dual_unconverged").Add(uint64(w.DualUnconverged))
 	if err != nil {
 		e.reg.Counter("step_solve_errors").Inc()
 	}

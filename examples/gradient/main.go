@@ -57,7 +57,7 @@ func main() {
 	fmt.Println("\nsupported average frequency, uniform vs variable (Fig. 9's claim):")
 	fmt.Printf("%8s %10s %10s\n", "tstart", "uniform", "variable")
 	for _, ts := range []float64{47, 67, 87, 97} {
-		uni, _, err := core.SolveUniformBisect(&core.Spec{
+		uni, _, err := core.UniformCapacity(&core.Spec{
 			Chip: engine.Chip(), Window: engine.Window(), TStart: ts,
 			TMax: engine.TMax(), Variant: core.VariantUniform,
 		})

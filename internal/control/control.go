@@ -38,30 +38,19 @@ type State struct {
 	SensingDegraded bool
 }
 
-// Stats is one window decision's accounting. Every field is a count
-// (or a worst case) so that Add folds windows into run totals.
+// Stats is one window decision's accounting: the solver Work behind
+// it (convex solves are window solves for the online controller,
+// cluster subproblem solves for the distributed one; Downgrades and
+// Idles count decisions, or for the distributed controller clusters,
+// that fell back to a lower point or idled) plus the step, consensus
+// and wall-time fields. Every field is a count (or a worst case) so
+// that Add folds windows into run totals.
 type Stats struct {
+	core.Work
 	// Steps is 1 when the window reached the decision rule — also when
 	// the decision then failed — and 0 when the state was rejected up
 	// front (cancelled context, malformed block map).
 	Steps int
-	// Solves counts convex solves: window solves for the online
-	// controller, cluster subproblem solves for the distributed one.
-	Solves int
-	// WarmHits / WarmRejects count solves carried by the previous
-	// optimum versus solves whose warm seed fell back cold.
-	WarmHits    int
-	WarmRejects int
-	// Downgrades and Idles count decisions (table, online) or clusters
-	// (distributed) that fell back to a lower point or idled.
-	Downgrades int
-	Idles      int
-	// NewtonIters sums the solver iterations.
-	NewtonIters int
-	// Uncentered and DualUnconverged count solves that ended uncentered
-	// (barrier) or out of budget (dual).
-	Uncentered      int
-	DualUnconverged int
 	// OuterIters, Converged, Fallbacks and PrimalResidC are the
 	// distributed controller's consensus accounting: ADMM rounds,
 	// windows whose consensus met its tolerance, windows decided by a
@@ -77,15 +66,8 @@ type Stats struct {
 // Add folds o into s: counts and wall time sum, the residual keeps
 // its worst case.
 func (s *Stats) Add(o Stats) {
+	s.Work.Add(o.Work)
 	s.Steps += o.Steps
-	s.Solves += o.Solves
-	s.WarmHits += o.WarmHits
-	s.WarmRejects += o.WarmRejects
-	s.Downgrades += o.Downgrades
-	s.Idles += o.Idles
-	s.NewtonIters += o.NewtonIters
-	s.Uncentered += o.Uncentered
-	s.DualUnconverged += o.DualUnconverged
 	s.OuterIters += o.OuterIters
 	s.Converged += o.Converged
 	s.Fallbacks += o.Fallbacks
@@ -127,7 +109,7 @@ func Table(ctrl *core.Controller) *Window {
 // Online steps the centralized online MPC solver. A non-nil flight
 // recorder traces every step as mode "online"; a non-nil observe
 // receives every convex solve (the ladder runs up to two per window).
-func Online(ol *core.OnlineSolver, flight *obs.FlightRecorder, observe func(time.Duration, core.OnlineStepStats, error)) *Window {
+func Online(ol *core.OnlineSolver, flight *obs.FlightRecorder, observe func(time.Duration, core.Work, error)) *Window {
 	spec := ol.Spec()
 	d := &online{ol: ol, observe: observe}
 	return &Window{d: d, tracer: d, mode: "online", fmax: spec.Chip.FMax(),
@@ -226,7 +208,7 @@ type table struct{ c *core.Controller }
 
 func (t table) Decide(_ context.Context, st State) ([]float64, Stats, error) {
 	d := t.c.Decide(st.MaxCoreTemp, st.RequiredFreq)
-	return d.Freqs, Stats{Downgrades: b2i(d.Downgraded), Idles: b2i(d.Idle)}, nil
+	return d.Freqs, Stats{Work: core.Work{Downgrades: b2i(d.Downgraded), Idles: b2i(d.Idle)}}, nil
 }
 
 func (table) Invalidate() {}
@@ -235,14 +217,12 @@ func (table) Invalidate() {}
 type online struct {
 	ol      *core.OnlineSolver
 	span    obs.Recorder // the step trace, for the ladder's bisect span
-	observe func(time.Duration, core.OnlineStepStats, error)
+	observe func(time.Duration, core.Work, error)
 }
 
 func (o *online) Decide(ctx context.Context, st State) ([]float64, Stats, error) {
-	a, ds, err := o.ol.Downgrade(ctx, st.MaxCoreTemp, st.BlockTemps, st.RequiredFreq, o.span, o.observe)
-	stats := Stats{Solves: ds.Solves, WarmHits: ds.WarmHits, WarmRejects: ds.WarmRejects,
-		Downgrades: b2i(ds.Downgraded), Idles: b2i(ds.Idle), NewtonIters: ds.NewtonIters,
-		Uncentered: ds.Uncentered, DualUnconverged: ds.DualUnconverged}
+	a, w, err := o.ol.Downgrade(ctx, st.MaxCoreTemp, st.BlockTemps, st.RequiredFreq, o.span, o.observe)
+	stats := Stats{Work: w}
 	if err != nil {
 		return nil, stats, err
 	}
@@ -264,11 +244,8 @@ type distributed struct{ s *dmpc.Solver }
 
 func (d distributed) Decide(ctx context.Context, st State) ([]float64, Stats, error) {
 	a, ds, err := d.s.Solve(ctx, st.MaxCoreTemp, st.BlockTemps, st.RequiredFreq)
-	stats := Stats{Solves: ds.ClusterSolves, WarmHits: ds.WarmHits, WarmRejects: ds.WarmRejects,
-		Downgrades: ds.Downgrades, Idles: ds.Idles, NewtonIters: ds.NewtonIters,
-		Uncentered: ds.Uncentered, DualUnconverged: ds.DualUnconverged,
-		OuterIters: ds.OuterIters, Converged: b2i(ds.Converged), Fallbacks: b2i(ds.Fallback),
-		PrimalResidC: ds.PrimalResidC}
+	stats := Stats{Work: ds.Work, OuterIters: ds.OuterIters, Converged: b2i(ds.Converged),
+		Fallbacks: b2i(ds.Fallback), PrimalResidC: ds.PrimalResidC}
 	if err != nil {
 		return nil, stats, err
 	}

@@ -90,10 +90,10 @@ func BenchmarkNewtonDirection(b *testing.B) {
 				}
 				switch mode {
 				case "dense":
-					o.plan.pattern = nil
+					o.inst.plan.pattern = nil
 					o.inst.prob.Pattern = nil
 				case "arrow":
-					if o.plan.pattern == nil {
+					if o.inst.plan.pattern == nil {
 						b.Fatal("compiled plan has no Hessian pattern")
 					}
 				}
@@ -107,13 +107,13 @@ func BenchmarkNewtonDirection(b *testing.B) {
 					maps[k] = m
 				}
 				ftarget := 0.4 * f.chip.FMax()
-				if _, _, err := o.Solve(ctx, 0, maps[0], ftarget); err != nil {
+				if _, err := o.Solve(ctx, 0, maps[0], ftarget); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					a, _, err := o.Solve(ctx, 0, maps[i%len(maps)], ftarget)
+					a, err := o.Solve(ctx, 0, maps[i%len(maps)], ftarget)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -156,7 +156,7 @@ func BenchmarkPhaseI(b *testing.B) {
 			solve := func() {
 				o.Invalidate()
 				clear(o.inst.dual) // a zero dual proves nothing
-				a, _, err := o.Solve(ctx, 0, hot, ftarget)
+				a, err := o.Solve(ctx, 0, hot, ftarget)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -207,7 +207,7 @@ func BenchmarkColdLadder(b *testing.B) {
 				if lane == "first" {
 					clear(in.dual) // a zero dual proves nothing
 				}
-				a, _, _, err := solveLadder(ctx, s, in, nil, 0, o.ws, nil)
+				a, _, err := solveLadder(ctx, s, in, nil, 0, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -217,8 +217,8 @@ func BenchmarkColdLadder(b *testing.B) {
 				return a
 			}
 			solve()
-			if a := solve(); a.certified != (lane == "carried") {
-				b.Fatalf("%s lane: certified = %v", lane, a.certified)
+			if a := solve(); (a.Certified == 1) != (lane == "carried") {
+				b.Fatalf("%s lane: certified = %d", lane, a.Certified)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -265,7 +265,7 @@ func BenchmarkWindowDual(b *testing.B) {
 				maps[k] = m
 			}
 			ftarget := 0.4 * f.chip.FMax()
-			if _, _, err := o.Solve(ctx, 0, maps[0], ftarget); err != nil {
+			if _, err := o.Solve(ctx, 0, maps[0], ftarget); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -274,7 +274,7 @@ func BenchmarkWindowDual(b *testing.B) {
 				if !lane.warm {
 					o.Invalidate()
 				}
-				a, _, err := o.Solve(ctx, 0, maps[i%len(maps)], ftarget)
+				a, err := o.Solve(ctx, 0, maps[i%len(maps)], ftarget)
 				if err != nil {
 					b.Fatal(err)
 				}

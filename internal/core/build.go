@@ -75,14 +75,12 @@ func (s *Spec) tempRows() ([]tempRow, error) {
 	return rows, nil
 }
 
-// build assembles the barrier program for the spec by compiling a
-// single-point plan and instantiating it at (TStart, FTarget) — the
-// same assembly GenerateTable's sweep uses, so the cold per-point path
-// and the sweep cannot drift apart. See compileBarrier for the
-// constraint layout (the paper's Eqs. 2-5). SolveContext builds it for
-// the gradient variant only; the variable variant's program is kept as
-// the tests' oracle for the dual solve.
-func (s *Spec) build() (*sweepInstance, error) {
+// plan compiles the spec's design point alone with compile
+// (compileSweep, or compileBarrier for the tests' oracle): the same
+// assembly GenerateTable's sweep and the online solver use, so the cold
+// per-point path and theirs cannot drift apart. With T0 the row
+// offsets are pinned at compile time; without, set(TStart) fills them.
+func (s *Spec) plan(compile func(TableSpec, linalg.Vector) (*sweepPlan, error)) (*sweepPlan, error) {
 	ts := TableSpec{
 		Chip: s.Chip, Window: s.Window, TMax: s.TMax,
 		TStarts: []float64{s.TStart}, FTargets: []float64{s.FTarget},
@@ -93,11 +91,5 @@ func (s *Spec) build() (*sweepInstance, error) {
 	if s.T0 != nil {
 		t0 = linalg.VectorOf(s.T0...)
 	}
-	pl, err := compileBarrier(ts, t0)
-	if err != nil {
-		return nil, err
-	}
-	in := pl.instance()
-	in.set(s.TStart, s.FTarget)
-	return in, nil
+	return compile(ts, t0)
 }

@@ -145,7 +145,7 @@ func TestUniformClosedFormMatchesBarrier(t *testing.T) {
 			feasible, infeasible := 0, 0
 			for _, tstart := range tc.tstarts {
 				s := &Spec{Chip: chip, Window: window, TStart: tstart, TMax: tc.tmax, Variant: VariantUniform}
-				maxF, _, err := SolveUniformBisect(s)
+				maxF, _, err := UniformCapacity(s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -280,7 +280,7 @@ func TestPeakTempMatchesForwardSim(t *testing.T) {
 							t.Fatal(err)
 						}
 						check(t, what("cold"), s, a)
-						ao, _, err := ol.Solve(ctx, st.base, t0, st.target)
+						ao, err := ol.Solve(ctx, st.base, t0, st.target)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -39,7 +39,7 @@ import (
 // exhausts its Newton or cut budget, or finds no step that increases
 // the dual, decides the window by uniformAssignment at φ, which is safe
 // (the uniform point is checked on every row) and counted
-// (Assignment.dualUnconverged).
+// (Work.DualUnconverged).
 
 const (
 	// dualDelta is δ: the dual prices the rows against TMax − δ, so
@@ -157,7 +157,7 @@ func (d *dualWS) solveBudget(ctx context.Context, s *Spec, rows []tempRow, rec o
 		}
 		switch st {
 		case dualProved:
-			return &Assignment{NewtonIters: iters, Rows: len(d.W), Cuts: cuts}, nil
+			return &Assignment{Work: Work{NewtonIters: iters, Rows: len(d.W), Cuts: cuts}}, nil
 		case dualCapped:
 			return d.capped(s, rows, iters, cuts), nil
 		}
@@ -499,7 +499,7 @@ func (d *dualWS) assignment(peak float64, iters, cuts int) *Assignment {
 	n := len(d.fn)
 	a := &Assignment{
 		Feasible: true, Freqs: make([]float64, n), Powers: make([]float64, n),
-		PeakTemp: peak, NewtonIters: iters, Rows: len(d.W), Cuts: cuts,
+		PeakTemp: peak, Work: Work{NewtonIters: iters, Rows: len(d.W), Cuts: cuts},
 	}
 	for j := 0; j < n; j++ {
 		a.Freqs[j] = d.fn[j] * d.fmax[j]
@@ -524,7 +524,7 @@ func (d *dualWS) assignment(peak float64, iters, cuts int) *Assignment {
 func (d *dualWS) capped(s *Spec, rows []tempRow, iters, cuts int) *Assignment {
 	d.invalidate()
 	a := uniformAssignment(s, rows, s.FTarget/s.Chip.FMax())
-	a.NewtonIters, a.Cuts, a.dualUnconverged = iters, cuts, true
+	a.NewtonIters, a.Cuts, a.DualUnconverged = iters, cuts, 1
 	return a
 }
 

@@ -57,7 +57,7 @@ func oracle(t *testing.T, s *Spec) *Assignment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, _, err := solveLadder(context.Background(), s, in, nil, 0, nil, nil)
+	a, _, err := solveLadder(context.Background(), s, in, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func dualVsOracle(t *testing.T, s *Spec, phase1 bool, tally *oracleTally) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.dualUnconverged {
+	if a.DualUnconverged != 0 {
 		t.Fatalf("(%g°C, map %v, %.3f MHz): the dual ran out of budget", s.TStart, s.T0 != nil, s.FTarget/1e6)
 	}
 	o := oracle(t, s)
@@ -195,7 +195,7 @@ func TestDualMatchesBarrierOracle(t *testing.T) {
 		var tally oracleTally
 		for _, base := range []float64{55, 75, 88} {
 			s := &Spec{Chip: chip, Window: f.window, T0: thermalMap(t, base), TMax: 100, ConstrainAllBlocks: true}
-			uniform, _, err := SolveUniformBisect(s)
+			uniform, _, err := UniformCapacity(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +215,7 @@ func TestDualMatchesBarrierOracle(t *testing.T) {
 		var tally oracleTally
 		for _, tstart := range []float64{60, 80, 90} {
 			s := &Spec{Chip: f.chip, Window: f.window, TStart: tstart, TMax: 95}
-			uniform, _, err := SolveUniformBisect(s)
+			uniform, _, err := UniformCapacity(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +244,7 @@ func TestDualBudgetExitIsUniform(t *testing.T) {
 	ctx := context.Background()
 	for _, base := range []float64{60, 80} {
 		s := &Spec{Chip: f.chip, Window: f.window, T0: thermalMap(t, base), TMax: 100}
-		uniform, _, err := SolveUniformBisect(s)
+		uniform, _, err := UniformCapacity(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,8 +259,8 @@ func TestDualBudgetExitIsUniform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full.dualUnconverged || full.Cuts == 0 || !d.warm {
-			t.Fatalf("%.0f MHz: the full-budget solve took %d cuts (unconverged %v, warm %v); the window must bind rows", ft/1e6, full.Cuts, full.dualUnconverged, d.warm)
+		if full.DualUnconverged != 0 || full.Cuts == 0 || !d.warm {
+			t.Fatalf("%.0f MHz: the full-budget solve took %d cuts (unconverged %d, warm %v); the window must bind rows", ft/1e6, full.Cuts, full.DualUnconverged, d.warm)
 		}
 		d.invalidate()
 		capped, err := d.solveBudget(ctx, s, rows, nil, 0, 0)
@@ -268,8 +268,8 @@ func TestDualBudgetExitIsUniform(t *testing.T) {
 			t.Fatal(err)
 		}
 		point := uniformAssignment(s, rows, ft/fmax)
-		if !capped.dualUnconverged || d.warm {
-			t.Fatalf("%.0f MHz: zero-budget solve unconverged=%v, warm state kept=%v", ft/1e6, capped.dualUnconverged, d.warm)
+		if capped.DualUnconverged != 1 || d.warm {
+			t.Fatalf("%.0f MHz: zero-budget solve unconverged=%d, warm state kept=%v", ft/1e6, capped.DualUnconverged, d.warm)
 		}
 		if capped.Feasible != point.Feasible || capped.TotalPower != point.TotalPower || capped.PeakTemp != point.PeakTemp {
 			t.Fatalf("%.0f MHz: capped exit %+v, uniform point %+v", ft/1e6, capped, point)
@@ -288,13 +288,13 @@ func TestDualWarmSolveAllocatesOnlyAssignment(t *testing.T) {
 	}
 	ctx := context.Background()
 	maps := [][]float64{thermalMap(t, 70), thermalMap(t, 72)}
-	uniform, _, err := SolveUniformBisect(&Spec{Chip: f.chip, Window: f.window, T0: maps[1], TMax: 100})
+	uniform, _, err := UniformCapacity(&Spec{Chip: f.chip, Window: f.window, T0: maps[1], TMax: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ft := 1.01 * uniform // past the uniform point: rows bind
 	for _, m := range maps {
-		if a, _, err := o.Solve(ctx, 0, m, ft); err != nil || !a.Feasible {
+		if a, err := o.Solve(ctx, 0, m, ft); err != nil || !a.Feasible {
 			t.Fatalf("priming solve: err %v, %+v; want a feasible window", err, a)
 		}
 	}

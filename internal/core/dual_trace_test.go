@@ -35,14 +35,14 @@ func (p *traceWindows) Decide(st sim.WindowState) linalg.Vector {
 		target = 0.1 * fmax
 	}
 	t0 := append([]float64(nil), st.BlockTemps...)
-	a, ds, err := p.o.Downgrade(context.Background(), st.MaxCoreTemp, t0, target, nil, nil)
+	a, w, err := p.o.Downgrade(context.Background(), st.MaxCoreTemp, t0, target, nil, nil)
 	if err != nil {
 		p.t.Fatal(err)
 	}
 	s := &core.Spec{Chip: spec.Chip, Window: spec.Window, TMax: spec.TMax, T0: t0, TStart: st.MaxCoreTemp, FTarget: target}
 	p.specs = append(p.specs, s)
-	if ds.Downgraded {
-		maxF, _, err := core.SolveUniformBisect(s)
+	if w.Downgrades > 0 {
+		maxF, _, err := core.UniformCapacity(s)
 		if err != nil {
 			p.t.Fatal(err)
 		}

@@ -9,6 +9,20 @@ func NewBarrierOnlineSolver(os OnlineSpec) (*OnlineSolver, error) {
 	return newOnlineSolver(os, true)
 }
 
+// build compiles the spec's barrier program (the paper's Eqs. 2-5;
+// see compileBarrier) alone and sets its instance at (TStart, FTarget):
+// the gradient variant's program, or the variable one kept as the dual
+// solve's oracle.
+func (s *Spec) build() (*sweepInstance, error) {
+	pl, err := s.plan(compileBarrier)
+	if err != nil {
+		return nil, err
+	}
+	in := pl.instance()
+	in.set(s.TStart, s.FTarget)
+	return in, nil
+}
+
 // OracleTally and DualVsOracle expose the dual-vs-barrier check
 // (dualVsOracle) to the external trace test.
 type OracleTally = oracleTally

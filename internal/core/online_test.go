@@ -52,7 +52,7 @@ func TestOnlineSolverMatchesCold(t *testing.T) {
 			}
 			for i, st := range steps {
 				m := thermalMap(t, st.base)
-				a, _, err := o.Solve(context.Background(), 0, m, st.ftarget)
+				a, err := o.Solve(context.Background(), 0, m, st.ftarget)
 				if err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
@@ -99,8 +99,8 @@ func TestOnlineSolverWarmEngages(t *testing.T) {
 		t.Fatal("fresh solver claims warm state")
 	}
 	m := thermalMap(t, 60)
-	if _, st, err := o.Solve(context.Background(), 0, m, 0.5*fmax); err != nil || st.Warm {
-		t.Fatalf("first solve: err=%v warm=%v, want cold success", err, st.Warm)
+	if a, err := o.Solve(context.Background(), 0, m, 0.5*fmax); err != nil || a.WarmHits != 0 {
+		t.Fatalf("first solve: err=%v, want cold success", err)
 	}
 	if !o.Warm() {
 		t.Fatal("no warm state after a feasible solve")
@@ -108,13 +108,11 @@ func TestOnlineSolverWarmEngages(t *testing.T) {
 	warm := 0
 	for i := 0; i < 5; i++ {
 		m := thermalMap(t, 60+float64(i))
-		_, st, err := o.Solve(context.Background(), 0, m, (0.5+0.02*float64(i))*fmax)
+		a, err := o.Solve(context.Background(), 0, m, (0.5+0.02*float64(i))*fmax)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Warm {
-			warm++
-		}
+		warm += a.WarmHits
 	}
 	if warm == 0 {
 		t.Fatal("no warm hits across 5 consecutive similar windows")
@@ -131,7 +129,7 @@ func TestOnlineSolverUniformStartMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tstart := range []float64{47, 67, 87} {
-		a, _, err := o.Solve(context.Background(), tstart, nil, 0.5*fmax)
+		a, err := o.Solve(context.Background(), tstart, nil, 0.5*fmax)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +180,7 @@ func TestOnlineSolverCancelInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := thermalMap(t, 60)
-	if _, _, err := o.Solve(context.Background(), 0, m, 0.5*fmax); err != nil {
+	if _, err := o.Solve(context.Background(), 0, m, 0.5*fmax); err != nil {
 		t.Fatal(err)
 	}
 	if !o.Warm() {
@@ -191,7 +189,7 @@ func TestOnlineSolverCancelInvalidates(t *testing.T) {
 
 	// Cancel a few Newton iterations into the next window's solve.
 	ctx := &cancelAfterErrs{Context: context.Background(), after: 3}
-	if _, _, err := o.Solve(ctx, 0, thermalMap(t, 63), 0.55*fmax); !errors.Is(err, context.Canceled) {
+	if _, err := o.Solve(ctx, 0, thermalMap(t, 63), 0.55*fmax); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-solve cancellation returned %v, want context.Canceled", err)
 	}
 	if o.Warm() {
@@ -200,11 +198,11 @@ func TestOnlineSolverCancelInvalidates(t *testing.T) {
 
 	// The next window under a live context must be a correct cold solve.
 	m2 := thermalMap(t, 63)
-	a, st, err := o.Solve(context.Background(), 0, m2, 0.55*fmax)
+	a, err := o.Solve(context.Background(), 0, m2, 0.55*fmax)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Warm {
+	if a.WarmHits != 0 {
 		t.Fatal("solve after invalidation claims a warm hit")
 	}
 	cold, err := SolveContext(context.Background(), &Spec{
@@ -234,15 +232,15 @@ func TestOnlineSolverRejectsBadMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := o.Solve(context.Background(), 0, []float64{1, 2, 3}, 0.5*fmax); err == nil {
+	if _, err := o.Solve(context.Background(), 0, []float64{1, 2, 3}, 0.5*fmax); err == nil {
 		t.Fatal("wrong-length map accepted")
 	}
 	bad := thermalMap(t, 60)
 	bad[0] = math.NaN()
-	if _, _, err := o.Solve(context.Background(), 0, bad, 0.5*fmax); err == nil {
+	if _, err := o.Solve(context.Background(), 0, bad, 0.5*fmax); err == nil {
 		t.Fatal("NaN map accepted")
 	}
-	if _, _, err := o.Solve(context.Background(), 0, thermalMap(t, 60), 0.5*fmax); err != nil {
+	if _, err := o.Solve(context.Background(), 0, thermalMap(t, 60), 0.5*fmax); err != nil {
 		t.Fatalf("solver unusable after bad inputs: %v", err)
 	}
 }
@@ -265,14 +263,14 @@ func TestDowngradeBisectMatchesSpec(t *testing.T) {
 			for i := range m {
 				m[i] = base + amp*math.Sin(float64(3*i))
 			}
-			if _, _, err := o.Solve(ctx, 0, m, 0.5*fmax); err != nil {
+			if _, err := o.Solve(ctx, 0, m, 0.5*fmax); err != nil {
 				t.Fatal(err)
 			}
 			got, err := o.capacity(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := SolveUniformBisect(&Spec{
+			want, _, err := UniformCapacity(&Spec{
 				Chip: f.chip, Window: f.window, TMax: 100, T0: m, FTarget: 0.5 * fmax,
 			})
 			if err != nil {

@@ -34,13 +34,13 @@ func TestScreenedMatchesDenseGrid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dense.plan.pattern = nil
+				dense.inst.plan.pattern = nil
 				dense.inst.prob.Pattern = nil
 
 				binding, feasible := 0, 0
 				for _, base := range []float64{50, 70, 85} {
 					m := thermalMap(t, base)
-					maxF, _, err := SolveUniformBisect(&Spec{
+					maxF, _, err := UniformCapacity(&Spec{
 						Chip: f.chip, Window: f.window, TMax: 100, T0: m,
 						FTarget: 0.1 * fmax, Variant: v,
 					})
@@ -55,8 +55,8 @@ func TestScreenedMatchesDenseGrid(t *testing.T) {
 							screened.Invalidate()
 							dense.Invalidate()
 						}
-						as, st, errS := screened.Solve(ctx, 0, m, ft)
-						ad, _, errD := dense.Solve(ctx, 0, m, ft)
+						as, errS := screened.Solve(ctx, 0, m, ft)
+						ad, errD := dense.Solve(ctx, 0, m, ft)
 						if (errS == nil) != (errD == nil) {
 							t.Fatalf("base %g ftarget %.0f: screened err=%v dense err=%v", base, ft, errS, errD)
 						}
@@ -84,13 +84,13 @@ func TestScreenedMatchesDenseGrid(t *testing.T) {
 								t.Fatalf("base %g ftarget %.0f: screened tgrad %.6f vs dense %.6f", base, ft, as.TGrad, ad.TGrad)
 							}
 						}
-						x := screened.prevX
+						x := screened.inst.x
 						if viol := screened.inst.prob.MaxViolation(x); viol >= 0 {
 							t.Fatalf("base %g ftarget %.0f: screened optimum violates a constraint (max %g, rows %d, cuts %d)",
-								base, ft, viol, st.Rows, st.Cuts)
+								base, ft, viol, as.Rows, as.Cuts)
 						}
-						if st.Rows > screened.plan.pattern.NumRows() {
-							t.Fatalf("base %g ftarget %.0f: working set %d of %d rows", base, ft, st.Rows, screened.plan.pattern.NumRows())
+						if as.Rows > screened.inst.plan.pattern.NumRows() {
+							t.Fatalf("base %g ftarget %.0f: working set %d of %d rows", base, ft, as.Rows, screened.inst.plan.pattern.NumRows())
 						}
 						for _, c := range screened.inst.temp {
 							if c.Value(x) > -1e-2 {

@@ -43,7 +43,9 @@ func Solve(s *Spec) (*Assignment, error) {
 
 // SolveContext is Solve with cancellation: ctx is polled once per
 // Newton iteration (and during the dual's row scans), so a cancelled or
-// expired context aborts the solve promptly with ctx.Err().
+// expired context aborts the solve promptly with ctx.Err(). The point
+// is decided by a cold one-point instance of the plan the table sweep
+// and the online solver compile, through the same decide.
 func SolveContext(ctx context.Context, s *Spec) (*Assignment, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -51,48 +53,106 @@ func SolveContext(ctx context.Context, s *Spec) (*Assignment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if fn, ok := closedForm(s.Variant, s.FTarget/s.Chip.FMax()); ok {
-		rows, err := s.tempRows()
-		if err != nil {
-			return nil, err
-		}
-		return uniformAssignment(s, rows, fn), nil
-	}
-	if s.Variant == VariantVariable {
-		rows, err := s.tempRows()
-		if err != nil {
-			return nil, err
-		}
-		return newDualWS(s.Chip).solve(ctx, s, rows, nil)
-	}
-
-	in, err := s.build()
+	pl, err := s.plan(compileSweep)
 	if err != nil {
 		return nil, err
 	}
-	a, _, _, err := solveLadder(ctx, s, in, nil, 0, nil, nil)
-	return a, err
+	in := pl.instance()
+	return in.decide(ctx, in.set(s.TStart, s.FTarget), nil)
 }
 
-// solveLadder solves a prebuilt barrier instance (the gradient
-// variant's, or the tests' variable oracle) through the start ladder:
-// the warm seed (a re-centered neighboring optimum) when one is
+// decide is the one per-window dispatch, shared by SolveContext, the
+// table sweep's workers and OnlineSolver.Solve: it decides the point
+// the instance was last set to (s is the Spec set or setMap returned)
+// in closed form (uniformAssignment), else on the dual (the variable
+// variant), else by solveLadder seeded from the instance's kept
+// optimum. The instance owns the warm state: the dual keeps its working
+// set, a feasible barrier result its optimum; a closed-form or an
+// infeasible window leaves the state as it was (an overloaded stream
+// alternates unsupportable windows with downgraded re-solves, which the
+// kept optimum seeds), and an error drops it (invalidate) — except a
+// context already done on entry, which touched nothing. The
+// assignment's Work reports the one solve. rec, when non-nil, observes
+// the solve span.
+func (in *sweepInstance) decide(ctx context.Context, s *Spec, rec obs.Recorder) (*Assignment, error) {
+	if err := s.Validate(); err != nil {
+		in.invalidate()
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if rec != nil {
+		rec.SolveStart(s.FTarget)
+	}
+	if fn, ok := closedForm(s.Variant, s.FTarget/s.Chip.FMax()); ok {
+		a := uniformAssignment(s, in.rows, fn)
+		a.Solves = 1
+		if rec != nil {
+			if fn == 1 {
+				rec.Rung("full-speed")
+			} else {
+				rec.Rung("uniform")
+			}
+			rec.SolveEnd(a.Feasible, nil)
+		}
+		return a, nil
+	}
+	var (
+		a   *Assignment
+		err error
+	)
+	if d := in.dws; d != nil {
+		warm := d.warm
+		if a, err = d.solve(ctx, s, in.rows, rec); err == nil && warm {
+			a.WarmHits = 1
+		}
+	} else {
+		kept := in.x != nil
+		var x linalg.Vector
+		seed, gap := in.warmSeed(s)
+		if a, x, err = solveLadder(ctx, s, in, seed, gap, rec); err == nil {
+			if kept && a.WarmHits == 0 {
+				a.WarmRejects = 1
+			}
+			if a.Feasible {
+				in.x = x
+			}
+		}
+	}
+	if rec != nil {
+		if a != nil {
+			rec.Screen(a.Rows, a.Cuts)
+		}
+		rec.SolveEnd(err == nil && a.Feasible, err)
+	}
+	if err != nil {
+		in.invalidate()
+		return nil, err
+	}
+	a.Solves = 1
+	return a, nil
+}
+
+// solveLadder solves the instance's barrier program (the gradient
+// variant's, or the tests' variable oracle) at s through the start
+// ladder: the warm seed (a re-centered neighboring optimum) when one is
 // supplied, then the cheap feasibility heuristics, then the
 // infeasibility certificate from the instance's kept Phase-I dual
 // (certify.go), then the physics-guided rebalance, then the row-slack
-// Phase-I program. It is the single solve path shared by SolveContext
-// (cold, no workspace), the table sweep and the online solver
-// (warm-seeded, per-worker workspace), so all produce interchangeable
-// assignments. It returns the assignment, the raw normalized optimum
-// for seeding the next grid point (nil when infeasible), and whether
-// the warm seed carried the solve. The assignment's work counters
-// include an abandoned warm attempt. A non-nil rec observes the warm
-// decision, the rung taken and every barrier centering; the nil path
-// costs only pointer checks.
-func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linalg.Vector, warmGap float64, ws *solver.Workspace, rec obs.Recorder) (*Assignment, linalg.Vector, bool, error) {
+// Phase-I program. It runs on the instance's solver workspace. It
+// returns the assignment, with WarmHits set when the warm seed carried
+// the solve and the work of an abandoned warm attempt included, and
+// the raw normalized optimum for seeding the next point (nil when
+// infeasible). A non-nil rec observes the warm decision, the rung taken
+// and every barrier centering; the nil path costs only pointer checks.
+func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linalg.Vector, warmGap float64, rec obs.Recorder) (*Assignment, linalg.Vector, error) {
 	n := s.Chip.NumCores()
 	phi := s.FTarget / s.Chip.FMax()
 	prob, lay, rows := in.prob, in.plan.lay, in.rows
+	if in.ws == nil {
+		in.ws = solver.NewWorkspace(lay.dim)
+	}
 	opts := solver.DefaultOptions()
 	opts.Tol = 1e-7
 	opts.Interrupt = ctx.Err
@@ -117,7 +177,7 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 	var abandoned solver.Result
 	warm, certified := false, false
 	if warmSeed != nil {
-		res, err = solver.WarmStart(prob, warmSeed, nil, warmGap, opts, ws)
+		res, err = solver.WarmStart(prob, warmSeed, nil, warmGap, opts, in.ws)
 		switch {
 		case err == nil:
 			warm = true
@@ -126,7 +186,7 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 				rec.Rung("warm")
 			}
 		case ctx.Err() != nil:
-			return nil, nil, false, ctx.Err()
+			return nil, nil, ctx.Err()
 		default:
 			// A warm seed that cannot be re-centered, that stalls the
 			// barrier, or under which a centering exhausts its iteration
@@ -163,46 +223,44 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 			start, err = in.phaseI(s, opts)
 		}
 		if err == nil {
-			res, err = solver.BarrierWS(prob, start, opts, ws)
+			res, err = solver.BarrierWS(prob, start, opts, in.ws)
 		}
 		if rec != nil {
 			rec.Rung(rung)
 		}
 	}
+	a := &Assignment{Work: Work{
+		NewtonIters:      abandoned.NewtonIters,
+		WarmAbandonIters: abandoned.NewtonIters,
+		AssembleNanos:    abandoned.AssembleNanos,
+		FactorNanos:      abandoned.FactorNanos,
+		LinesearchNanos:  abandoned.LinesearchNanos,
+		Cuts:             abandoned.Cuts,
+		WarmHits:         b2i(warm),
+		Certified:        b2i(certified),
+	}}
 	if err != nil {
 		if errors.Is(err, solver.ErrInfeasible) {
-			return &Assignment{
-				NewtonIters:     abandoned.NewtonIters,
-				AssembleNanos:   abandoned.AssembleNanos,
-				FactorNanos:     abandoned.FactorNanos,
-				LinesearchNanos: abandoned.LinesearchNanos,
-				Cuts:            abandoned.Cuts,
-				abandonedIters:  abandoned.NewtonIters,
-				certified:       certified,
-			}, nil, warm, nil
+			return a, nil, nil
 		}
-		return nil, nil, warm, fmt.Errorf("core: solve (%s, tstart=%g, ftarget=%g): %w",
+		return nil, nil, fmt.Errorf("core: solve (%s, tstart=%g, ftarget=%g): %w",
 			s.Variant, s.TStart, s.FTarget, err)
 	}
 
-	a := &Assignment{
-		Feasible:        true,
-		Freqs:           make([]float64, n),
-		Powers:          make([]float64, n),
-		Gap:             res.Gap,
-		NewtonIters:     abandoned.NewtonIters + res.NewtonIters,
-		AssembleNanos:   abandoned.AssembleNanos + res.AssembleNanos,
-		FactorNanos:     abandoned.FactorNanos + res.FactorNanos,
-		LinesearchNanos: abandoned.LinesearchNanos + res.LinesearchNanos,
-		Rows:            res.Rows,
-		Cuts:            abandoned.Cuts + res.Cuts,
-		abandonedIters:  abandoned.NewtonIters,
-		uncentered:      !res.Centered,
-	}
-	if a.uncentered {
+	a.Feasible = true
+	a.Freqs, a.Powers = make([]float64, n), make([]float64, n)
+	a.Gap = res.Gap
+	a.NewtonIters += res.NewtonIters
+	a.AssembleNanos += res.AssembleNanos
+	a.FactorNanos += res.FactorNanos
+	a.LinesearchNanos += res.LinesearchNanos
+	a.Rows = res.Rows
+	a.Cuts += res.Cuts
+	if !res.Centered {
 		// Only a cold result gets here (WarmStart abandons a seed whose
 		// centering does not converge): a strictly feasible point, but
 		// no optimality certificate.
+		a.Uncentered = 1
 		a.Gap = math.Inf(1)
 	}
 	for j := 0; j < n; j++ {
@@ -218,38 +276,27 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 		a.TGrad = res.X[lay.gIdx()]
 	}
 	a.PeakTemp, _ = scanRows(rows, in.pn, math.Inf(1))
-	return a, res.X, warm, nil
+	return a, res.X, nil
 }
 
-// SolveUniformBisect finds the largest supportable uniform target:
-// feasibility of a uniform frequency f is monotone (more frequency
-// means more power means higher temperatures everywhere), and each row
-// is quadratic in f, so the maximum is found in closed form
-// (uniformMax) — the name is kept from the bisection it replaced. The
-// closed-form uniform decision (uniformAssignment) tests the same rows
-// at the target itself, and the run-time downgrade ladder probes the
-// same capacity (OnlineSolver.Downgrade).
-//
-// It returns the maximum supportable average frequency in Hz and whether
-// the requested target is supportable.
-func SolveUniformBisect(s *Spec) (maxFreq float64, targetOK bool, err error) {
-	return SolveUniformBisectContext(context.Background(), s)
-}
-
-// SolveUniformBisectContext is SolveUniformBisect with cancellation:
-// ctx is polled before the rows are evaluated.
-func SolveUniformBisectContext(ctx context.Context, s *Spec) (maxFreq float64, targetOK bool, err error) {
+// UniformCapacity returns the largest average frequency (Hz) every core
+// can run at uniformly through the design point's window, and whether
+// the requested target fits under it: feasibility of a uniform
+// frequency is monotone (more frequency means more power means higher
+// temperatures everywhere) and each row is quadratic in it, so the
+// maximum is closed form (uniformMax). The closed-form uniform decision
+// (uniformAssignment) tests the same rows at the target itself, and
+// the run-time downgrade ladder probes the same capacity
+// (OnlineSolver.Downgrade).
+func UniformCapacity(s *Spec) (maxFreq float64, targetOK bool, err error) {
 	if err := s.Validate(); err != nil {
-		return 0, false, err
-	}
-	if err := ctx.Err(); err != nil {
 		return 0, false, err
 	}
 	rows, err := s.tempRows()
 	if err != nil {
 		return 0, false, err
 	}
-	fnMax, ok, err := uniformMax(ctx, s.Chip, s.TMax, rows, linalg.NewVector(s.Chip.NumCores()))
+	fnMax, ok, err := uniformMax(context.Background(), s.Chip, s.TMax, rows, linalg.NewVector(s.Chip.NumCores()))
 	if err != nil || !ok {
 		return 0, false, err
 	}
@@ -526,6 +573,13 @@ func phase1Start(s *Spec, lay layout) linalg.Vector {
 		x[lay.pIdx(j)] = p + math.Min(1e-3, 0.5*(1-p))
 	}
 	return x
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func clamp01(x float64) float64 {

@@ -210,7 +210,7 @@ func TestUniformBarrierMatchesBisect(t *testing.T) {
 	for _, tstart := range []float64{37, 67, 87} {
 		s := baseSpec(t, tstart, 100)
 		s.Variant = VariantUniform
-		maxF, _, err := SolveUniformBisect(s)
+		maxF, _, err := UniformCapacity(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestUniformBarrierMatchesBisect(t *testing.T) {
 func TestVariableDominatesUniform(t *testing.T) {
 	for _, tstart := range []float64{47, 77, 97} {
 		s := baseSpec(t, tstart, 100)
-		maxUniform, _, err := SolveUniformBisect(s)
+		maxUniform, _, err := UniformCapacity(s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -173,8 +173,8 @@ func (s *Spec) gradStride() int {
 // Assignment is the solved frequency assignment for one design point.
 type Assignment struct {
 	// Feasible reports whether the design point admits any assignment.
-	// When false all other fields are zero — the paper's "optimization
-	// notifies an infeasible solution".
+	// When false every field but Work is zero — the paper's
+	// "optimization notifies an infeasible solution".
 	Feasible bool
 	// Freqs holds the per-core frequencies in Hz (length NumCores).
 	Freqs []float64
@@ -195,11 +195,31 @@ type Assignment struct {
 	// whose final centering did not converge (a strictly feasible point,
 	// not a certified optimum).
 	Gap float64
-	// NewtonIters counts solver work, for the §5.1 cost accounting:
-	// the barrier solve's iterations plus those of a warm attempt that
-	// was abandoned before the cold ladder ran (Phase I is not counted),
-	// or the dual solve's Newton steps.
-	NewtonIters int
+	// Work is the solver work behind the decision: one solve, or a
+	// distributed window's cluster solves summed.
+	Work
+}
+
+// Work is the solver accounting of one or more window decisions: every
+// field is a count, so Add folds solves into windows and windows into
+// run totals. One decision (Assignment.Work) reports one solve, with
+// each outcome counted 0 or 1.
+type Work struct {
+	// Solves counts window solves: closed-form decisions included, and
+	// for the distributed solver its cluster subproblem solves.
+	Solves int
+	// WarmHits counts solves carried by the previous result (the dual's
+	// working set, or a barrier seed re-centered from the kept
+	// optimum); WarmRejects solves where a kept optimum existed but its
+	// seed was rejected and the cold start ladder ran.
+	WarmHits    int
+	WarmRejects int
+	// NewtonIters counts Newton iterations, for the §5.1 cost
+	// accounting: the barrier's, a warm attempt abandoned before the
+	// cold ladder ran included (Phase I is not counted), or the dual
+	// solve's steps. WarmAbandonIters is the abandoned attempt's share.
+	NewtonIters      int
+	WarmAbandonIters int
 	// AssembleNanos, FactorNanos and LinesearchNanos split the barrier's
 	// wall time into Hessian assembly, KKT factorization+solve and line
 	// search, an abandoned warm attempt included (zero for decisions
@@ -215,17 +235,37 @@ type Assignment struct {
 	// added.
 	Rows int
 	Cuts int
+	// Certified counts infeasible verdicts proved by the kept Phase-I
+	// dual, with no rebalance or Phase I run (certify.go); Uncentered
+	// cold barrier results whose final centering did not converge
+	// (Assignment.Gap is +Inf); DualUnconverged dual solves that ran
+	// out of budget and were decided by the uniform point at φ
+	// (dual.go).
+	Certified       int
+	Uncentered      int
+	DualUnconverged int
+	// Downgrades and Idles count windows (for the distributed solver,
+	// cluster ladders) that re-solved at the uniform capacity or idled
+	// (OnlineSolver.Downgrade).
+	Downgrades int
+	Idles      int
+}
 
-	// abandonedIters is the abandoned warm attempt's share of
-	// NewtonIters.
-	abandonedIters int
-	// certified marks an infeasible verdict proved by the kept Phase-I
-	// dual, with no rebalance or Phase I run (certify.go).
-	certified bool
-	// uncentered marks a cold barrier result whose final centering did
-	// not converge (Gap is +Inf).
-	uncentered bool
-	// dualUnconverged marks a dual solve that ran out of budget and was
-	// decided by the uniform point at φ (dual.go).
-	dualUnconverged bool
+// Add folds o into w.
+func (w *Work) Add(o Work) {
+	w.Solves += o.Solves
+	w.WarmHits += o.WarmHits
+	w.WarmRejects += o.WarmRejects
+	w.NewtonIters += o.NewtonIters
+	w.WarmAbandonIters += o.WarmAbandonIters
+	w.AssembleNanos += o.AssembleNanos
+	w.FactorNanos += o.FactorNanos
+	w.LinesearchNanos += o.LinesearchNanos
+	w.Rows += o.Rows
+	w.Cuts += o.Cuts
+	w.Certified += o.Certified
+	w.Uncentered += o.Uncentered
+	w.DualUnconverged += o.DualUnconverged
+	w.Downgrades += o.Downgrades
+	w.Idles += o.Idles
 }

@@ -74,12 +74,12 @@ func TestStructuredMatchesDenseClosedLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if arrow.plan.pattern == nil {
+			if arrow.inst.plan.pattern == nil {
 				t.Fatal("structured solver has no pattern")
 			}
 			// Strip the hint from the dense lane: both the plan (future
 			// instances) and the already-built instance.
-			dense.plan.pattern = nil
+			dense.inst.plan.pattern = nil
 			dense.inst.prob.Pattern = nil
 
 			steps := []struct {
@@ -94,8 +94,8 @@ func TestStructuredMatchesDenseClosedLoop(t *testing.T) {
 			}
 			for i, st := range steps {
 				m := thermalMap(t, st.base)
-				aa, _, errA := arrow.Solve(context.Background(), 0, m, st.ftarget)
-				ad, _, errD := dense.Solve(context.Background(), 0, m, st.ftarget)
+				aa, errA := arrow.Solve(context.Background(), 0, m, st.ftarget)
+				ad, errD := dense.Solve(context.Background(), 0, m, st.ftarget)
 				if (errA == nil) != (errD == nil) {
 					t.Fatalf("step %d: arrow err=%v dense err=%v", i, errA, errD)
 				}

@@ -187,9 +187,9 @@ func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 
 // compileBarrier builds the barrier program of a variable or gradient
 // TableSpec (the paper's Eqs. 2-5) over its compiled rows. It is the
-// single assembly behind the gradient variant's plan, its Phase-I twin
-// and Spec.build(), so the cold per-point path and the sweep cannot
-// drift apart; t0 is as for compileSweep.
+// single assembly behind the gradient variant's plan (the sweep's, the
+// online solver's and SolveContext's), its Phase-I twin and the tests'
+// variable oracle; t0 is as for compileSweep.
 func compileBarrier(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	chip := ts.Chip
 	fp := chip.Floorplan()
@@ -253,9 +253,9 @@ func compileBarrier(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	pl.workScale = float64(n)
 	pl.workNZ = nonzeroIndices(pl.workA)
 
-	// Box constraints (constant, shared). The shared slice keeps the
-	// same ordering build() emits: couplings, workload, box — the
-	// workload slot is spliced in by the instance.
+	// Box constraints (constant, shared). The shared slice is ordered
+	// couplings, box; the instance splices the workload row between
+	// them.
 	for j := 0; j < n; j++ {
 		lo := linalg.NewVector(lay.dim)
 		lo[lay.fIdx(j)] = -1
@@ -355,16 +355,26 @@ func (pl *sweepPlan) slackPlan() (*solver.SlackPlan, error) {
 
 // sweepInstance is one worker's mutable view of a compiled plan: a
 // problem whose constraint offsets are rewritten in place per grid
-// point, plus the tempRow buffer the start heuristics, the closed form,
-// the dual solve and PeakTemp read. The coefficient vectors alias the
-// plan and are never written. A rows-only plan's instance has rows and
-// no problem; a variable one has the dual solver and its warm state.
+// point or window, the tempRow buffer the start heuristics, the closed
+// form, the dual solve and PeakTemp read, the point's Spec, and every
+// piece of warm state decide carries from one point to the next. The
+// coefficient vectors alias the plan and are never written. A rows-only
+// plan's instance has rows and no problem; a variable one has the dual
+// solver.
 type sweepInstance struct {
 	plan *sweepPlan
 	prob *solver.Problem
 	rows []tempRow     // c0 refreshed per TStart; coef aliases the plan
 	pn   linalg.Vector // the optimum's normalized powers, for PeakTemp
-	dws  *dualWS       // variable rows-only plans only
+	spec Spec          // the point set/setMap last instantiated
+
+	// Warm state (invalidate drops it): the dual's working set and
+	// multipliers (variable rows-only plans), or the last feasible
+	// barrier optimum, which seeds the next point (warmSeed). ws is the
+	// barrier's scratch, made on the first barrier solve.
+	dws *dualWS
+	x   linalg.Vector
+	ws  *solver.Workspace
 
 	temp []*solver.Affine // temperature constraints, aligned with rows
 	work *solver.Affine
@@ -388,7 +398,12 @@ type sweepInstance struct {
 
 // instance materializes a per-worker problem over the shared plan.
 func (pl *sweepPlan) instance() *sweepInstance {
-	in := &sweepInstance{plan: pl, curTStart: math.NaN()}
+	ts := pl.ts
+	in := &sweepInstance{plan: pl, curTStart: math.NaN(), spec: Spec{
+		Chip: ts.Chip, Window: ts.Window, TMax: ts.TMax,
+		Variant: ts.Variant, GradWeight: ts.GradWeight, GradStride: ts.GradStride,
+		ConstrainAllBlocks: ts.ConstrainAllBlocks,
+	}}
 	in.rows = make([]tempRow, len(pl.rows))
 	for i, r := range pl.rows {
 		in.rows[i] = tempRow{step: r.step, block: r.block, core: r.core, coef: r.coef, idle: r.idle, dyn: r.dyn}
@@ -408,7 +423,7 @@ func (pl *sweepPlan) instance() *sweepInstance {
 		in.prob.Constraints = append(in.prob.Constraints, in.temp[i])
 	}
 	// Splice the workload constraint between the couplings and the box
-	// constraints, matching Spec.build()'s ordering exactly.
+	// constraints.
 	couplings := pl.ts.Chip.NumCores()
 	for _, c := range pl.static[:couplings] {
 		in.prob.Constraints = append(in.prob.Constraints, c)
@@ -466,9 +481,9 @@ func (in *sweepInstance) phaseI(s *Spec, opts solver.Options) (linalg.Vector, er
 
 // set instantiates the compiled problem at one grid point: refresh the
 // row offsets when TStart changed, always refresh the workload offset,
-// and return the equivalent per-point Spec (for the start heuristics
-// and the closed form). The work is a handful of scalar writes per
-// constraint — no allocation, no thermal re-evaluation.
+// and return the instance's Spec rewritten to the point (for decide).
+// The work is a handful of scalar writes per constraint — no
+// allocation, no thermal re-evaluation.
 func (in *sweepInstance) set(tstart, ftarget float64) *Spec {
 	pl := in.plan
 	if tstart != in.curTStart {
@@ -478,21 +493,19 @@ func (in *sweepInstance) set(tstart, ftarget float64) *Spec {
 		}
 		in.syncRows()
 	}
-	s := in.setTarget(ftarget)
-	s.TStart = tstart
-	return s
+	in.spec.TStart, in.spec.T0 = tstart, nil
+	return in.setTarget(ftarget)
 }
 
 // setMap instantiates the compiled problem at an explicit per-block
 // starting map instead of a uniform TStart: every row offset is
 // rewritten as c0 = t0Row·t0 + c0Base (one short dot product per row),
-// the constraint offsets follow, and the equivalent per-point Spec is
-// returned for the start heuristics and the closed form. Only valid on
-// plans compiled with a nil t0 (compileSweep's deferred mode); the
-// returned Spec aliases t0, which must stay unmodified for the duration
-// of the solve. This is the online MPC hot path: each control window
-// observes a fresh thermal map, and the rewrite replaces the full
-// problem rebuild the cold path pays.
+// the constraint offsets follow, and the instance's Spec is returned
+// rewritten to the window. Only valid on plans compiled with a nil t0
+// (compileSweep's deferred mode); the Spec aliases t0, which must stay
+// unmodified for the duration of the solve. This is the online MPC hot
+// path: each control window observes a fresh thermal map, and the
+// rewrite replaces the full problem rebuild the cold path pays.
 func (in *sweepInstance) setMap(t0 linalg.Vector, ftarget float64) *Spec {
 	pl := in.plan
 	// Poison the uniform-TStart memo: NaN never compares equal, so a
@@ -502,9 +515,8 @@ func (in *sweepInstance) setMap(t0 linalg.Vector, ftarget float64) *Spec {
 		in.rows[i].c0 = pl.rows[i].t0Row.Dot(t0) + pl.rows[i].c0Base
 	}
 	in.syncRows()
-	s := in.setTarget(ftarget)
-	s.T0 = t0
-	return s
+	in.spec.TStart, in.spec.T0 = 0, t0
+	return in.setTarget(ftarget)
 }
 
 // syncRows copies the rows' offsets into the barrier program's
@@ -520,28 +532,28 @@ func (in *sweepInstance) syncRows() {
 }
 
 // setTarget sets the workload offset for ftarget (a rows-only plan has
-// none) and returns the per-point Spec, starting state left to the
-// caller.
+// none) and the Spec's target, and returns the Spec.
 func (in *sweepInstance) setTarget(ftarget float64) *Spec {
 	pl := in.plan
 	if in.work != nil {
 		in.work.B = pl.workScale * ftarget / pl.ts.Chip.FMax()
 	}
-	return &Spec{
-		Chip:               pl.ts.Chip,
-		Window:             pl.ts.Window,
-		TMax:               pl.ts.TMax,
-		FTarget:            ftarget,
-		Variant:            pl.ts.Variant,
-		GradWeight:         pl.ts.GradWeight,
-		GradStride:         pl.ts.GradStride,
-		ConstrainAllBlocks: pl.ts.ConstrainAllBlocks,
+	in.spec.FTarget = ftarget
+	return &in.spec
+}
+
+// invalidate drops the warm state: the next decide starts cold.
+func (in *sweepInstance) invalidate() {
+	in.x = nil
+	if in.dws != nil {
+		in.dws.invalidate()
 	}
 }
 
-// warmSeed re-centers a neighboring grid point's optimum into a
-// strictly feasible start for the current point. The neighbor solved a
-// lower FTarget at the same TStart, so its frequency sum sits at (or
+// warmSeed re-centers the kept optimum in.x (a neighboring grid
+// point's, or the previous window's) into a strictly feasible start
+// for the current point. In the sweep the neighbor solved a lower
+// FTarget at the same TStart, so its frequency sum sits at (or
 // slightly above) the old workload bound; the deficit to the new bound
 // is distributed proportionally to each core's frequency headroom,
 // preserving the spatial shape the optimizer found — which is exactly
@@ -556,8 +568,8 @@ func (in *sweepInstance) setTarget(ftarget float64) *Spec {
 // turns it into the initial barrier weight. Returns (nil, 0) when no
 // slack level yields strict feasibility (the caller falls back to the
 // cold ladder).
-func (in *sweepInstance) warmSeed(s *Spec, prevX linalg.Vector) (linalg.Vector, float64) {
-	lay := in.plan.lay
+func (in *sweepInstance) warmSeed(s *Spec) (linalg.Vector, float64) {
+	lay, prevX := in.plan.lay, in.x
 	if prevX == nil || len(prevX) != lay.dim {
 		return nil, 0
 	}

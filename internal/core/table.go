@@ -15,9 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"protemp/internal/linalg"
 	"protemp/internal/power"
-	"protemp/internal/solver"
 	"protemp/internal/thermal"
 )
 
@@ -304,7 +302,6 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 		go func() {
 			defer wg.Done()
 			inst := plan.instance()
-			ws := solver.NewWorkspace(plan.lay.dim)
 			var local TableStats
 			defer func() {
 				statsMu.Lock()
@@ -320,32 +317,17 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 				// Each worker owns its rows outright, so Entries[ti]
 				// writes below need no lock; per-worker stats fold in
 				// once at exit, and the sweep mutexes guard only the
-				// first error and the observer.
-				var prevX linalg.Vector
-				if inst.dws != nil {
-					inst.dws.invalidate()
-				}
+				// first error and the observer. A row's warm chain
+				// starts cold, and every point of it is decided, past
+				// the capacity boundary too, so the table records the
+				// full feasibility mask.
+				inst.invalidate()
 				for fi := 0; fi < nF; fi++ {
 					if aborted.Load() || ctx.Err() != nil {
 						break
 					}
-					spec := inst.set(ts.TStarts[ti], ts.FTargets[fi])
 					start := time.Now()
-					var (
-						a    *Assignment
-						x    linalg.Vector
-						warm bool
-						err  error
-					)
-					if fn, ok := closedForm(ts.Variant, spec.FTarget/ts.Chip.FMax()); ok {
-						a = uniformAssignment(spec, inst.rows, fn)
-					} else if d := inst.dws; d != nil {
-						warm = d.warm
-						a, err = d.solve(ctx, spec, inst.rows, nil)
-					} else {
-						seed, gap := inst.warmSeed(spec, prevX)
-						a, x, warm, err = solveLadder(ctx, spec, inst, seed, gap, ws, nil)
-					}
+					a, err := inst.decide(ctx, inst.set(ts.TStarts[ti], ts.FTargets[fi]), nil)
 					elapsed := time.Since(start)
 					if err != nil {
 						if ctx.Err() == nil {
@@ -353,16 +335,15 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 						}
 						break
 					}
-					local.Solves++
+					local.Solves += a.Solves
 					local.NewtonIters += a.NewtonIters
 					local.WallNanos += elapsed.Nanoseconds()
-					if warm {
+					if a.WarmHits > 0 {
 						local.WarmHits++
 						local.WarmIters += a.NewtonIters
 					}
 					if a.Feasible {
 						local.Feasible++
-						prevX = x
 						tbl.Entries[ti][fi] = Entry{
 							Feasible:   true,
 							Freqs:      a.Freqs,
@@ -371,12 +352,6 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 							PeakTemp:   a.PeakTemp,
 							TGrad:      a.TGrad,
 						}
-					} else {
-						// Feasibility is monotone in FTarget along a row:
-						// past the capacity boundary every higher target
-						// is infeasible too, but each point is still
-						// solved so the table records the full mask.
-						prevX = nil
 					}
 					if ts.Observer != nil {
 						// The counter increments inside the observer
@@ -390,7 +365,7 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 							TStart:      ts.TStarts[ti],
 							FTarget:     ts.FTargets[fi],
 							Feasible:    a.Feasible,
-							Warm:        warm,
+							Warm:        a.WarmHits > 0,
 							NewtonIters: a.NewtonIters,
 							Elapsed:     elapsed,
 						})

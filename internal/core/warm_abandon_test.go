@@ -60,15 +60,15 @@ func TestRejectedWarmStartIsAbandonedEarly(t *testing.T) {
 	}
 	tally := &windowTally{}
 	rejects, rejectIters := 0, 0
-	observe := func(_ time.Duration, st core.OnlineStepStats, _ error) {
-		if st.WarmRejected {
+	observe := func(_ time.Duration, w core.Work, _ error) {
+		if w.WarmRejects > 0 {
 			rejects++
-			rejectIters += st.WarmAbandonIters
+			rejectIters += w.WarmAbandonIters
 		}
-		if st.WarmAbandonIters > st.NewtonIters {
-			t.Errorf("abandoned warm attempt (%d iterations) exceeds the solve's total %d", st.WarmAbandonIters, st.NewtonIters)
+		if w.WarmAbandonIters > w.NewtonIters {
+			t.Errorf("abandoned warm attempt (%d iterations) exceeds the solve's total %d", w.WarmAbandonIters, w.NewtonIters)
 		}
-		tally.abandoned += st.WarmAbandonIters
+		tally.abandoned += w.WarmAbandonIters
 	}
 	flight := obs.NewFlightRecorder(1024, 1)
 	tally.Policy = sim.NewProTemp(ctx, control.Online(ol, flight, observe), nil)

@@ -91,7 +91,7 @@ func TestCentralFallbackCountsLikeOnlineSession(t *testing.T) {
 		hits1, rej1 := sess.WarmStats()
 
 		central := [5]int{
-			fs.ClusterSolves - as.ClusterSolves,
+			fs.Solves - as.Solves,
 			fs.WarmHits - as.WarmHits,
 			fs.WarmRejects - as.WarmRejects,
 			fs.Downgrades - as.Downgrades,

@@ -42,7 +42,7 @@ func TestManyCoreWindowScreened(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Feasible || stats.ClusterSolves < s.Clusters() {
+	if !a.Feasible || stats.Solves < s.Clusters() {
 		t.Fatalf("window: feasible=%v stats %+v", a.Feasible, stats)
 	}
 	cores := chip.NumCores() / s.Clusters()

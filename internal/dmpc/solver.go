@@ -107,24 +107,16 @@ type Config struct {
 	Opts    Options
 }
 
-// StepStats reports one distributed window solve: consensus progress,
-// per-cluster solver work, and which fallback rung (if any) produced
-// the decision.
+// StepStats reports one distributed window solve: the cluster
+// solves' summed Work (Solves counts cluster subproblem solves,
+// downgrade re-solves and fallback rungs included; Downgrades and
+// Idles count cluster ladders that re-solved at their uniform capacity
+// or idled), consensus progress, and which fallback rung (if any)
+// produced the decision.
 type StepStats struct {
+	core.Work
 	// OuterIters is the number of consensus iterations run.
 	OuterIters int
-	// ClusterSolves counts cluster subproblem solves (including
-	// downgrade re-solves and fallback rungs).
-	ClusterSolves int
-	// WarmHits / WarmRejects aggregate the cluster solvers' warm-start
-	// outcomes.
-	WarmHits    int
-	WarmRejects int
-	// Downgrades counts clusters that could not support the target and
-	// re-solved at their uniform capacity; Idles counts clusters forced
-	// to a zero-frequency window.
-	Downgrades int
-	Idles      int
 	// PrimalResidC is the final max boundary-temperature disagreement
 	// (°C); DualResidC the final max dual correction applied (°C).
 	PrimalResidC float64
@@ -136,12 +128,6 @@ type StepStats struct {
 	// duals to keep contracting across windows.
 	Converged bool
 	Fallback  bool
-	// NewtonIters sums the solver iterations across clusters.
-	NewtonIters int
-	// Uncentered and DualUnconverged count cluster solves that ended
-	// uncentered or out of dual budget (core.DowngradeStats).
-	Uncentered      int
-	DualUnconverged int
 }
 
 // Solver is the distributed-MPC counterpart of core.OnlineSolver: one
@@ -214,7 +200,7 @@ type clusterSub struct {
 	ownTend linalg.Vector
 	peak    float64
 	gap     float64
-	ds      core.DowngradeStats
+	work    core.Work
 	err     error
 }
 
@@ -518,7 +504,7 @@ func (s *Solver) solveRound(ctx context.Context, tstart float64, t0g []float64, 
 
 	var firstErr error
 	for _, sub := range s.subs {
-		stats.add(sub.ds)
+		stats.Add(sub.work)
 		if sub.err != nil && firstErr == nil {
 			firstErr = sub.err
 		}
@@ -559,8 +545,8 @@ func (s *Solver) solveCluster(ctx context.Context, c int, tstart float64, t0g []
 		sub.t0c[len(sub.blocks)+hi] = t
 	}
 
-	a, ds, err := sub.ol.Downgrade(ctx, tstart, sub.t0c, ftarget, nil, s.observeSolve)
-	sub.ds = ds
+	a, w, err := sub.ol.Downgrade(ctx, tstart, sub.t0c, ftarget, nil, s.observeSolve)
+	sub.work = w
 	if err != nil {
 		sub.err = err
 		return
@@ -573,25 +559,9 @@ func (s *Solver) solveCluster(ctx context.Context, c int, tstart float64, t0g []
 
 // observeSolve folds one subproblem solve's wall time into the
 // solver's latency histogram (atomic, so workers observe concurrently).
-func (s *Solver) observeSolve(d time.Duration, _ core.OnlineStepStats, _ error) {
+func (s *Solver) observeSolve(d time.Duration, _ core.Work, _ error) {
 	if s.ClusterNanos != nil {
 		s.ClusterNanos.ObserveDuration(d.Nanoseconds())
-	}
-}
-
-// add folds one downgrade ladder's accounting into the window stats.
-func (st *StepStats) add(ds core.DowngradeStats) {
-	st.ClusterSolves += ds.Solves
-	st.WarmHits += ds.WarmHits
-	st.WarmRejects += ds.WarmRejects
-	st.NewtonIters += ds.NewtonIters
-	st.Uncentered += ds.Uncentered
-	st.DualUnconverged += ds.DualUnconverged
-	if ds.Downgraded {
-		st.Downgrades++
-	}
-	if ds.Idle {
-		st.Idles++
 	}
 }
 
@@ -694,7 +664,8 @@ func (s *Solver) fallback(ctx context.Context, tstart float64, t0g []float64, ft
 // centralSolve is the centralized fallback rung: the same program and
 // Downgrade ladder the engine's online session runs, compiled lazily because on
 // small chips it is affordable and on a healthy consensus loop it is
-// never needed.
+// never needed. Like assemble, it sets the window's summed Work on the
+// assignment.
 func (s *Solver) centralSolve(ctx context.Context, tstart float64, t0g []float64, ftarget float64, stats *StepStats) (*core.Assignment, error) {
 	s.centralOnce.Do(func() {
 		fp := s.cfg.Chip.Floorplan()
@@ -729,19 +700,24 @@ func (s *Solver) centralSolve(ctx context.Context, tstart float64, t0g []float64
 	} else {
 		s.central.SetRecorder(nil)
 	}
-	a, ds, err := s.central.Downgrade(ctx, tstart, t0g, ftarget, nil, s.observeSolve)
-	stats.add(ds)
-	return a, err
+	a, w, err := s.central.Downgrade(ctx, tstart, t0g, ftarget, nil, s.observeSolve)
+	stats.Add(w)
+	if err != nil {
+		return nil, err
+	}
+	a.Work = stats.Work
+	return a, nil
 }
 
 // assemble stitches the clusters' latest decisions into one full-chip
-// assignment in parent core order.
+// assignment in parent core order, carrying the window's summed Work.
 func (s *Solver) assemble(stats *StepStats) *core.Assignment {
 	n := s.cfg.Chip.NumCores()
 	a := &core.Assignment{
 		Feasible: true,
 		Freqs:    make([]float64, n),
 		Powers:   make([]float64, n),
+		Work:     stats.Work,
 	}
 	for _, sub := range s.subs {
 		for lk, parent := range sub.coreOf {
@@ -760,6 +736,5 @@ func (s *Solver) assemble(stats *StepStats) *core.Assignment {
 		a.TotalPower += a.Powers[k]
 	}
 	a.AvgFreq /= float64(n)
-	a.NewtonIters = stats.NewtonIters
 	return a
 }

@@ -48,11 +48,11 @@ func TestSolveBasic(t *testing.T) {
 			t.Fatalf("core %d frequency %g out of range", k, f)
 		}
 	}
-	if stats.OuterIters < 1 || stats.ClusterSolves < 2 {
+	if stats.OuterIters < 1 || stats.Solves < 2 {
 		t.Fatalf("stats: %+v", stats)
 	}
-	if hist.Count() != uint64(stats.ClusterSolves) {
-		t.Fatalf("cluster latency histogram has %d samples for %d solves", hist.Count(), stats.ClusterSolves)
+	if hist.Count() != uint64(stats.Solves) {
+		t.Fatalf("cluster latency histogram has %d samples for %d solves", hist.Count(), stats.Solves)
 	}
 	// A second window from a mild state should ride the warm chain.
 	_, stats2, err := s.Solve(context.Background(), 80, nil, 0.6e9)
@@ -164,7 +164,7 @@ func TestManyCoreSolve(t *testing.T) {
 	if len(a.Freqs) != 64 {
 		t.Fatalf("%d freqs for 64 cores", len(a.Freqs))
 	}
-	if stats.ClusterSolves < 8 {
+	if stats.Solves < 8 {
 		t.Fatalf("stats: %+v", stats)
 	}
 	if s.central != nil {
@@ -225,7 +225,7 @@ func TestClusterPeakTempMatchesForwardSim(t *testing.T) {
 			t.Fatal(err)
 		}
 		for c, sub := range s.subs {
-			a, _, err := sub.ol.Solve(ctx, 0, sub.t0c, target)
+			a, err := sub.ol.Solve(ctx, 0, sub.t0c, target)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,6 +249,50 @@ func TestClusterPeakTempMatchesForwardSim(t *testing.T) {
 			if math.Abs(a.PeakTemp-peak) > 1e-9 {
 				t.Fatalf("%v cluster %d: PeakTemp %.12f °C, forward simulation %.12f °C", v, c, a.PeakTemp, peak)
 			}
+		}
+	}
+}
+
+// TestAssignmentCarriesWindowWork pins that a distributed window's
+// assignment reports the window's work: its Work equals the StepStats'
+// sum over the cluster solves, on the consensus path, the central
+// fallback rung and the worst-case rung.
+func TestAssignmentCarriesWindowWork(t *testing.T) {
+	forced := Options{Clusters: 2, MaxOuter: 1, PrimalTolC: 1e-9, AcceptTolC: 1e-9}
+	worstCase := niagaraSolver(t, forced)
+	worstCase.fallbackCores = 0
+	solvers := []struct {
+		name     string
+		s        *Solver
+		fallback bool
+	}{
+		{"consensus", niagaraSolver(t, Options{Clusters: 2}), false},
+		{"central", niagaraSolver(t, forced), true},
+		{"worst-case", worstCase, true},
+	}
+	ctx := context.Background()
+	for _, tc := range solvers {
+		fmax := tc.s.Chip().FMax()
+		var downgrades int
+		for w, win := range []struct{ temp, phi float64 }{{65, 0.5}, {95, 0.9}, {80, 0.5}} {
+			t0 := make([]float64, tc.s.Chip().Floorplan().NumBlocks())
+			for i := range t0 {
+				t0[i] = win.temp - 2 + 1.5*math.Sin(float64(2*i+w))
+			}
+			a, st, err := tc.s.Solve(ctx, win.temp, t0, win.phi*fmax)
+			if err != nil {
+				t.Fatalf("%s window %d: %v", tc.name, w, err)
+			}
+			if st.Fallback != tc.fallback {
+				t.Fatalf("%s window %d: fallback %v, want %v", tc.name, w, st.Fallback, tc.fallback)
+			}
+			if st.Solves < 2 || a.Work != st.Work {
+				t.Fatalf("%s window %d: assignment work %+v, window work %+v", tc.name, w, a.Work, st.Work)
+			}
+			downgrades += st.Downgrades
+		}
+		if downgrades == 0 {
+			t.Fatalf("%s: no window downgraded; the sequence does not exercise the re-solves", tc.name)
 		}
 	}
 }

@@ -40,10 +40,13 @@ type State struct {
 // convex program on the observed thermal map each step.
 //
 // An online session owns warm solver state — a problem compiled once
-// at NewOnlineSession, a reusable solver workspace, and the previous
-// window's optimum as the next window's barrier seed — so concurrent
-// Step calls remain safe but serialize their solves on the session;
-// callers needing solve parallelism open one session per stream.
+// at NewOnlineSession and the previous window's result: the dual
+// working set and multipliers the variable variant starts from, or the
+// optimum that seeds the gradient variant's barrier (with its solver
+// workspace) — so concurrent Step calls remain safe but serialize their
+// solves on the session; callers needing solve parallelism open one
+// session per stream. A distributed session keeps that state per
+// cluster.
 type Session struct {
 	engine *Engine
 	table  *core.Table // table sessions only
@@ -152,11 +155,13 @@ func (s *Session) Stats() (steps, downgrades, idles, solves uint64) {
 	return uint64(t.Steps), uint64(t.Downgrades), uint64(t.Idles), uint64(t.Solves)
 }
 
-// WarmStats reports an online session's warm-start effectiveness:
-// solves carried by the previous window's re-centered optimum versus
-// solves where a previous optimum existed but the seed was rejected
-// and the cold start ladder ran. Both are zero for table sessions and
-// for a session's first solve (nothing to seed from).
+// WarmStats reports an online or distributed session's warm-start
+// effectiveness: solves carried by the previous window's result (the
+// dual working set for the variable variant, the re-centered barrier
+// optimum for the gradient one) versus solves where a previous optimum
+// existed but its barrier seed was rejected and the cold start ladder
+// ran (the dual has no rejection). Both are zero for table sessions and
+// for a session's first solve (nothing to start from).
 func (s *Session) WarmStats() (hits, rejects uint64) {
 	t := s.stats()
 	return uint64(t.WarmHits), uint64(t.WarmRejects)

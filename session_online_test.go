@@ -50,7 +50,7 @@ func coldStepDecide(t *testing.T, e *Engine, v core.Variant, st sim.WindowState)
 	if a.Feasible {
 		return a.Freqs
 	}
-	maxF, _, err := core.SolveUniformBisect(spec)
+	maxF, _, err := core.UniformCapacity(spec)
 	if err != nil {
 		t.Fatalf("cold bisect: %v", err)
 	}
@@ -290,10 +290,8 @@ func TestCertifiedWindowsAreInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	counted := 0
-	observe := func(_ time.Duration, st core.OnlineStepStats, _ error) {
-		if st.Certified {
-			counted++
-		}
+	observe := func(_ time.Duration, w core.Work, _ error) {
+		counted += w.Certified
 	}
 	flight := obs.NewFlightRecorder(1, 1)
 	probe := &certifiedProbe{flight: flight}
@@ -305,7 +303,7 @@ func TestCertifiedWindowsAreInfeasible(t *testing.T) {
 		t.Fatal("the certificate decided no window: the scenario no longer exercises it")
 	}
 	if counted != len(probe.cases) {
-		t.Fatalf("OnlineStepStats.Certified counted %d solves, the traces %d", counted, len(probe.cases))
+		t.Fatalf("Work.Certified counted %d solves, the traces %d", counted, len(probe.cases))
 	}
 	for i, c := range probe.cases {
 		s := &core.Spec{
