@@ -273,6 +273,19 @@ func stepBenchState(e *Engine, i int) State {
 	}
 }
 
+// hotStepState is stepBenchState run hot, as an overloaded stream
+// observes it: every block 30 °C warmer and the target at 0.8·fmax, so
+// rows bind and windows downgrade.
+func hotStepState(e *Engine, i int) State {
+	st := stepBenchState(e, i)
+	for j := range st.BlockTemps {
+		st.BlockTemps[j] += 30
+	}
+	st.MaxCoreTemp += 30
+	st.RequiredFreq = 0.8 * e.Chip().FMax()
+	return st
+}
+
 // BenchmarkSessionStep measures the online MPC hot path — one Step per
 // DFS window — along the two axes that bound a control plane's
 // sessions-per-node: warm-started per-session solver state versus the
@@ -348,6 +361,30 @@ func BenchmarkSessionStep(b *testing.B) {
 		b.StopTimer()
 		if hits, _ := s.WarmStats(); b.N > 4 && hits == 0 {
 			b.Fatal("gradient warm benchmark never warm-started")
+		}
+	})
+	b.Run("warm/hot", func(b *testing.B) {
+		// An overloaded stream: most windows fail their first solve and
+		// downgrade (a solve, the capacity probe and a re-solve over the
+		// same rows), the rest idle.
+		e := stepBenchEngine(b)
+		s, err := e.NewOnlineSession()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Step(ctx, hotStepState(e, 0)); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Step(ctx, hotStepState(e, i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if _, downgrades, _, _ := s.Stats(); b.N > 4 && downgrades == 0 {
+			b.Fatal("hot benchmark never downgraded")
 		}
 	})
 	b.Run("warm/sessionsN", func(b *testing.B) {
@@ -450,42 +487,50 @@ func BenchmarkDMPCStep(b *testing.B) {
 		{"cores64", 8, 8, 0},
 		{"cores256", 16, 16, 0},
 	}
-	step := func(b *testing.B, e *Engine, s *Session) {
+	step := func(b *testing.B, e *Engine, s *Session, state func(*Engine, int) State) {
 		b.Helper()
 		// Prime so the measured steady state is the warm serving path.
-		if _, err := s.Step(ctx, stepBenchState(e, 0)); err != nil {
+		if _, err := s.Step(ctx, state(e, 0)); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Step(ctx, stepBenchState(e, i)); err != nil {
+			if _, err := s.Step(ctx, state(e, i)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
+	// The hot lanes run an overloaded stream (hotStepState): most
+	// windows downgrade, centrally or per cluster, and the rest idle.
+	states := []struct {
+		suffix string
+		state  func(*Engine, int) State
+	}{{"", stepBenchState}, {"/hot", hotStepState}}
 	for _, tc := range cases {
-		b.Run(tc.name+"/central", func(b *testing.B) {
-			e := dmpcBenchEngine(b, tc.rows, tc.cols, 0, 0)
-			s, err := e.NewOnlineSession()
-			if err != nil {
-				b.Fatal(err)
-			}
-			step(b, e, s)
-		})
-		for _, workers := range []int{1, 0} {
-			name := "workers1"
-			if workers == 0 {
-				name = "workersMax"
-			}
-			b.Run(tc.name+"/dmpc/"+name, func(b *testing.B) {
-				e := dmpcBenchEngine(b, tc.rows, tc.cols, tc.clusters, workers)
-				s, err := e.NewDMPCSession()
+		for _, st := range states {
+			b.Run(tc.name+"/central"+st.suffix, func(b *testing.B) {
+				e := dmpcBenchEngine(b, tc.rows, tc.cols, 0, 0)
+				s, err := e.NewOnlineSession()
 				if err != nil {
 					b.Fatal(err)
 				}
-				step(b, e, s)
+				step(b, e, s, st.state)
 			})
+			for _, workers := range []int{1, 0} {
+				name := "workers1"
+				if workers == 0 {
+					name = "workersMax"
+				}
+				b.Run(tc.name+"/dmpc/"+name+st.suffix, func(b *testing.B) {
+					e := dmpcBenchEngine(b, tc.rows, tc.cols, tc.clusters, workers)
+					s, err := e.NewDMPCSession()
+					if err != nil {
+						b.Fatal(err)
+					}
+					step(b, e, s, st.state)
+				})
+			}
 		}
 	}
 }
@@ -583,24 +628,36 @@ func BenchmarkGenerateTable(b *testing.B) {
 }
 
 // BenchmarkThermalStep times the simulator's inner loop: one 0.4 ms
-// thermal step of the 15-node Niagara network.
+// thermal step of the 15-node Niagara network and of the 69-node
+// 64-core mesh.
 func BenchmarkThermalStep(b *testing.B) {
-	model, err := thermal.NewRC(setupBench(b).Chip.Floorplan(), thermal.DefaultParams())
+	mesh, err := floorplan.ManyCore(8, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	disc, err := model.Discretize(0.4e-3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := disc.NumNodes()
-	t0 := model.UniformStart(60)
-	next := linalg.NewVector(n)
-	p := linalg.Constant(n, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		disc.Step(next, t0, p)
-		t0, next = next, t0
+	for _, tc := range []struct {
+		name string
+		fp   *floorplan.Floorplan
+	}{{"niagara", floorplan.Niagara()}, {"mesh64", mesh}} {
+		b.Run(tc.name, func(b *testing.B) {
+			model, err := thermal.NewRC(tc.fp, thermal.DefaultParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			disc, err := model.Discretize(0.4e-3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := disc.NumNodes()
+			t0 := model.UniformStart(60)
+			next := linalg.NewVector(n)
+			p := linalg.Constant(n, 2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				disc.Step(next, t0, p)
+				t0, next = next, t0
+			}
+		})
 	}
 }
 

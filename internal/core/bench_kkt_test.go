@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"protemp/internal/floorplan"
-	"protemp/internal/linalg"
 	"protemp/internal/power"
 	"protemp/internal/solver"
 	"protemp/internal/thermal"
@@ -298,11 +297,10 @@ func BenchmarkUniformMax(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pn := linalg.NewVector(f.chip.NumCores())
 	b.Run("closed-form", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, ok, err := uniformMax(ctx, f.chip, s.TMax, rows, pn); err != nil || !ok {
+			if _, ok, err := uniformMax(ctx, s.TMax, rows); err != nil || !ok {
 				b.Fatalf("uniformMax: ok %v, err %v", ok, err)
 			}
 		}
@@ -312,7 +310,7 @@ func BenchmarkUniformMax(b *testing.B) {
 		hot := 0
 		for i := 0; i < b.N; i++ {
 			if _, ok := solver.BisectMax(0, 1, 1e-7, func(fn float64) bool {
-				_, fits := uniformFits(f.chip, rows, s.TMax, fn, pn, &hot)
+				_, fits := uniformFits(rows, s.TMax, fn, &hot)
 				return fits
 			}); !ok {
 				b.Fatal("bisection found no uniform point")

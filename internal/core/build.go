@@ -35,7 +35,9 @@ func (l layout) pIdx(j int) int { return l.nCores + j }
 func (l layout) gIdx() int { return 2 * l.nCores }
 
 // tempRow holds the affine dependence of one constrained temperature on
-// the normalized core powers: t = c0 + Σ_j coef_j·pn_j.
+// the normalized core powers: t = c0 + Σ_j coef_j·pn_j. The offset c0
+// is the block's temperature at the row's step with the cores
+// unpowered (sweepInstance.offsets).
 type tempRow struct {
 	step  int
 	block int
@@ -48,38 +50,26 @@ type tempRow struct {
 	idle, dyn float64
 }
 
-// startTemps returns the initial temperature vector: the per-block T0
-// extension when provided, the paper's uniform TStart otherwise.
-func (s *Spec) startTemps(nb int) linalg.Vector {
-	if s.T0 != nil {
-		return linalg.VectorOf(s.T0...)
-	}
-	return linalg.Constant(nb, s.TStart)
-}
-
 // tempRows assembles the affine temperature maps for every window step
 // k = 1..m and every constrained block, folding the fixed (uncore)
-// power and the ambient drive into c0. It delegates to compileRows —
-// the same assembly the sweep compiles — evaluated at this spec's
-// exact starting temperatures.
+// power and the ambient drive into c0: a one-point instance of the
+// rows-only plan every sweep compiles, set at this spec's starting
+// temperatures, so its offsets come from the same simulation.
 func (s *Spec) tempRows() ([]tempRow, error) {
-	nb := s.Chip.Floorplan().NumBlocks()
-	compiled, err := compileRows(s.Chip, s.Window, s.ConstrainAllBlocks, s.startTemps(nb))
+	pl, err := s.plan(compileRowsPlan)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]tempRow, len(compiled))
-	for i, r := range compiled {
-		rows[i] = tempRow{step: r.step, block: r.block, core: r.core, c0: r.c0Base, coef: r.coef, idle: r.idle, dyn: r.dyn}
-	}
-	return rows, nil
+	in := pl.instance()
+	in.set(s.TStart, s.FTarget)
+	return in.rows, nil
 }
 
 // plan compiles the spec's design point alone with compile
 // (compileSweep, or compileBarrier for the tests' oracle): the same
 // assembly GenerateTable's sweep and the online solver use, so the cold
-// per-point path and theirs cannot drift apart. With T0 the row
-// offsets are pinned at compile time; without, set(TStart) fills them.
+// per-point path and theirs cannot drift apart. With T0 the plan pins
+// the starting map; without, set(TStart) starts from TStart uniformly.
 func (s *Spec) plan(compile func(TableSpec, linalg.Vector) (*sweepPlan, error)) (*sweepPlan, error) {
 	ts := TableSpec{
 		Chip: s.Chip, Window: s.Window, TMax: s.TMax,

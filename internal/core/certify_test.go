@@ -9,9 +9,10 @@ import (
 	"protemp/internal/solver"
 )
 
-// uniformPeak is the full-scan reference for uniformFits: the peak
-// constrained temperature over the window with every core at
-// normalized frequency fn (NaN rows never raise the peak).
+// uniformPeak is the dense full-scan reference for uniformFits: the
+// peak constrained temperature over the window with every core at
+// normalized frequency fn, each row evaluated as c0 + coef·pn (NaN
+// rows never raise the peak).
 func uniformPeak(chip *power.Chip, rows []tempRow, fn float64, pn linalg.Vector) float64 {
 	for j := range pn {
 		model := chip.CoreModelOf(j)
@@ -26,18 +27,31 @@ func uniformPeak(chip *power.Chip, rows []tempRow, fn float64, pn linalg.Vector)
 	return peak
 }
 
-// TestUniformFitsMatchesPeakScan pins the short-circuiting bisection
-// probe to the full scan it replaced: over a grid of thermal maps, each
-// with its hottest row set to NaN, and frequencies across [0, 1], the
-// verdict matches peak <= tmax with the failing-row hint carried from
-// probe to probe, a fitting probe returns the scan's peak bit for bit,
-// and the closed-form uniformMax matches the reference bisection: the
-// same verdict, never below its fnMax nor more than its 1e-7 tolerance
-// above, and a value uniformFits accepts.
+// uniformScalarPeak is uniformPeak over the scalar form uniformFits
+// reads, each row as c0 + idle + dyn·fn².
+func uniformScalarPeak(rows []tempRow, fn float64) float64 {
+	peak, f2 := math.Inf(-1), fn*fn
+	for _, r := range rows {
+		if t := r.c0 + r.idle + r.dyn*f2; t > peak {
+			peak = t
+		}
+	}
+	return peak
+}
+
+// TestUniformFitsMatchesPeakScan pins the short-circuiting probe to the
+// full scans: over a grid of thermal maps, each with its hottest row
+// set to NaN, and frequencies across [0, 1], the verdict matches
+// peak <= tmax of both the scalar-form and the dense scan with the
+// failing-row hint carried from probe to probe, a fitting probe returns
+// the scalar scan's peak bit for bit, the two scans agree within
+// 1e-9 °C, and the closed-form uniformMax matches the reference
+// bisection on the scalar scan: the same verdict, never below its
+// fnMax nor more than its 1e-7 tolerance above, and a value
+// uniformFits accepts.
 func TestUniformFitsMatchesPeakScan(t *testing.T) {
 	f := niagaraFixture(t)
-	n := f.chip.NumCores()
-	pn, ref := linalg.NewVector(n), linalg.NewVector(n)
+	ref := linalg.NewVector(f.chip.NumCores())
 	fails := 0
 	for _, tstart := range []float64{27, 47, 67, 87, 97, 107} {
 		s := baseSpec(t, tstart, 500)
@@ -57,11 +71,15 @@ func TestUniformFitsMatchesPeakScan(t *testing.T) {
 			hot := 0
 			for k := 0; k <= 40; k++ {
 				fn := float64(k) / 40
-				peak := uniformPeak(f.chip, rows, fn, ref)
+				peak := uniformScalarPeak(rows, fn)
+				dense := uniformPeak(f.chip, rows, fn, ref)
+				if math.Abs(peak-dense) > 1e-9 {
+					t.Fatalf("TStart %g, fn %g: scalar peak %v, dense peak %v", tstart, fn, peak, dense)
+				}
 				want := peak <= tmax
-				gotPeak, got := uniformFits(f.chip, rows, tmax, fn, pn, &hot)
-				if got != want {
-					t.Fatalf("TStart %g, tmax %g, fn %g: fits %v, full scan %v", tstart, tmax, fn, got, want)
+				gotPeak, got := uniformFits(rows, tmax, fn, &hot)
+				if got != want || got != (dense <= tmax) {
+					t.Fatalf("TStart %g, tmax %g, fn %g: fits %v, scalar scan %v, dense scan %v", tstart, tmax, fn, got, want, dense <= tmax)
 				}
 				if got && gotPeak != peak {
 					t.Fatalf("TStart %g, tmax %g, fn %g: peak %v, full scan %v", tstart, tmax, fn, gotPeak, peak)
@@ -70,17 +88,17 @@ func TestUniformFitsMatchesPeakScan(t *testing.T) {
 					fails++
 				}
 			}
-			got, gotOK, err := uniformMax(t.Context(), f.chip, tmax, rows, pn)
+			got, gotOK, err := uniformMax(t.Context(), tmax, rows)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, wantOK := solver.BisectMax(0, 1, 1e-7, func(fn float64) bool {
-				return uniformPeak(f.chip, rows, fn, ref) <= tmax
+				return uniformScalarPeak(rows, fn) <= tmax
 			})
 			if gotOK != wantOK || (gotOK && (got < want || got > want+1e-7)) {
 				t.Fatalf("TStart %g, tmax %g: uniformMax (%v, %v), reference (%v, %v)", tstart, tmax, got, gotOK, want, wantOK)
 			}
-			if _, fits := uniformFits(f.chip, rows, tmax, got, pn, &hot); gotOK && !fits {
+			if _, fits := uniformFits(rows, tmax, got, &hot); gotOK && !fits {
 				t.Fatalf("TStart %g, tmax %g: uniformMax %v does not fit", tstart, tmax, got)
 			}
 		}

@@ -1,6 +1,19 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"protemp/internal/linalg"
+)
+
+// startTemps returns the initial temperature vector: the per-block T0
+// extension when provided, the paper's uniform TStart otherwise.
+func (s *Spec) startTemps(nb int) linalg.Vector {
+	if s.T0 != nil {
+		return linalg.VectorOf(s.T0...)
+	}
+	return linalg.Constant(nb, s.TStart)
+}
 
 // NewBarrierOnlineSolver exposes the online solver over a variant's
 // barrier program to the external tests: for the variable variant, the

@@ -53,7 +53,6 @@ type OnlineSolver struct {
 	spec  OnlineSpec
 	inst  *sweepInstance // the compiled problem and its warm state
 	t0buf linalg.Vector  // stable copy of the caller's thermal map
-	pn    linalg.Vector  // Downgrade's capacity-probe powers, sized on first use
 
 	rec obs.Recorder // nil = tracing disabled
 }
@@ -143,15 +142,24 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 	return o.inst.decide(ctx, o.inst.setMap(o.t0buf, ftarget), o.rec)
 }
 
+// resolve decides the window the last Solve set up again at another
+// target: the row offsets already hold the window's start map, so only
+// the target moves.
+func (o *OnlineSolver) resolve(ctx context.Context, ftarget float64) (*Assignment, error) {
+	return o.inst.decide(ctx, o.inst.setTarget(ftarget), o.rec)
+}
+
 // Downgrade decides one window with the run-time phase's fallback
 // ladder — the one place the rule is written: solve at the required
 // target; if that is unsupportable from the observed state, find the
 // largest supportable uniform target (in closed form, uniformMax) and
 // re-solve just inside it (0.98·maxF, the run-time analogue of the
-// paper's "next lower frequency point"); if even that fails, idle the
-// window. An idle window returns an all-zero assignment and a nil
-// error. The returned Work sums the window's solves (a failed one
-// counts as a solve) and counts the downgrade or the idle.
+// paper's "next lower frequency point") over the rows the first solve
+// set up; if even that fails, idle the window. The window's rows are
+// read once: the probe and the re-solve rewrite no offset. An idle
+// window returns an all-zero assignment and a nil error. The returned
+// Work sums the window's solves (a failed one counts as a solve) and
+// counts the downgrade or the idle.
 //
 // observe, when non-nil, receives every solve's wall time, Work and
 // error. span, when non-nil, records the capacity probe as
@@ -162,7 +170,7 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 // cancellation) end the ladder and are returned as is.
 func (o *OnlineSolver) Downgrade(ctx context.Context, tstart float64, t0 []float64, required float64, span obs.Recorder, observe func(time.Duration, Work, error)) (*Assignment, Work, error) {
 	var w Work
-	a, err := o.countedSolve(ctx, tstart, t0, required, &w, observe)
+	a, err := timed(&w, observe, func() (*Assignment, error) { return o.Solve(ctx, tstart, t0, required) })
 	if err != nil || a.Feasible {
 		return a, w, err
 	}
@@ -180,7 +188,7 @@ func (o *OnlineSolver) Downgrade(ctx context.Context, tstart float64, t0 []float
 	}
 	if maxF > 0 {
 		w.Downgrades = 1
-		a, err = o.countedSolve(ctx, tstart, t0, math.Min(required, 0.98*maxF), &w, observe)
+		a, err = timed(&w, observe, func() (*Assignment, error) { return o.resolve(ctx, math.Min(required, 0.98*maxF)) })
 		if err != nil || a.Feasible {
 			return a, w, err
 		}
@@ -196,21 +204,18 @@ func (o *OnlineSolver) Downgrade(ctx context.Context, tstart float64, t0 []float
 // row. It returns the largest supportable uniform average frequency in
 // Hz, zero when none is.
 func (o *OnlineSolver) capacity(ctx context.Context) (float64, error) {
-	chip := o.spec.Chip
-	if o.pn == nil {
-		o.pn = linalg.NewVector(chip.NumCores())
-	}
-	fnMax, ok, err := uniformMax(ctx, chip, o.spec.TMax, o.inst.rows, o.pn)
+	fnMax, ok, err := uniformMax(ctx, o.spec.TMax, o.inst.rows)
 	if err != nil || !ok {
 		return 0, err
 	}
-	return fnMax * chip.FMax(), nil
+	return fnMax * o.spec.Chip.FMax(), nil
 }
 
-// countedSolve is one timed Solve folded into w.
-func (o *OnlineSolver) countedSolve(ctx context.Context, tstart float64, t0 []float64, ftarget float64, w *Work, observe func(time.Duration, Work, error)) (*Assignment, error) {
+// timed runs one decision, reports it to observe and folds its Work
+// into w.
+func timed(w *Work, observe func(time.Duration, Work, error), decide func() (*Assignment, error)) (*Assignment, error) {
 	start := time.Now()
-	a, err := o.Solve(ctx, tstart, t0, ftarget)
+	a, err := decide()
 	sw := Work{Solves: 1}
 	if a != nil {
 		sw = a.Work

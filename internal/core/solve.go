@@ -8,7 +8,6 @@ import (
 
 	"protemp/internal/linalg"
 	"protemp/internal/obs"
-	"protemp/internal/power"
 	"protemp/internal/solver"
 )
 
@@ -275,7 +274,7 @@ func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linal
 	if s.Variant == VariantGradient {
 		a.TGrad = res.X[lay.gIdx()]
 	}
-	a.PeakTemp, _ = scanRows(rows, in.pn, math.Inf(1))
+	a.PeakTemp = scanRows(rows, in.pn)
 	return a, res.X, nil
 }
 
@@ -296,7 +295,7 @@ func UniformCapacity(s *Spec) (maxFreq float64, targetOK bool, err error) {
 	if err != nil {
 		return 0, false, err
 	}
-	fnMax, ok, err := uniformMax(context.Background(), s.Chip, s.TMax, rows, linalg.NewVector(s.Chip.NumCores()))
+	fnMax, ok, err := uniformMax(context.Background(), s.TMax, rows)
 	if err != nil || !ok {
 		return 0, false, err
 	}
@@ -312,9 +311,8 @@ func UniformCapacity(s *Spec) (maxFreq float64, targetOK bool, err error) {
 // fits when some b_r < 0. One uniformFits pass, starting at the
 // binding row, confirms fn* against the rows as every probe evaluates
 // them and nudges it down where rounding puts it a hair over. NaN rows
-// never bind (as in uniformFits). pn is scratch of length NumCores;
-// ctx is polled once.
-func uniformMax(ctx context.Context, chip *power.Chip, tmax float64, rows []tempRow, pn linalg.Vector) (float64, bool, error) {
+// never bind (as in uniformFits). ctx is polled once.
+func uniformMax(ctx context.Context, tmax float64, rows []tempRow) (float64, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, false, err
 	}
@@ -329,55 +327,53 @@ func uniformMax(ctx context.Context, chip *power.Chip, tmax float64, rows []temp
 		}
 	}
 	for step := 0x1p-52; step < 0x1p-30; step *= 16 {
-		if _, ok := uniformFits(chip, rows, tmax, fn, pn, &hot); ok {
+		if _, ok := uniformFits(rows, tmax, fn, &hot); ok {
 			return fn, true, nil
 		}
 		fn = math.Max(0, fn-step)
 	}
-	_, ok := uniformFits(chip, rows, tmax, 0, pn, &hot)
+	_, ok := uniformFits(rows, tmax, 0, &hot)
 	return 0, ok, nil
 }
 
 // uniformFits reports whether every row stays at or below tmax over the
-// window when every core runs at normalized frequency fn, using pn
-// (length NumCores) for the normalized powers, and when it does, the
-// hottest core row (Assignment.PeakTemp). It stops at the first row
-// over tmax, trying row *hot first — the row that bound uniformMax, or
-// failed the previous probe, where the next failure usually is — and
-// stores the failing row there.
-func uniformFits(chip *power.Chip, rows []tempRow, tmax, fn float64, pn linalg.Vector, hot *int) (float64, bool) {
-	for j := range pn {
-		model := chip.CoreModelOf(j)
-		pn[j] = model.AtFrequency(fn*model.FMax) / model.PMax
-	}
-	if h := *hot; h < len(rows) && rows[h].c0+rows[h].coef.Dot(pn) > tmax {
+// window when every core runs at normalized frequency fn, and when it
+// does, the hottest core row (Assignment.PeakTemp). At a uniform fn a
+// row reads the scalar c0 + idle + dyn·fn² (tempRow), so a probe is
+// O(rows). It stops at the first row over tmax, trying row *hot first
+// — the row that bound uniformMax, or failed the previous probe, where
+// the next failure usually is — and stores the failing row there.
+func uniformFits(rows []tempRow, tmax, fn float64, hot *int) (float64, bool) {
+	f2 := fn * fn
+	if h := *hot; h < len(rows) && rows[h].c0+rows[h].idle+rows[h].dyn*f2 > tmax {
 		return 0, false
 	}
-	peak, over := scanRows(rows, pn, tmax)
-	if over >= 0 {
-		*hot = over
-		return 0, false
-	}
-	return peak, true
-}
-
-// scanRows evaluates rows at normalized powers pn in order and returns
-// the index of the first row over tmax (-1 when none is) and the
-// hottest core row before it. The rows hold every core's temperature at
-// every sub-step of the window, so a full scan's peak is
-// Assignment.PeakTemp. A NaN row neither raises the peak nor fails.
-func scanRows(rows []tempRow, pn linalg.Vector, tmax float64) (peak float64, over int) {
-	peak = math.Inf(-1)
+	peak := math.Inf(-1)
 	for i, r := range rows {
-		t := r.c0 + r.coef.Dot(pn)
+		t := r.c0 + r.idle + r.dyn*f2
 		if t > tmax {
-			return peak, i
+			*hot = i
+			return 0, false
 		}
 		if r.core && t > peak {
 			peak = t
 		}
 	}
-	return peak, -1
+	return peak, true
+}
+
+// scanRows evaluates rows at normalized powers pn and returns the
+// hottest core row. The rows hold every core's temperature at every
+// sub-step of the window, so that is Assignment.PeakTemp. A NaN row
+// does not raise the peak.
+func scanRows(rows []tempRow, pn linalg.Vector) float64 {
+	peak := math.Inf(-1)
+	for _, r := range rows {
+		if t := r.c0 + r.coef.Dot(pn); r.core && t > peak {
+			peak = t
+		}
+	}
+	return peak
 }
 
 // uniformAssignment decides a window in closed form with every core at
@@ -390,7 +386,7 @@ func scanRows(rows []tempRow, pn linalg.Vector, tmax float64) (peak float64, ove
 func uniformAssignment(s *Spec, rows []tempRow, fn float64) *Assignment {
 	n := s.Chip.NumCores()
 	hot := 0
-	peak, ok := uniformFits(s.Chip, rows, s.TMax, fn, linalg.NewVector(n), &hot)
+	peak, ok := uniformFits(rows, s.TMax, fn, &hot)
 	if !ok {
 		return &Assignment{}
 	}

@@ -13,12 +13,13 @@ import (
 
 // sweepPlan is the compiled, grid-point-independent structure of one
 // TableSpec: the variable layout, the objective, every constraint
-// coefficient vector, and the affine dependence of each temperature
-// offset on TStart (a uniform or variable plan compiles the rows only;
-// see compileSweep). The paper's Phase-1 sweep solves the same convex
-// program nT×nF times with only two scalars changing — the starting
-// temperature (which shifts the temperature constraints' offsets) and
-// the frequency target (which shifts the workload constraint's offset).
+// coefficient vector, and the window simulation that writes each
+// temperature offset from a starting map (a uniform or variable plan
+// compiles the rows only; see compileSweep). The paper's Phase-1 sweep
+// solves the same convex program nT×nF times with only two scalars
+// changing — the starting temperature (which shifts the temperature
+// constraints' offsets) and the frequency target (which shifts the
+// workload constraint's offset).
 // Compiling once and instantiating per grid point removes the per-point
 // rebuild of ~m·blocks thermal rows and constraint objects that made
 // every solve pay the full assembly cost (§5.1's "few hours with CVX").
@@ -26,10 +27,19 @@ type sweepPlan struct {
 	ts  TableSpec
 	lay layout
 
-	// rows holds one compiled temperature map per (step, block):
-	// c0(TStart) = t0Gain·TStart + c0Base, with coef independent of the
-	// grid point entirely.
-	rows []planRow
+	// rows holds one compiled temperature map per (step, block), in
+	// step order; coef is independent of the grid point entirely and
+	// the offsets c0 are left zero (each instance writes its own, see
+	// sweepInstance.offsets).
+	rows []tempRow
+
+	// disc and drive simulate the offsets: the window's discretization
+	// and its per-step input at the fixed (uncore) power, B·fixed + D.
+	// t0 is a pinned starting map (Spec.T0), nil when every point or
+	// window supplies its own.
+	disc  *thermal.Discrete
+	drive linalg.Vector
+	t0    linalg.Vector
 
 	objective solver.Func
 	// tempA/tempNZ are the shared coefficient vectors of the temperature
@@ -63,41 +73,17 @@ type sweepPlan struct {
 	slackErr  error
 }
 
-// planRow is one compiled temperature row.
-type planRow struct {
-	step, block int
-	core        bool    // block is a core (tempRow.core)
-	idle, dyn   float64 // tempRow.idle and tempRow.dyn
-	t0Gain      float64 // ∂c0/∂TStart (row sum of A^step over the chip)
-	c0Base      float64 // TStart-independent part: drive + fixed power
-	coef        linalg.Vector
-	// t0Row is the per-block initial-state row of A^step (aliases the
-	// window response), so an explicit thermal map T0 instantiates as
-	// c0 = t0Row·T0 + c0Base — the online MPC path's per-window rewrite.
-	// It is nil when the plan was compiled with a pinned T0 (offsets
-	// folded into c0Base outright).
-	t0Row linalg.Vector
-}
-
 // compileRows is the single assembly of the temperature-row structure,
-// shared by compileSweep and Spec.tempRows: one row per (window step,
-// constrained block), with the fixed (uncore) power and ambient drive
-// folded into the offset and the per-core power gains scaled to
-// normalized units. A nil t0 selects the uniform-TStart mode — the
-// window's affine map is evaluated at t0 = 0 and t0 = 1 to separate
-// the TStart-independent drive (c0Base) from the TStart gain (t0Gain),
-// exploiting that base is affine in a uniform starting temperature. A
-// non-nil t0 pins explicit per-block temperatures: the offset is
-// computed outright and t0Gain stays zero.
-func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks bool, t0 linalg.Vector) ([]planRow, error) {
+// shared by every plan: one row per (window step, constrained block),
+// in step order, with the per-core power gains scaled to normalized
+// units. The offsets are left zero: they depend on the starting map,
+// and sweepInstance.offsets simulates them per point or window.
+func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks bool) ([]tempRow, error) {
 	fp := chip.Floorplan()
 	nb := fp.NumBlocks()
 	n := chip.NumCores()
 	if window.Dt() <= 0 {
 		return nil, fmt.Errorf("core: invalid window")
-	}
-	if t0 != nil && len(t0) != nb {
-		return nil, fmt.Errorf("core: t0 has %d entries for %d blocks", len(t0), nb)
 	}
 	isCore := make([]bool, nb)
 	for _, bi := range fp.CoreIndices() {
@@ -112,26 +98,14 @@ func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks boo
 		blocks = fp.CoreIndices()
 	}
 
-	fixed := chip.FixedPower()
 	m := window.Steps()
-	rows := make([]planRow, 0, m*len(blocks))
+	rows := make([]tempRow, 0, m*len(blocks))
 	for k := 1; k <= m; k++ {
 		for _, bi := range blocks {
-			row := planRow{step: k, block: bi, core: isCore[bi]}
-			t0Row, drive, gain, err := window.AffineRows(k, bi)
+			row := tempRow{step: k, block: bi, core: isCore[bi]}
+			_, _, gain, err := window.AffineRows(k, bi)
 			if err != nil {
 				return nil, err
-			}
-			if t0 != nil {
-				// Pinned starting map: the whole offset is known now.
-				row.c0Base = t0Row.Dot(t0) + drive + gain.Dot(fixed)
-			} else {
-				// Deferred: c0(TStart) = t0Gain·TStart + c0Base for the
-				// uniform sweep, or c0(T0) = t0Row·T0 + c0Base for an
-				// explicit per-block map (instance.setMap).
-				row.t0Row = t0Row
-				row.t0Gain = t0Row.Sum()
-				row.c0Base = drive + gain.Dot(fixed)
 			}
 			coef := linalg.NewVector(n)
 			for j := 0; j < n; j++ {
@@ -164,10 +138,10 @@ type gradPair struct {
 // window that does not depend on (TStart, FTarget), computed exactly
 // once per sweep instead of once per grid point.
 //
-// A nil t0 selects the uniform-TStart mode, where each temperature
-// offset is affine in the (yet unknown) starting temperature. A non-nil
-// t0 pins explicit per-block starting temperatures (Spec.T0): offsets
-// are computed outright and instance.set ignores its tstart argument.
+// A nil t0 lets each point or window supply its start: a uniform
+// TStart (instance.set) or an observed map (instance.setMap). A non-nil
+// t0 pins explicit per-block starting temperatures (Spec.T0), and
+// instance.set ignores its tstart argument.
 //
 // A uniform or variable plan compiles its rows only: uniformAssignment
 // decides every uniform window from them in closed form and the dual
@@ -178,11 +152,21 @@ func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	if ts.Variant == VariantGradient {
 		return compileBarrier(ts, t0)
 	}
-	rows, err := compileRows(ts.Chip, ts.Window, ts.ConstrainAllBlocks, t0)
+	return compileRowsPlan(ts, t0)
+}
+
+// compileRowsPlan builds the rows-only plan every other plan extends:
+// the rows and the offset simulation; t0 is as for compileSweep.
+func compileRowsPlan(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
+	rows, err := compileRows(ts.Chip, ts.Window, ts.ConstrainAllBlocks)
 	if err != nil {
 		return nil, err
 	}
-	return &sweepPlan{ts: ts, rows: rows}, nil
+	if nb := ts.Chip.Floorplan().NumBlocks(); t0 != nil && len(t0) != nb {
+		return nil, fmt.Errorf("core: t0 has %d entries for %d blocks", len(t0), nb)
+	}
+	disc := ts.Window.Discrete()
+	return &sweepPlan{ts: ts, rows: rows, disc: disc, drive: disc.Drive(ts.Chip.FixedPower()), t0: t0}, nil
 }
 
 // compileBarrier builds the barrier program of a variable or gradient
@@ -194,11 +178,10 @@ func compileBarrier(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	chip := ts.Chip
 	fp := chip.Floorplan()
 	n := chip.NumCores()
-	rows, err := compileRows(chip, ts.Window, ts.ConstrainAllBlocks, t0)
+	pl, err := compileRowsPlan(ts, t0)
 	if err != nil {
 		return nil, err
 	}
-	pl := &sweepPlan{ts: ts, rows: rows}
 	lay := newLayout(ts.Variant, n)
 	pl.lay = lay
 
@@ -364,9 +347,11 @@ func (pl *sweepPlan) slackPlan() (*solver.SlackPlan, error) {
 type sweepInstance struct {
 	plan *sweepPlan
 	prob *solver.Problem
-	rows []tempRow     // c0 refreshed per TStart; coef aliases the plan
+	rows []tempRow     // c0 written per start map; coef aliases the plan
 	pn   linalg.Vector // the optimum's normalized powers, for PeakTemp
 	spec Spec          // the point set/setMap last instantiated
+	// cur and next are the offset simulation's state (offsets).
+	cur, next linalg.Vector
 
 	// Warm state (invalidate drops it): the dual's working set and
 	// multipliers (variable rows-only plans), or the last feasible
@@ -404,10 +389,9 @@ func (pl *sweepPlan) instance() *sweepInstance {
 		Variant: ts.Variant, GradWeight: ts.GradWeight, GradStride: ts.GradStride,
 		ConstrainAllBlocks: ts.ConstrainAllBlocks,
 	}}
-	in.rows = make([]tempRow, len(pl.rows))
-	for i, r := range pl.rows {
-		in.rows[i] = tempRow{step: r.step, block: r.block, core: r.core, coef: r.coef, idle: r.idle, dyn: r.dyn}
-	}
+	in.rows = append([]tempRow(nil), pl.rows...)
+	nb := ts.Chip.Floorplan().NumBlocks()
+	in.cur, in.next = linalg.NewVector(nb), linalg.NewVector(nb)
 	if pl.objective == nil {
 		// A rows-only plan: closed form, or the dual solve.
 		if pl.ts.Variant == VariantVariable {
@@ -479,19 +463,20 @@ func (in *sweepInstance) phaseI(s *Spec, opts solver.Options) (linalg.Vector, er
 	return full, nil
 }
 
-// set instantiates the compiled problem at one grid point: refresh the
-// row offsets when TStart changed, always refresh the workload offset,
-// and return the instance's Spec rewritten to the point (for decide).
-// The work is a handful of scalar writes per constraint — no
-// allocation, no thermal re-evaluation.
+// set instantiates the compiled problem at one grid point: rewrite the
+// row offsets from the uniform map at tstart (the plan's pinned map
+// instead, when it has one) when TStart changed, always refresh the
+// workload offset, and return the instance's Spec rewritten to the
+// point (for decide). No allocation.
 func (in *sweepInstance) set(tstart, ftarget float64) *Spec {
-	pl := in.plan
 	if tstart != in.curTStart {
 		in.curTStart = tstart
-		for i := range in.rows {
-			in.rows[i].c0 = pl.rows[i].t0Gain*tstart + pl.rows[i].c0Base
+		if t0 := in.plan.t0; t0 != nil {
+			copy(in.cur, t0)
+		} else {
+			in.cur.Fill(tstart)
 		}
-		in.syncRows()
+		in.offsets()
 	}
 	in.spec.TStart, in.spec.T0 = tstart, nil
 	return in.setTarget(ftarget)
@@ -499,24 +484,39 @@ func (in *sweepInstance) set(tstart, ftarget float64) *Spec {
 
 // setMap instantiates the compiled problem at an explicit per-block
 // starting map instead of a uniform TStart: every row offset is
-// rewritten as c0 = t0Row·t0 + c0Base (one short dot product per row),
-// the constraint offsets follow, and the instance's Spec is returned
-// rewritten to the window. Only valid on plans compiled with a nil t0
-// (compileSweep's deferred mode); the Spec aliases t0, which must stay
+// rewritten from t0 (offsets), and the instance's Spec is returned
+// rewritten to the window. The Spec aliases t0, which must stay
 // unmodified for the duration of the solve. This is the online MPC hot
 // path: each control window observes a fresh thermal map, and the
 // rewrite replaces the full problem rebuild the cold path pays.
 func (in *sweepInstance) setMap(t0 linalg.Vector, ftarget float64) *Spec {
-	pl := in.plan
 	// Poison the uniform-TStart memo: NaN never compares equal, so a
 	// later set() always refreshes the offsets this call overwrites.
 	in.curTStart = math.NaN()
-	for i := range in.rows {
-		in.rows[i].c0 = pl.rows[i].t0Row.Dot(t0) + pl.rows[i].c0Base
-	}
-	in.syncRows()
+	copy(in.cur, t0)
+	in.offsets()
 	in.spec.TStart, in.spec.T0 = 0, t0
 	return in.setTarget(ftarget)
+}
+
+// offsets writes every row's offset c0, the row block's temperature at
+// the row's step with the cores unpowered, from the start map in
+// in.cur: one forward simulation T_k = A·T_{k−1} + (B·fixed + D) of
+// the window, O(m·nonzeros), read at each step's rows (the rows are in
+// step order). It is the only writer of the offsets. The barrier's
+// constraints follow (syncRows); in.cur is overwritten.
+func (in *sweepInstance) offsets() {
+	pl := in.plan
+	cur, next := in.cur, in.next
+	k := 0
+	for i := range in.rows {
+		for ; k < in.rows[i].step; k++ {
+			pl.disc.Advance(next, cur, pl.drive)
+			cur, next = next, cur
+		}
+		in.rows[i].c0 = cur[in.rows[i].block]
+	}
+	in.syncRows()
 }
 
 // syncRows copies the rows' offsets into the barrier program's

@@ -195,9 +195,10 @@ type clusterSub struct {
 	// Per-round scratch (touched only by the worker owning the cluster
 	// during a round, then read after the barrier).
 	t0c     []float64
-	freqs   []float64 // local core decisions from the latest round
-	haloEnd []float64 // consensus-step halo-block predictions, per halo pos
-	ownTend linalg.Vector
+	freqs   []float64     // local core decisions from the latest round
+	haloEnd []float64     // consensus-step halo-block predictions, per halo pos
+	power   linalg.Vector // predict's per-block powers
+	ownTend linalg.Vector // predict's consensus-step map
 	peak    float64
 	gap     float64
 	work    core.Work
@@ -371,6 +372,8 @@ func (s *Solver) buildCluster(cl *Cluster) (*clusterSub, error) {
 		t0c:     make([]float64, len(globals)),
 		freqs:   make([]float64, chip.NumCores()),
 		haloEnd: make([]float64, len(cl.Halo)),
+		power:   linalg.NewVector(len(globals)),
+		ownTend: linalg.NewVector(len(globals)),
 	}
 	for lk := 0; lk < chip.NumCores(); lk++ {
 		cs.coreOf[lk] = corePosOf[globals[chip.CoreBlockIndex(lk)]]
@@ -568,24 +571,22 @@ func (s *Solver) observeSolve(d time.Duration, _ core.Work, _ error) {
 // predict computes the cluster's consensus-step temperature forecast
 // under its current decision — the quantity the consensus residual
 // compares across the boundary. Skipped when there is nothing to agree
-// on (a single cluster).
+// on (a single cluster). It writes into the cluster's scratch and
+// allocates nothing.
 func (sub *clusterSub) predict(c int, s *Solver) {
 	if len(s.part.Boundary) == 0 {
 		return
 	}
-	p, err := sub.chip.PowerVector(sub.freqs)
-	if err != nil {
+	if err := sub.chip.PowerVectorInto(sub.power, sub.freqs); err != nil {
 		sub.err = err
 		return
 	}
-	tend, err := sub.window.TempAt(s.kstar, sub.t0c, p)
-	if err != nil {
+	if err := sub.window.TempAtInto(sub.ownTend, s.kstar, sub.t0c, sub.power); err != nil {
 		sub.err = err
 		return
 	}
-	sub.ownTend = tend
 	for hi := range sub.halo {
-		sub.haloEnd[hi] = tend[len(sub.blocks)+hi]
+		sub.haloEnd[hi] = sub.ownTend[len(sub.blocks)+hi]
 	}
 }
 

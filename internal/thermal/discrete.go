@@ -14,6 +14,12 @@ import (
 // with p the per-node power vector held constant over the step. For the
 // explicit-Euler discretization this is exactly the paper's Eq. 1 with
 // a_ij = Δt/(C_i R_ij), b_i = Δt/C_i, plus the ambient drive d.
+//
+// Every constructor also stores A and B in compressed sparse row form,
+// and Step and Advance run on those copies: the Euler A has a diagonal
+// plus one entry per shared block edge (373 nonzeros of 69² on the
+// 64-core mesh) and its B is diagonal. A, B and D must therefore not
+// be modified after construction.
 type Discrete struct {
 	// A is the state-update matrix.
 	A *linalg.Matrix
@@ -24,7 +30,50 @@ type Discrete struct {
 	// Dt is the step length in seconds.
 	Dt float64
 
+	a, b  csr // A and B, compressed
 	model *RCModel
+}
+
+// csr is a matrix in compressed sparse row form: row i holds the
+// nonzeros val[ptr[i]:ptr[i+1]] at columns col[ptr[i]:ptr[i+1]], in
+// column order.
+type csr struct {
+	ptr []int
+	col []int
+	val []float64
+}
+
+func newCSR(m *linalg.Matrix) csr {
+	c := csr{ptr: make([]int, 1, m.Rows()+1)}
+	for i := 0; i < m.Rows(); i++ {
+		for j, v := range m.Row(i) {
+			if v != 0 {
+				c.col = append(c.col, j)
+				c.val = append(c.val, v)
+			}
+		}
+		c.ptr = append(c.ptr, len(c.col))
+	}
+	return c
+}
+
+// dot returns row i of the matrix times x. Summing the nonzeros in
+// column order gives the dense row product bit for bit (the skipped
+// terms are exact zeros for finite x).
+func (c *csr) dot(i int, x linalg.Vector) float64 {
+	lo, hi := c.ptr[i], c.ptr[i+1]
+	vals, cols := c.val[lo:hi], c.col[lo:hi]
+	cols = cols[:len(vals)] // lets the loop index cols unchecked
+	var s float64
+	for k, v := range vals {
+		s += v * x[cols[k]]
+	}
+	return s
+}
+
+// newDiscrete assembles a discretization and compresses its matrices.
+func newDiscrete(a, b *linalg.Matrix, d linalg.Vector, dt float64, m *RCModel) *Discrete {
+	return &Discrete{A: a, B: b, D: d, Dt: dt, a: newCSR(a), b: newCSR(b), model: m}
 }
 
 // Discretize returns the explicit-Euler discretization with step dt —
@@ -48,7 +97,7 @@ func (m *RCModel) Discretize(dt float64) (*Discrete, error) {
 		b.Set(i, i, s)
 		d[i] = s * m.gAmb[i] * m.ambient
 	}
-	disc := &Discrete{A: a, B: b, D: d, Dt: dt, model: m}
+	disc := newDiscrete(a, b, d, dt, m)
 	if rho := disc.SpectralRadiusEstimate(); rho >= 1 {
 		return nil, fmt.Errorf("thermal: Euler step %v s unstable (spectral radius ≈ %.4f); reduce dt", dt, rho)
 	}
@@ -86,7 +135,7 @@ func (m *RCModel) DiscretizeExact(dt float64) (*Discrete, error) {
 		}
 		d[i] = gamma.At(i, n)
 	}
-	return &Discrete{A: phi, B: b, D: d, Dt: dt, model: m}, nil
+	return newDiscrete(phi, b, d, dt, m), nil
 }
 
 // WithGainError returns a perturbed copy of the discretization whose
@@ -114,13 +163,7 @@ func (d *Discrete) WithGainError(kappa float64) (*Discrete, error) {
 			a.AddAt(i, j, kappa*delta)
 		}
 	}
-	p := &Discrete{
-		A:     a,
-		B:     linalg.NewMatrix(n, n).Scale(kappa, d.B),
-		D:     linalg.NewVector(n).Scale(kappa, d.D),
-		Dt:    d.Dt,
-		model: d.model,
-	}
+	p := newDiscrete(a, linalg.NewMatrix(n, n).Scale(kappa, d.B), linalg.NewVector(n).Scale(kappa, d.D), d.Dt, d.model)
 	if rho := p.SpectralRadiusEstimate(); rho >= 1 {
 		return nil, fmt.Errorf("thermal: gain error %g makes the step unstable (spectral radius ≈ %.4f)", kappa, rho)
 	}
@@ -133,20 +176,39 @@ func (d *Discrete) NumNodes() int { return d.A.Rows() }
 // Model returns the continuous model this discretization came from.
 func (d *Discrete) Model() *RCModel { return d.model }
 
-// Step computes T_{k+1} into dst given T_k and the power vector p.
-// dst must not alias t.
+// Step computes T_{k+1} = A·T_k + B·p + D into dst given T_k and the
+// power vector p, in O(nonzeros). dst must not alias t. Like a dense
+// product, it panics on a vector of the wrong length.
 func (d *Discrete) Step(dst, t, p linalg.Vector) {
-	d.A.MulVec(dst, t)
-	n := d.NumNodes()
-	for i := 0; i < n; i++ {
-		row := d.B.Row(i)
-		var s float64
-		for j, bij := range row {
-			if bij != 0 {
-				s += bij * p[j]
-			}
-		}
-		dst[i] += s + d.D[i]
+	d.mustFit(dst, t, p)
+	for i := range dst {
+		dst[i] = d.a.dot(i, t) + (d.b.dot(i, p) + d.D[i])
+	}
+}
+
+// Drive returns B·p + D: the per-step input of a power vector p held
+// constant over many steps, which Advance adds.
+func (d *Discrete) Drive(p linalg.Vector) linalg.Vector {
+	u := linalg.NewVector(d.NumNodes())
+	for i := range u {
+		u[i] = d.b.dot(i, p) + d.D[i]
+	}
+	return u
+}
+
+// Advance computes T_{k+1} = A·T_k + u into dst, the step under the
+// drive u = Drive(p). dst must not alias t; it panics like Step.
+func (d *Discrete) Advance(dst, t, u linalg.Vector) {
+	d.mustFit(dst, t, u)
+	for i := range dst {
+		dst[i] = d.a.dot(i, t) + u[i]
+	}
+}
+
+// mustFit panics unless x, y and z all have one entry per node.
+func (d *Discrete) mustFit(x, y, z linalg.Vector) {
+	if n := len(d.D); len(x) != n || len(y) != n || len(z) != n {
+		panic(fmt.Sprintf("thermal: vector lengths %d/%d/%d, want %d", len(x), len(y), len(z), n))
 	}
 }
 

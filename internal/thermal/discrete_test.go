@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"protemp/internal/floorplan"
 	"protemp/internal/linalg"
 )
 
@@ -292,5 +293,67 @@ func TestWithGainError(t *testing.T) {
 	// A κ large enough to destabilize the explicit step must be caught.
 	if _, err := d.WithGainError(1e6); err == nil {
 		t.Fatal("destabilizing gain error accepted")
+	}
+}
+
+// TestStepMatchesDenseModel pins the compressed Step, and Advance under
+// Drive, to the dense A·T + B·p + D on the Euler Niagara and 64-core
+// mesh models, an exact (dense-B) discretization and a gain-error copy:
+// each model's compressed matrices must be its own.
+func TestStepMatchesDenseModel(t *testing.T) {
+	mesh, err := floorplan.ManyCore(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meshRC, err := NewRC(mesh, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	niagara := niagaraRC(t)
+	euler, err := niagara.Discretize(PaperDt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meshEuler, err := meshRC.Discretize(PaperDt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := niagara.DiscretizeExact(PaperDt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gain, err := euler.WithGainError(1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		d    *Discrete
+		m    *RCModel
+	}{
+		{"niagara", euler, niagara},
+		{"mesh64", meshEuler, meshRC},
+		{"exact", exact, niagara},
+		{"gain1.1", gain, niagara},
+	} {
+		n := tc.d.NumNodes()
+		temps := tc.m.UniformStart(50)
+		for i := range temps {
+			temps[i] += float64(i%7) * 3.5
+		}
+		p := fullPower(tc.m, 2.5)
+		want := linalg.NewVector(n)
+		tc.d.A.MulVec(want, temps)
+		want.Add(want, tc.d.B.MulVec(linalg.NewVector(n), p))
+		want.Add(want, tc.d.D)
+		got, adv := linalg.NewVector(n), linalg.NewVector(n)
+		tc.d.Step(got, temps, p)
+		tc.d.Advance(adv, temps, tc.d.Drive(p))
+		for i := range want {
+			tol := 1e-12 * math.Abs(want[i])
+			if math.Abs(got[i]-want[i]) > tol || math.Abs(adv[i]-want[i]) > tol {
+				t.Fatalf("%s node %d: Step %v, Advance %v, dense %v", tc.name, i, got[i], adv[i], want[i])
+			}
+		}
 	}
 }

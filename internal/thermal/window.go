@@ -56,20 +56,32 @@ func (w *WindowResponse) Steps() int { return w.m }
 // Dt returns the step length of the underlying discretization.
 func (w *WindowResponse) Dt() float64 { return w.disc.Dt }
 
+// Discrete returns the discretization the window was built from.
+func (w *WindowResponse) Discrete() *Discrete { return w.disc }
+
 // TempAt returns T_k for initial state t0 and constant power p.
 func (w *WindowResponse) TempAt(k int, t0, p linalg.Vector) (linalg.Vector, error) {
+	t := linalg.NewVector(w.disc.NumNodes())
+	if err := w.TempAtInto(t, k, t0, p); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// TempAtInto is TempAt writing into dst (length NumNodes), allocating
+// nothing.
+func (w *WindowResponse) TempAtInto(dst linalg.Vector, k int, t0, p linalg.Vector) error {
 	if k < 0 || k > w.m {
-		return nil, fmt.Errorf("thermal: step %d outside window [0,%d]", k, w.m)
+		return fmt.Errorf("thermal: step %d outside window [0,%d]", k, w.m)
 	}
 	n := w.disc.NumNodes()
-	if len(t0) != n || len(p) != n {
-		return nil, fmt.Errorf("thermal: state/power length %d/%d, want %d", len(t0), len(p), n)
+	if len(dst) != n || len(t0) != n || len(p) != n {
+		return fmt.Errorf("thermal: dst/state/power length %d/%d/%d, want %d", len(dst), len(t0), len(p), n)
 	}
-	t := w.ak[k].MulVec(linalg.NewVector(n), t0)
-	sp := w.s[k].MulVec(linalg.NewVector(n), p)
-	t.Add(t, sp)
-	t.Add(t, w.dsum[k])
-	return t, nil
+	for i := range dst {
+		dst[i] = w.ak[k].Row(i).Dot(t0) + w.s[k].Row(i).Dot(p) + w.dsum[k][i]
+	}
+	return nil
 }
 
 // Affine returns, for step k and node i, the affine decomposition
@@ -101,11 +113,10 @@ func (w *WindowResponse) Affine(k, i int, t0 linalg.Vector) (base float64, gain 
 //
 // with t0Row the i-th row of A^k, drive = dsum_k[i] the accumulated
 // ambient forcing, and gain the i-th row of S_k. Unlike Affine, no
-// initial state is needed: callers that re-solve the same program on a
-// fresh thermal map every control window hoist t0Row and drive once
-// and reduce the per-window offset rewrite to one dot product per
-// constraint row. Both returned vectors alias internal storage and
-// must not be modified.
+// initial state is needed: the controller's rows take their power
+// gains from it, and the tests hold the simulated row offsets to it.
+// Both returned vectors alias internal storage and must not be
+// modified.
 func (w *WindowResponse) AffineRows(k, i int) (t0Row linalg.Vector, drive float64, gain linalg.Vector, err error) {
 	if k < 0 || k > w.m {
 		return nil, 0, nil, fmt.Errorf("thermal: step %d outside window [0,%d]", k, w.m)

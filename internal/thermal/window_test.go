@@ -117,6 +117,9 @@ func TestWindowErrors(t *testing.T) {
 	if _, err := w.TempAt(2, linalg.NewVector(1), p); err == nil {
 		t.Error("bad state length accepted")
 	}
+	if err := w.TempAtInto(linalg.NewVector(1), 2, t0, p); err == nil {
+		t.Error("bad destination length accepted")
+	}
 	if _, _, err := w.Affine(2, 99, t0); err == nil {
 		t.Error("bad node index accepted")
 	}

@@ -16,17 +16,22 @@ import (
 // return, which heap-allocates whether or not the recorder is nil).
 func TestStepDisabledRecorderAllocations(t *testing.T) {
 	ctx := context.Background()
-	step := func(t *testing.T, opts ...Option) float64 {
+	online := (*Engine).NewOnlineSession
+	// The repeated window: a plain one, and a hot one that downgrades
+	// (hotStepState's fifth window idles instead).
+	plain := func(e *Engine) State { return stepBenchState(e, 3) }
+	hot := func(e *Engine) State { return hotStepState(e, 0) }
+	step := func(t *testing.T, session func(*Engine) (*Session, error), state func(*Engine) State, opts ...Option) float64 {
 		t.Helper()
 		e, err := New(append([]Option{WithWindow(1e-3, 100)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := e.NewOnlineSession()
+		s, err := session(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := stepBenchState(e, 3)
+		st := state(e)
 		if _, err := s.Step(ctx, st); err != nil {
 			t.Fatal(err) // prime the warm chain
 		}
@@ -41,14 +46,30 @@ func TestStepDisabledRecorderAllocations(t *testing.T) {
 	// assignment and its two per-core slices; the window's Spec is the
 	// instance's, rewritten in place); the ceiling leaves no headroom
 	// for the disabled recorder on purpose.
-	disabled := step(t)
+	disabled := step(t, online, plain)
 	if disabled > 3 {
 		t.Errorf("disabled-recorder warm Step = %.0f allocs/op, want <= 3 (tracing leaked into the hot path?)", disabled)
 	}
 
+	// A downgraded window: the failed solve, the closed-form capacity
+	// probe and the re-solve over the same rows. Measured 4 allocs/op:
+	// the infeasible verdict, and the re-solve's assignment with its
+	// two per-core slices; the probe allocates nothing.
+	if got := step(t, online, hot); got > 4 {
+		t.Errorf("downgraded warm Step = %.0f allocs/op, want <= 4", got)
+	}
+
+	// A two-cluster distributed window (one consensus round): the
+	// round's worker pool, each cluster's assignment and the stitched
+	// one. Measured 13 allocs/op; the clusters' consensus forecasts
+	// (predict) allocate nothing.
+	if got := step(t, (*Engine).NewDMPCSession, plain, WithClusters(2)); got > 13 {
+		t.Errorf("two-cluster DMPC warm Step = %.0f allocs/op, want <= 13", got)
+	}
+
 	// Sanity: with the flight recorder on, the same step records — the
 	// extra allocations are the trace being built.
-	enabled := step(t, WithFlightRecorder(4, 2))
+	enabled := step(t, online, plain, WithFlightRecorder(4, 2))
 	if enabled <= disabled {
 		t.Errorf("enabled recorder adds no allocations (disabled %.0f, enabled %.0f) — is it recording?", disabled, enabled)
 	}
@@ -118,13 +139,7 @@ func TestStepReportsRowScreening(t *testing.T) {
 	// downgrade.
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
-		st := stepBenchState(e, i)
-		for j := range st.BlockTemps {
-			st.BlockTemps[j] += 30
-		}
-		st.MaxCoreTemp += 30
-		st.RequiredFreq = 0.8 * e.Chip().FMax()
-		if _, err := s.Step(ctx, st); err != nil {
+		if _, err := s.Step(ctx, hotStepState(e, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
