@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -442,6 +443,60 @@ func BenchmarkStepTraced(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSetup times what a caller pays before the first window: New
+// (the chip, the RC model and its discretization), the first online
+// session (the row compile of the full-chip window) and the first
+// distributed session (the partition and one compile per cluster), on
+// Niagara (two clusters) and the 64- and 256-core meshes. ns/op is
+// their sum; new-ms, online-ms and dmpc-ms split it, and engine-heap-B
+// is the live heap New leaves behind (after a forced GC).
+func BenchmarkSetup(b *testing.B) {
+	for _, tc := range []struct {
+		name       string
+		rows, cols int // 0 = Niagara-8
+		clusters   int // 0 = engine default (one per 8 cores)
+	}{{"niagara", 0, 0, 2}, {"mesh64", 8, 8, 0}, {"mesh256", 16, 16, 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var newNs, onlineNs, dmpcNs, heap float64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				before := liveHeap()
+				b.StartTimer()
+				t0 := time.Now()
+				e := dmpcBenchEngine(b, tc.rows, tc.cols, tc.clusters, 0)
+				newNs += float64(time.Since(t0))
+				b.StopTimer()
+				heap += float64(liveHeap() - before)
+				b.StartTimer()
+				t1 := time.Now()
+				if _, err := e.NewOnlineSession(); err != nil {
+					b.Fatal(err)
+				}
+				t2 := time.Now()
+				if _, err := e.NewDMPCSession(); err != nil {
+					b.Fatal(err)
+				}
+				onlineNs += float64(t2.Sub(t1))
+				dmpcNs += float64(time.Since(t2))
+			}
+			n := float64(b.N)
+			b.ReportMetric(newNs/n/1e6, "new-ms")
+			b.ReportMetric(onlineNs/n/1e6, "online-ms")
+			b.ReportMetric(dmpcNs/n/1e6, "dmpc-ms")
+			b.ReportMetric(heap/n, "engine-heap-B")
+		})
+	}
+}
+
+// liveHeap returns the live heap in bytes after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // dmpcBenchEngine builds a quick-fidelity engine on the requested

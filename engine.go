@@ -23,7 +23,7 @@ const Version = "0.8.0"
 
 // Engine is the concurrency-safe entry point of the Pro-Temp
 // reproduction: one modeled chip (floorplan, power law, RC thermal
-// model, precomputed window response) serving any number of concurrent
+// model and its discretized window) serving any number of concurrent
 // optimizations, Phase-1 table generations, closed-loop simulations
 // and control sessions. Long-running methods take a context.Context
 // and honor cancellation down to the solvers' Newton iterations.
@@ -135,8 +135,8 @@ func (e *Engine) Model() *thermal.RCModel { return e.model }
 // Disc returns the discretized thermal stepper at the engine's dt.
 func (e *Engine) Disc() *thermal.Discrete { return e.disc }
 
-// Window returns the precomputed thermal window response the optimizer
-// consumes.
+// Window returns the thermal window the optimizer constrains: the
+// discretization and the horizon its rows are compiled from.
 func (e *Engine) Window() *thermal.WindowResponse { return e.window }
 
 // TMax returns the temperature limit in °C.
@@ -376,9 +376,8 @@ func (e *Engine) newDMPCSolver(clusters int, v core.Variant, tmax float64) (*dmp
 	}
 	sol, err := dmpc.New(dmpc.Config{
 		Chip:    e.chip,
+		Window:  e.window,
 		Params:  e.cfg.thermalParams,
-		Dt:      e.cfg.dt,
-		Steps:   e.cfg.windowSteps,
 		TMax:    tmax,
 		Variant: v,
 		Opts: dmpc.Options{

@@ -12,6 +12,7 @@ import (
 	"protemp/internal/linalg"
 	"protemp/internal/power"
 	"protemp/internal/thermal"
+	"protemp/internal/thermal/thermaltest"
 )
 
 // clusterFixture builds a distributed-MPC cluster sub-chip the way
@@ -73,19 +74,21 @@ func clusterFixture(t *testing.T) fixture {
 	return fixture{chip: chip, model: rc, window: window}
 }
 
-// denseOffset is a row offset in the window response's dense affine
-// form: t0Row·t0 + drive + gain·fixed.
-func denseOffset(t *testing.T, s *Spec, r tempRow, t0 linalg.Vector) float64 {
-	t.Helper()
-	t0Row, drive, gain, err := s.Window.AffineRows(r.step, r.block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return t0Row.Dot(t0) + drive + gain.Dot(s.Chip.FixedPower())
+// denseWindow is the dense reference of a window (thermaltest.Dense).
+func denseWindow(w *thermal.WindowResponse) *thermaltest.Dense {
+	d := w.Discrete()
+	return thermaltest.NewDense(d.A, d.B, d.D, w.Steps())
+}
+
+// denseOffset is a row offset in the dense reference's affine form:
+// the row block's entry of A^k·t0 + Dsum_k + S_k·fixed.
+func denseOffset(dense *thermaltest.Dense, s *Spec, r tempRow, t0 linalg.Vector) float64 {
+	return dense.Ak[r.step].Row(r.block).Dot(t0) + dense.Dsum[r.step][r.block] + dense.S[r.step].Row(r.block).Dot(s.Chip.FixedPower())
 }
 
 // TestOffsetsMatchAffineRows pins the simulated row offsets
-// (sweepInstance.offsets) to the dense AffineRows form within 1e-9 °C
+// (sweepInstance.offsets) to the dense reference's affine rows
+// (thermaltest.Dense) within 1e-9 °C
 // in all three start modes — a uniform TStart (set), a map pinned at
 // compile time (Spec.T0) and a fresh map per window (setMap, twice, so
 // the second map rewrites the first) — on Niagara, on the 64-core
@@ -108,6 +111,7 @@ func TestOffsetsMatchAffineRows(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			nb := tc.f.chip.Floorplan().NumBlocks()
 			s := &Spec{Chip: tc.f.chip, Window: tc.f.window, TStart: 67, TMax: 100, ConstrainAllBlocks: tc.allBlocks}
+			dense := denseWindow(tc.f.window)
 			maps := make([]linalg.Vector, 2)
 			for m := range maps {
 				maps[m] = linalg.NewVector(nb)
@@ -122,7 +126,7 @@ func TestOffsetsMatchAffineRows(t *testing.T) {
 				}
 				var worst float64
 				for _, r := range rows {
-					worst = math.Max(worst, math.Abs(r.c0-denseOffset(t, s, r, t0)))
+					worst = math.Max(worst, math.Abs(r.c0-denseOffset(dense, s, r, t0)))
 				}
 				if !(worst <= 1e-9) {
 					t.Fatalf("%s: worst offset error %g °C", mode, worst)
@@ -206,6 +210,71 @@ func TestDowngradeReusesWindowOffsets(t *testing.T) {
 			for i, r := range o.inst.rows {
 				if r.c0 != ref.inst.rows[i].c0 {
 					t.Fatalf("row %d (step %d, block %d): offset %v after the downgrade, fresh %v", i, r.step, r.block, r.c0, ref.inst.rows[i].c0)
+				}
+			}
+		})
+	}
+}
+
+// TestCompiledCoefMatchesDense pins the compiled row gains, read off
+// one sparse simulation per core (compileRows), to the dense
+// recurrence bit for bit: coef_j = S_k[block, coreBlock(j)]·PMax_j, with
+// idle and dyn summed over the cores in order — on Niagara, on the
+// 64-core mesh with every block constrained, on an exact (matrix
+// exponential, dense A and B) discretization and on a gain-perturbed
+// copy.
+func TestCompiledCoefMatchesDense(t *testing.T) {
+	f := niagaraFixture(t)
+	mesh, err := floorplan.ManyCore(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf := manyCoreFixture(t, mesh, 1e-3)
+	window := func(disc *thermal.Discrete, err error) *thermal.WindowResponse {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := disc.Window(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	for _, tc := range []struct {
+		name      string
+		chip      *power.Chip
+		window    *thermal.WindowResponse
+		allBlocks bool
+	}{
+		{"niagara", f.chip, f.window, false},
+		{"mesh64-all-blocks", mf.chip, mf.window, true},
+		{"niagara-exact", f.chip, window(f.model.DiscretizeExact(1e-3)), false},
+		{"niagara-gain-error", f.chip, window(f.window.Discrete().WithGainError(1.1)), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows, err := compileRows(tc.chip, tc.window, tc.allBlocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb := tc.chip.Floorplan().NumBlocks()
+			if want := tc.window.Steps() * nb; tc.allBlocks && len(rows) != want {
+				t.Fatalf("%d rows, want %d", len(rows), want)
+			}
+			dense := denseWindow(tc.window)
+			for _, r := range rows {
+				var idle, dyn float64
+				for j := range r.coef {
+					m := tc.chip.CoreModelOf(j)
+					want := dense.S[r.step].At(r.block, tc.chip.CoreBlockIndex(j)) * m.PMax
+					if r.coef[j] != want {
+						t.Fatalf("step %d block %d core %d: coef %v, dense %v", r.step, r.block, j, r.coef[j], want)
+					}
+					idle += want * m.IdleFrac
+					dyn += want * (1 - m.IdleFrac)
+				}
+				if r.idle != idle || r.dyn != dyn {
+					t.Fatalf("step %d block %d: idle/dyn %v/%v, dense %v/%v", r.step, r.block, r.idle, r.dyn, idle, dyn)
 				}
 			}
 		})

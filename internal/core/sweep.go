@@ -76,8 +76,13 @@ type sweepPlan struct {
 // compileRows is the single assembly of the temperature-row structure,
 // shared by every plan: one row per (window step, constrained block),
 // in step order, with the per-core power gains scaled to normalized
-// units. The offsets are left zero: they depend on the starting map,
-// and sweepInstance.offsets simulates them per point or window.
+// units. Core j's gains are one sparse forward simulation of the window
+// from zero under its block's column of B as the drive: at step k the
+// state is that column of S_k = Σ_{i<k} A^i·B, read at each row's block
+// (the dense recurrence's entries bit for bit, since Advance sums each
+// row's nonzeros in the same column order). The offsets are left zero:
+// they depend on the starting map, and sweepInstance.offsets simulates
+// them per point or window.
 func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks bool) ([]tempRow, error) {
 	fp := chip.Floorplan()
 	nb := fp.NumBlocks()
@@ -100,26 +105,47 @@ func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks boo
 
 	m := window.Steps()
 	rows := make([]tempRow, 0, m*len(blocks))
+	coefs := linalg.NewVector(m * len(blocks) * n)
 	for k := 1; k <= m; k++ {
 		for _, bi := range blocks {
-			row := tempRow{step: k, block: bi, core: isCore[bi]}
-			_, _, gain, err := window.AffineRows(k, bi)
-			if err != nil {
-				return nil, err
-			}
-			coef := linalg.NewVector(n)
-			for j := 0; j < n; j++ {
-				g := gain[chip.CoreBlockIndex(j)]
-				if g < 0 {
-					return nil, fmt.Errorf("core: negative heat gain at step %d block %d", k, bi)
+			r := len(rows)
+			rows = append(rows, tempRow{step: k, block: bi, core: isCore[bi], coef: coefs[r*n : (r+1)*n : (r+1)*n]})
+		}
+	}
+	// The cores go in chunks: each core's gains fill its own stretch of
+	// gains, then the chunk is copied into the rows, one cache line per
+	// row per chunk rather than one per row per core.
+	const coreChunk = 8
+	disc := window.Discrete()
+	bT := disc.B.T() // row c is the drive of a unit power on block c
+	cur, next := linalg.NewVector(nb), linalg.NewVector(nb)
+	gains := make([]float64, coreChunk*len(rows))
+	for j0 := 0; j0 < n; j0 += coreChunk {
+		j1 := min(j0+coreChunk, n)
+		for j := j0; j < j1; j++ {
+			g := gains[(j-j0)*len(rows) : (j-j0+1)*len(rows)]
+			u := bT.Row(chip.CoreBlockIndex(j))
+			clear(cur)
+			k := 0
+			for r := range rows {
+				for ; k < rows[r].step; k++ {
+					disc.Advance(next, cur, u)
+					cur, next = next, cur
 				}
-				model := chip.CoreModelOf(j)
-				coef[j] = g * model.PMax
-				row.idle += coef[j] * model.IdleFrac
-				row.dyn += coef[j] * (1 - model.IdleFrac)
+				if g[r] = cur[rows[r].block]; g[r] < 0 {
+					return nil, fmt.Errorf("core: negative heat gain at step %d block %d", k, rows[r].block)
+				}
 			}
-			row.coef = coef
-			rows = append(rows, row)
+		}
+		for r := range rows {
+			row := &rows[r]
+			for j := j0; j < j1; j++ {
+				model := chip.CoreModelOf(j)
+				c := gains[(j-j0)*len(rows)+r] * model.PMax
+				row.coef[j] = c
+				row.idle += c * model.IdleFrac
+				row.dyn += c * (1 - model.IdleFrac)
+			}
 		}
 	}
 	return rows, nil

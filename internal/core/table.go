@@ -178,9 +178,10 @@ func (s TableStats) IterationsSaved() int {
 
 // CacheKey returns a stable fingerprint of everything that determines
 // the generated table's content: the chip (floorplan geometry, per-core
-// power models, fixed uncore powers), the thermal window (horizon,
-// step, response gain), the temperature limit, both grids, and the
-// model variant with its tuning. Specs with equal keys generate
+// power models, fixed uncore powers), the thermal window (the horizon
+// and the discretization: the step and the entries of A, B and the
+// ambient drive D), the temperature limit, both grids, and the model
+// variant with its tuning. Specs with equal keys generate
 // interchangeable tables, so the key is what table caches index by.
 // Workers is deliberately excluded — it changes cost, not content.
 func (ts TableSpec) CacheKey() string {
@@ -192,7 +193,7 @@ func (ts TableSpec) CacheKey() string {
 			h.Write(buf[:])
 		}
 	}
-	io.WriteString(h, "protemp-table-v1\x00")
+	io.WriteString(h, "protemp-table-v2\x00")
 	if ts.Chip != nil {
 		fp := ts.Chip.Floorplan()
 		for i := 0; i < fp.NumBlocks(); i++ {
@@ -208,7 +209,13 @@ func (ts TableSpec) CacheKey() string {
 		put(ts.Chip.FixedPower()...)
 	}
 	if ts.Window != nil {
-		put(float64(ts.Window.Steps()), ts.Window.Dt(), ts.Window.MaxGain())
+		d := ts.Window.Discrete()
+		put(float64(ts.Window.Steps()), d.Dt)
+		for i := range d.D {
+			put(d.A.Row(i)...)
+			put(d.B.Row(i)...)
+		}
+		put(d.D...)
 	}
 	put(ts.TMax, float64(ts.Variant), ts.GradWeight, float64(ts.GradStride))
 	if ts.ConstrainAllBlocks {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"protemp/internal/thermal"
 )
 
 // Small shared table fixture: 4 temperatures x 5 targets.
@@ -332,6 +334,41 @@ func TestTableSpecCacheKey(t *testing.T) {
 			t.Fatalf("mutation %d collides with %d", i, prev)
 		}
 		seen[k] = i
+	}
+}
+
+// TestTableSpecCacheKeyCoversDiscretization pins that the key hashes
+// the window's discretization itself: two windows that differ only in
+// the ambient temperature (so only in the drive D) give different keys,
+// and two independently built windows of one configuration equal keys.
+func TestTableSpecCacheKeyCoversDiscretization(t *testing.T) {
+	f := niagaraFixture(t)
+	key := func(ambient float64) string {
+		t.Helper()
+		params := thermal.DefaultParams()
+		params.Ambient = ambient
+		model, err := thermal.NewRC(f.chip.Floorplan(), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disc, err := model.Discretize(1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window, err := disc.Window(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return TableSpec{
+			Chip: f.chip, Window: window, TMax: 100,
+			TStarts: []float64{47, 67}, FTargets: []float64{2e8, 4e8},
+		}.CacheKey()
+	}
+	if key(45) != key(45) {
+		t.Fatal("equal configurations produced different keys")
+	}
+	if key(45) == key(30) {
+		t.Fatal("an ambient-only difference produced the same key")
 	}
 }
 

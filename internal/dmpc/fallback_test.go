@@ -34,9 +34,13 @@ func TestCentralFallbackCountsLikeOnlineSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e, err := protemp.New(protemp.WithWindow(dt, steps), protemp.WithTMax(tmax))
+	if err != nil {
+		t.Fatal(err)
+	}
 	newSolver := func(acceptC float64) *dmpc.Solver {
 		s, err := dmpc.New(dmpc.Config{
-			Chip: chip, Params: thermal.DefaultParams(), Dt: dt, Steps: steps, TMax: tmax,
+			Chip: chip, Window: e.Window(), Params: thermal.DefaultParams(), TMax: tmax,
 			Opts: dmpc.Options{Clusters: 2, MaxOuter: 1, PrimalTolC: 1e-9, AcceptTolC: acceptC, Workers: 1},
 		})
 		if err != nil {
@@ -46,10 +50,6 @@ func TestCentralFallbackCountsLikeOnlineSession(t *testing.T) {
 	}
 	forced, accepting := newSolver(1e-9), newSolver(1e9)
 
-	e, err := protemp.New(protemp.WithWindow(dt, steps), protemp.WithTMax(tmax))
-	if err != nil {
-		t.Fatal(err)
-	}
 	sess, err := e.NewOnlineSession()
 	if err != nil {
 		t.Fatal(err)

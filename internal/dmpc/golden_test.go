@@ -66,9 +66,8 @@ func (r *goldenRig) dmpcSolver(t *testing.T, v core.Variant, clusters int) *dmpc
 	t.Helper()
 	sol, err := dmpc.New(dmpc.Config{
 		Chip:    r.chip,
+		Window:  r.window,
 		Params:  r.params,
-		Dt:      goldenDt,
-		Steps:   goldenSteps,
 		TMax:    goldenTMax,
 		Variant: v,
 		Opts:    dmpc.Options{Clusters: clusters},

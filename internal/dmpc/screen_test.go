@@ -29,8 +29,8 @@ func TestManyCoreWindowScreened(t *testing.T) {
 	}
 	const steps, tmax = 100, 100.0
 	s, err := New(Config{
-		Chip: chip, Params: thermal.DefaultParams(),
-		Dt: 0.4e-3, Steps: steps, TMax: tmax,
+		Chip: chip, Window: chipWindow(t, chip, 0.4e-3, steps), Params: thermal.DefaultParams(),
+		TMax: tmax,
 		Opts: Options{Workers: 2},
 	})
 	if err != nil {

@@ -94,14 +94,15 @@ func (o Options) withDefaults(nCores int) Options {
 	return o
 }
 
-// Config assembles a distributed solver: the chip being controlled and
-// the thermal/window configuration its cluster subproblems are
-// compiled against (the same parameters the centralized engine uses).
+// Config assembles a distributed solver: the chip being controlled, its
+// full-chip window (the central fallback rung compiles from it, the
+// partition reads its RC model, and every cluster takes its step and
+// horizon) and the thermal parameters the cluster sub-chips are
+// modeled with (the same ones the full-chip model was built from).
 type Config struct {
 	Chip    *power.Chip
+	Window  *thermal.WindowResponse
 	Params  thermal.Params
-	Dt      float64
-	Steps   int
 	TMax    float64
 	Variant core.Variant
 	Opts    Options
@@ -186,6 +187,11 @@ type clusterSub struct {
 	window *thermal.WindowResponse
 	ol     *core.OnlineSolver
 	coreOf []int // local core position -> parent core position
+	// ak, s and dsum are the cluster window's affine map at the
+	// consensus step, T_kstar = ak·T_0 + s·p + dsum (stepMap); nil on a
+	// partition without boundary, where predict has nothing to forecast.
+	ak, s *linalg.Matrix
+	dsum  linalg.Vector
 	// haloGain[h] is the halo block's initial-state gain A^kstar[h,h]
 	// — the °C its consensus-step prediction moves per °C of dual
 	// correction. The dual update divides by it (a Newton-like price
@@ -213,22 +219,15 @@ func New(cfg Config) (*Solver, error) {
 	if cfg.Chip == nil {
 		return nil, fmt.Errorf("dmpc: nil chip")
 	}
-	if cfg.Dt <= 0 {
-		return nil, fmt.Errorf("dmpc: non-positive dt %g", cfg.Dt)
-	}
-	if cfg.Steps < 1 {
-		return nil, fmt.Errorf("dmpc: window of %d steps", cfg.Steps)
+	fp := cfg.Chip.Floorplan()
+	if cfg.Window == nil || cfg.Window.Discrete().NumNodes() != fp.NumBlocks() {
+		return nil, fmt.Errorf("dmpc: window does not model the chip's %d blocks", fp.NumBlocks())
 	}
 	if cfg.TMax <= 0 {
 		return nil, fmt.Errorf("dmpc: non-positive tmax %g", cfg.TMax)
 	}
-	fp := cfg.Chip.Floorplan()
 	opts := cfg.Opts.withDefaults(cfg.Chip.NumCores())
-	model, err := thermal.NewRC(fp, cfg.Params)
-	if err != nil {
-		return nil, err
-	}
-	part, err := NewPartition(fp, model, opts.Clusters)
+	part, err := NewPartition(fp, cfg.Window.Discrete().Model(), opts.Clusters)
 	if err != nil {
 		return nil, err
 	}
@@ -245,23 +244,16 @@ func New(cfg Config) (*Solver, error) {
 		s.subs[c] = sub
 		s.lambda[c] = make([]float64, len(part.Clusters[c].Halo))
 	}
-	s.kstar, err = s.consensusStep()
-	if err != nil {
-		return nil, err
+	s.kstar = s.consensusStep()
+	if len(part.Boundary) == 0 {
+		return s, nil
 	}
 	for _, sub := range s.subs {
+		sub.ak, sub.s, sub.dsum = stepMap(sub.window.Discrete(), s.kstar)
 		sub.haloGain = make([]float64, len(sub.halo))
 		for hi := range sub.halo {
 			li := len(sub.blocks) + hi
-			row, _, _, err := sub.window.AffineRows(s.kstar, li)
-			if err != nil {
-				return nil, err
-			}
-			g := row[li]
-			if g < minDualGain {
-				g = minDualGain
-			}
-			sub.haloGain[hi] = g
+			sub.haloGain[hi] = math.Max(sub.ak.At(li, li), minDualGain)
 		}
 	}
 	return s, nil
@@ -282,18 +274,24 @@ const minDualGain = 0.05
 // consensusStep picks the shared step k* at which boundary predictions
 // are compared: the largest step where every halo block in every
 // cluster still has at least consensusGain of initial-state authority.
-func (s *Solver) consensusStep() (int, error) {
-	kstar := s.cfg.Steps
+// A halo block's authority A^k[h,h] is read off the unit start e_h
+// simulated under zero drive.
+func (s *Solver) consensusStep() int {
+	kstar := s.cfg.Window.Steps()
 	for _, sub := range s.subs {
+		disc := sub.window.Discrete()
+		t, next, zero := linalg.NewVector(disc.NumNodes()), linalg.NewVector(disc.NumNodes()), linalg.NewVector(disc.NumNodes())
 		for hi := range sub.halo {
 			li := len(sub.blocks) + hi
+			clear(t)
+			t[li] = 1
+			disc.Advance(next, t, zero)
+			t, next = next, t
 			k := 1
 			for k < kstar {
-				row, _, _, err := sub.window.AffineRows(k+1, li)
-				if err != nil {
-					return 0, err
-				}
-				if row[li] < consensusGain {
+				disc.Advance(next, t, zero)
+				t, next = next, t
+				if t[li] < consensusGain {
 					break
 				}
 				k++
@@ -301,7 +299,37 @@ func (s *Solver) consensusStep() (int, error) {
 			kstar = k
 		}
 	}
-	return kstar, nil
+	return kstar
+}
+
+// stepMap returns the affine map of step k of disc's window,
+//
+//	T_k = ak·T_0 + s·p + dsum,  ak = A^k, s = Σ_{j<k} A^j·B, dsum = Σ_{j<k} A^j·d,
+//
+// column by column from k-step simulations through Discrete.Advance:
+// ak's column c is the unit start e_c under zero drive, s's column c
+// the zero start under B's column c, and dsum the zero start under d.
+// Advance sums each row's nonzeros in column order, so every entry is
+// the dense recurrence's bit for bit.
+func stepMap(disc *thermal.Discrete, k int) (ak, s *linalg.Matrix, dsum linalg.Vector) {
+	n := disc.NumNodes()
+	akT, sT := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n) // rows are the columns
+	bT := disc.B.T()
+	simulate := func(t, drive linalg.Vector) linalg.Vector {
+		next := linalg.NewVector(n)
+		for j := 0; j < k; j++ {
+			disc.Advance(next, t, drive)
+			t, next = next, t
+		}
+		return t
+	}
+	for c := 0; c < n; c++ {
+		e := linalg.NewVector(n)
+		e[c] = 1
+		copy(akT.Row(c), simulate(e, linalg.NewVector(n)))
+		copy(sT.Row(c), simulate(linalg.NewVector(n), bT.Row(c)))
+	}
+	return akT.T(), sT.T(), simulate(linalg.NewVector(n), disc.D)
 }
 
 // buildCluster assembles a cluster's sub-chip and compiles its online
@@ -345,11 +373,11 @@ func (s *Solver) buildCluster(cl *Cluster) (*clusterSub, error) {
 	if err != nil {
 		return nil, err
 	}
-	disc, err := model.Discretize(s.cfg.Dt)
+	disc, err := model.Discretize(s.cfg.Window.Dt())
 	if err != nil {
 		return nil, err
 	}
-	window, err := disc.Window(s.cfg.Steps)
+	window, err := disc.Window(s.cfg.Window.Steps())
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +585,7 @@ func (s *Solver) solveCluster(ctx context.Context, c int, tstart float64, t0g []
 	copy(sub.freqs, a.Freqs)
 	sub.peak = a.PeakTemp
 	sub.gap = a.Gap
-	sub.predict(c, s)
+	sub.predict(s)
 }
 
 // observeSolve folds one subproblem solve's wall time into the
@@ -570,10 +598,11 @@ func (s *Solver) observeSolve(d time.Duration, _ core.Work, _ error) {
 
 // predict computes the cluster's consensus-step temperature forecast
 // under its current decision — the quantity the consensus residual
-// compares across the boundary. Skipped when there is nothing to agree
-// on (a single cluster). It writes into the cluster's scratch and
-// allocates nothing.
-func (sub *clusterSub) predict(c int, s *Solver) {
+// compares across the boundary — as one dense evaluation of the
+// consensus-step map. Skipped when there is nothing to agree on (a
+// single cluster). It writes into the cluster's scratch and allocates
+// nothing.
+func (sub *clusterSub) predict(s *Solver) {
 	if len(s.part.Boundary) == 0 {
 		return
 	}
@@ -581,9 +610,8 @@ func (sub *clusterSub) predict(c int, s *Solver) {
 		sub.err = err
 		return
 	}
-	if err := sub.window.TempAtInto(sub.ownTend, s.kstar, sub.t0c, sub.power); err != nil {
-		sub.err = err
-		return
+	for i := range sub.ownTend {
+		sub.ownTend[i] = sub.ak.Row(i).Dot(sub.t0c) + sub.s.Row(i).Dot(sub.power) + sub.dsum[i]
 	}
 	for hi := range sub.halo {
 		sub.haloEnd[hi] = sub.ownTend[len(sub.blocks)+hi]
@@ -669,25 +697,9 @@ func (s *Solver) fallback(ctx context.Context, tstart float64, t0g []float64, ft
 // assignment.
 func (s *Solver) centralSolve(ctx context.Context, tstart float64, t0g []float64, ftarget float64, stats *StepStats) (*core.Assignment, error) {
 	s.centralOnce.Do(func() {
-		fp := s.cfg.Chip.Floorplan()
-		model, err := thermal.NewRC(fp, s.cfg.Params)
-		if err != nil {
-			s.centralErr = err
-			return
-		}
-		disc, err := model.Discretize(s.cfg.Dt)
-		if err != nil {
-			s.centralErr = err
-			return
-		}
-		window, err := disc.Window(s.cfg.Steps)
-		if err != nil {
-			s.centralErr = err
-			return
-		}
 		s.central, s.centralErr = core.NewOnlineSolver(core.OnlineSpec{
 			Chip:    s.cfg.Chip,
-			Window:  window,
+			Window:  s.cfg.Window,
 			TMax:    s.cfg.TMax,
 			Variant: s.cfg.Variant,
 		})

@@ -10,6 +10,7 @@ import (
 	"protemp/internal/metrics"
 	"protemp/internal/power"
 	"protemp/internal/thermal"
+	"protemp/internal/thermal/thermaltest"
 )
 
 func niagaraSolver(t *testing.T, opts Options) *Solver {
@@ -20,9 +21,8 @@ func niagaraSolver(t *testing.T, opts Options) *Solver {
 	}
 	s, err := New(Config{
 		Chip:   chip,
+		Window: chipWindow(t, chip, 1e-3, 100),
 		Params: thermal.DefaultParams(),
-		Dt:     1e-3,
-		Steps:  100,
 		TMax:   100,
 		Opts:   opts,
 	})
@@ -30,6 +30,25 @@ func niagaraSolver(t *testing.T, opts Options) *Solver {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// chipWindow returns chip's full-chip window under the default thermal
+// parameters: the Config.Window a distributed solver builds on.
+func chipWindow(t *testing.T, chip *power.Chip, dt float64, steps int) *thermal.WindowResponse {
+	t.Helper()
+	model, err := thermal.NewRC(chip.Floorplan(), thermal.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	disc, err := model.Discretize(dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := disc.Window(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func TestSolveBasic(t *testing.T) {
@@ -145,9 +164,8 @@ func TestManyCoreSolve(t *testing.T) {
 	}
 	s, err := New(Config{
 		Chip:   chip,
+		Window: chipWindow(t, chip, 0.4e-3, 100),
 		Params: thermal.DefaultParams(),
-		Dt:     0.4e-3,
-		Steps:  100,
 		TMax:   100,
 		Opts:   Options{Workers: 4},
 	})
@@ -180,11 +198,20 @@ func TestConfigRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mesh, err := floorplan.ManyCore(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := power.NewChip(mesh, power.NiagaraCore(), power.UncoreShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := chipWindow(t, chip, 1e-3, 100)
 	bad := []Config{
-		{Params: thermal.DefaultParams(), Dt: 1e-3, Steps: 100, TMax: 100},
-		{Chip: chip, Params: thermal.DefaultParams(), Dt: 0, Steps: 100, TMax: 100},
-		{Chip: chip, Params: thermal.DefaultParams(), Dt: 1e-3, Steps: 0, TMax: 100},
-		{Chip: chip, Params: thermal.DefaultParams(), Dt: 1e-3, Steps: 100, TMax: 0},
+		{Window: window, Params: thermal.DefaultParams(), TMax: 100},
+		{Chip: chip, Params: thermal.DefaultParams(), TMax: 100},
+		{Chip: chip, Window: chipWindow(t, other, 1e-3, 100), Params: thermal.DefaultParams(), TMax: 100},
+		{Chip: chip, Window: window, Params: thermal.DefaultParams(), TMax: 0},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -214,8 +241,8 @@ func TestClusterPeakTempMatchesForwardSim(t *testing.T) {
 	const target = 0.6e9
 	for _, v := range []core.Variant{core.VariantVariable, core.VariantUniform, core.VariantGradient} {
 		s, err := New(Config{
-			Chip: chip, Params: thermal.DefaultParams(),
-			Dt: 1e-3, Steps: 100, TMax: 100, Variant: v,
+			Chip: chip, Window: chipWindow(t, chip, 1e-3, 100), Params: thermal.DefaultParams(),
+			TMax: 100, Variant: v,
 			Opts: Options{Clusters: 2},
 		})
 		if err != nil {
@@ -236,12 +263,10 @@ func TestClusterPeakTempMatchesForwardSim(t *testing.T) {
 			for j, w := range a.Powers {
 				p[sub.chip.CoreBlockIndex(j)] = w
 			}
+			dense := denseWindow(sub)
 			peak := math.Inf(-1)
 			for k := 1; k <= sub.window.Steps(); k++ {
-				temps, err := sub.window.TempAt(k, sub.t0c, p)
-				if err != nil {
-					t.Fatal(err)
-				}
+				temps := dense.Temps(k, sub.t0c, p)
 				for _, ci := range sub.chip.Floorplan().CoreIndices() {
 					peak = math.Max(peak, temps[ci])
 				}
@@ -250,6 +275,84 @@ func TestClusterPeakTempMatchesForwardSim(t *testing.T) {
 				t.Fatalf("%v cluster %d: PeakTemp %.12f °C, forward simulation %.12f °C", v, c, a.PeakTemp, peak)
 			}
 		}
+	}
+}
+
+// denseWindow is the dense reference of a cluster's window.
+func denseWindow(sub *clusterSub) *thermaltest.Dense {
+	d := sub.window.Discrete()
+	return thermaltest.NewDense(d.A, d.B, d.D, sub.window.Steps())
+}
+
+// TestConsensusMapMatchesDense pins the consensus step, the halo gains
+// and the consensus-step forecasts, all read off sparse simulations
+// (consensusStep, stepMap), to the dense recurrence bit for bit: kstar
+// by the dense A^k diagonal, haloGain as the dense A^kstar diagonal,
+// and every cluster's predict output as the dense map's evaluation at
+// the round's start map and powers — on a two-cluster Niagara and on
+// the 64-core mesh's default partition.
+func TestConsensusMapMatchesDense(t *testing.T) {
+	mesh, err := floorplan.ManyCore(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		fp       *floorplan.Floorplan
+		clusters int
+	}{{"niagara", floorplan.Niagara(), 2}, {"mesh64", mesh, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			chip, err := power.NewChip(tc.fp, power.NiagaraCore(), power.UncoreShare)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(Config{
+				Chip: chip, Window: chipWindow(t, chip, 1e-3, 100), Params: thermal.DefaultParams(),
+				TMax: 100, Opts: Options{Clusters: tc.clusters, MaxOuter: 1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dense := make([]*thermaltest.Dense, len(s.subs))
+			kstar := s.cfg.Window.Steps()
+			for c, sub := range s.subs {
+				dense[c] = denseWindow(sub)
+				for hi := range sub.halo {
+					li := len(sub.blocks) + hi
+					k := 1
+					for k < kstar && dense[c].Ak[k+1].At(li, li) >= consensusGain {
+						k++
+					}
+					kstar = k
+				}
+			}
+			if s.kstar != kstar || len(s.part.Boundary) == 0 {
+				t.Fatalf("kstar %d, dense %d (%d boundary blocks)", s.kstar, kstar, len(s.part.Boundary))
+			}
+			for c, sub := range s.subs {
+				for hi := range sub.halo {
+					li := len(sub.blocks) + hi
+					if want := math.Max(dense[c].Ak[kstar].At(li, li), minDualGain); sub.haloGain[hi] != want {
+						t.Fatalf("cluster %d halo %d: gain %v, dense %v", c, hi, sub.haloGain[hi], want)
+					}
+				}
+			}
+			t0 := make([]float64, tc.fp.NumBlocks())
+			for i := range t0 {
+				t0[i] = 62 + 4*math.Sin(float64(3*i))
+			}
+			if _, _, err := s.Solve(context.Background(), 0, t0, 0.6*chip.FMax()); err != nil {
+				t.Fatal(err)
+			}
+			for c, sub := range s.subs {
+				want := dense[c].Temps(kstar, sub.t0c, sub.power)
+				for i, got := range sub.ownTend {
+					if got != want[i] {
+						t.Fatalf("cluster %d block %d: forecast %v, dense %v", c, i, got, want[i])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"protemp/internal/linalg"
 	"protemp/internal/power"
 	"protemp/internal/thermal"
+	"protemp/internal/thermal/thermaltest"
 )
 
 // softBox returns the box lo <= x_j <= hi on every coordinate with
@@ -144,10 +145,7 @@ func niagaraUniformProgram(t *testing.T, tstart, fmhz float64) (*Problem, []bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	window, err := disc.Window(100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := thermaltest.NewDense(disc.A, disc.B, disc.D, 100)
 	const tmax = 100
 	n := chip.NumCores()
 	obj := linalg.NewVector(2)
@@ -156,12 +154,9 @@ func niagaraUniformProgram(t *testing.T, tstart, fmhz float64) (*Problem, []bool
 	}
 	p := &Problem{Objective: &Affine{A: obj}}
 	fixed := chip.FixedPower()
-	for k := 1; k <= window.Steps(); k++ {
+	for k := 1; k <= 100; k++ {
 		for _, bi := range fp.CoreIndices() {
-			t0Row, drive, gain, err := window.AffineRows(k, bi)
-			if err != nil {
-				t.Fatal(err)
-			}
+			t0Row, drive, gain := ref.Ak[k].Row(bi), ref.Dsum[k][bi], ref.S[k].Row(bi)
 			coef := 0.0
 			for j := 0; j < n; j++ {
 				coef += gain[chip.CoreBlockIndex(j)] * chip.CoreModelOf(j).PMax

@@ -111,18 +111,10 @@ func TestLeakyWindowGainsNonnegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := d.Window(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := leaky.UniformStart(45)
+	w := dense(d, 50)
 	for _, k := range []int{1, 25, 50} {
 		for i := 0; i < leaky.NumNodes(); i++ {
-			_, gain, err := w.Affine(k, i, t0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, g := range gain {
+			for j, g := range w.S[k].Row(i) {
 				if g < 0 {
 					t.Fatalf("negative gain S_%d[%d,%d] = %v under leakage", k, i, j, g)
 				}

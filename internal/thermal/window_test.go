@@ -1,11 +1,16 @@
 package thermal
 
 import (
-	"math"
 	"testing"
 
 	"protemp/internal/linalg"
+	"protemp/internal/thermal/thermaltest"
 )
+
+// dense is the dense reference of d's window of m steps.
+func dense(d *Discrete, m int) *thermaltest.Dense {
+	return thermaltest.NewDense(d.A, d.B, d.D, m)
+}
 
 func TestWindowMatchesStepByStep(t *testing.T) {
 	m := niagaraRC(t)
@@ -14,52 +19,66 @@ func TestWindowMatchesStepByStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	const steps = 50
-	w, err := d.Window(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := dense(d, steps)
 	t0 := m.UniformStart(55)
 	p := fullPower(m, 3)
 	sim, _ := NewSimulator(d, t0)
 	for k := 0; k <= steps; k++ {
 		want := sim.Temps()
-		got, err := w.TempAt(k, t0, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want, 1e-8) {
+		if got := w.Temps(k, t0, p); !got.Equal(want, 1e-8) {
 			t.Fatalf("step %d: window %v vs simulator %v", k, got, want)
 		}
 		sim.Step(p)
 	}
 }
 
+// TestWindowAffineDecomposition pins the window's affine map as its
+// users read it, column by column off simulations through Advance, to
+// the dense recurrence bit for bit: A^k's column c is the unit start
+// e_c under zero drive, S_k's column c the zero start under B's
+// column c, and Dsum_k the zero start under D — on the Euler and the
+// exact (dense A and B) discretizations.
 func TestWindowAffineDecomposition(t *testing.T) {
 	m := niagaraRC(t)
-	d, err := m.Discretize(PaperDt)
+	euler, err := m.Discretize(PaperDt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := d.Window(30)
+	exact, err := m.DiscretizeExact(PaperDt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := m.UniformStart(60)
-	p := fullPower(m, 2.5)
-	for _, k := range []int{0, 1, 15, 30} {
-		full, err := w.TempAt(k, t0, p)
-		if err != nil {
-			t.Fatal(err)
+	const steps = 30
+	for name, d := range map[string]*Discrete{"euler": euler, "exact": exact} {
+		ref := dense(d, steps)
+		n := d.NumNodes()
+		column := func(k int, t0, u linalg.Vector) linalg.Vector {
+			next := linalg.NewVector(n)
+			for ; k > 0; k-- {
+				d.Advance(next, t0, u)
+				t0, next = next, t0
+			}
+			return t0
 		}
-		for i := 0; i < m.NumNodes(); i++ {
-			base, gain, err := w.Affine(k, i, t0)
-			if err != nil {
-				t.Fatal(err)
+		check := func(what string, k, c int, got linalg.Vector, want func(i int) float64) {
+			t.Helper()
+			for i, g := range got {
+				if g != want(i) {
+					t.Fatalf("%s: %s_%d[%d,%d] simulated %v, dense %v", name, what, k, i, c, g, want(i))
+				}
 			}
-			got := base + gain.Dot(p)
-			if math.Abs(got-full[i]) > 1e-9*(1+math.Abs(full[i])) {
-				t.Fatalf("k=%d node %d: affine %v vs direct %v", k, i, got, full[i])
+		}
+		for _, k := range []int{0, 1, 15, steps} {
+			for c := 0; c < n; c++ {
+				e, u := linalg.NewVector(n), linalg.NewVector(n)
+				e[c] = 1
+				check("A^k", k, c, column(k, e, u), func(i int) float64 { return ref.Ak[k].At(i, c) })
+				for i := range u {
+					u[i] = d.B.At(i, c)
+				}
+				check("S", k, c, column(k, linalg.NewVector(n), u), func(i int) float64 { return ref.S[k].At(i, c) })
 			}
+			check("Dsum", k, 0, column(k, linalg.NewVector(n), d.D), func(i int) float64 { return ref.Dsum[k][i] })
 		}
 	}
 }
@@ -73,18 +92,10 @@ func TestWindowGainsNonnegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := d.Window(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := m.UniformStart(45)
+	w := dense(d, 100)
 	for k := 0; k <= 100; k += 10 {
 		for i := 0; i < m.NumNodes(); i++ {
-			_, gain, err := w.Affine(k, i, t0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, g := range gain {
+			for j, g := range w.S[k].Row(i) {
 				if g < 0 {
 					t.Fatalf("negative gain S_%d[%d,%d] = %v", k, i, j, g)
 				}
@@ -106,30 +117,7 @@ func TestWindowErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := m.UniformStart(45)
-	p := linalg.NewVector(m.NumNodes())
-	if _, err := w.TempAt(6, t0, p); err == nil {
-		t.Error("out-of-window step accepted")
-	}
-	if _, err := w.TempAt(-1, t0, p); err == nil {
-		t.Error("negative step accepted")
-	}
-	if _, err := w.TempAt(2, linalg.NewVector(1), p); err == nil {
-		t.Error("bad state length accepted")
-	}
-	if err := w.TempAtInto(linalg.NewVector(1), 2, t0, p); err == nil {
-		t.Error("bad destination length accepted")
-	}
-	if _, _, err := w.Affine(2, 99, t0); err == nil {
-		t.Error("bad node index accepted")
-	}
-	if _, _, err := w.Affine(2, 0, linalg.NewVector(1)); err == nil {
-		t.Error("bad state length accepted in Affine")
-	}
-	if w.Steps() != 5 || w.Dt() != PaperDt {
-		t.Errorf("Steps/Dt = %d/%v", w.Steps(), w.Dt())
-	}
-	if w.MaxGain() <= 0 {
-		t.Error("MaxGain should be positive")
+	if w.Steps() != 5 || w.Dt() != PaperDt || w.Discrete() != d {
+		t.Errorf("Steps/Dt/Discrete = %d/%v/%p", w.Steps(), w.Dt(), w.Discrete())
 	}
 }
