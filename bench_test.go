@@ -469,7 +469,7 @@ func BenchmarkSetup(b *testing.B) {
 				e := dmpcBenchEngine(b, tc.rows, tc.cols, tc.clusters, 0)
 				newNs += float64(time.Since(t0))
 				b.StopTimer()
-				heap += float64(liveHeap() - before)
+				heap += float64(liveHeap()) - float64(before)
 				b.StartTimer()
 				t1 := time.Now()
 				if _, err := e.NewOnlineSession(); err != nil {
@@ -654,6 +654,33 @@ func BenchmarkSolveSinglePoint(b *testing.B) {
 		if !a.Feasible {
 			b.Fatal("design point unexpectedly infeasible")
 		}
+	}
+}
+
+// BenchmarkOptimize times one Engine.OptimizeVariant request — what the
+// server's /optimize handler and every experiments sweep point pay — at
+// 8, 64 and 256 cores, for the dual (variable) and closed-form
+// (uniform) variants. The first request of an engine compiles the
+// window's rows; the rest share them, so the lanes price the per
+// request path: the offsets simulation and the solve.
+func BenchmarkOptimize(b *testing.B) {
+	for _, tc := range []struct {
+		name       string
+		rows, cols int // 0 = Niagara-8
+	}{{"niagara", 0, 0}, {"mesh64", 8, 8}, {"mesh256", 16, 16}} {
+		b.Run(tc.name, func(b *testing.B) {
+			e := dmpcBenchEngine(b, tc.rows, tc.cols, 0, 0)
+			for _, v := range []core.Variant{core.VariantVariable, core.VariantUniform} {
+				b.Run(v.String(), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := e.OptimizeVariant(context.Background(), 67, 500e6, v); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 

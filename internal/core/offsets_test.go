@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"protemp/internal/floorplan"
@@ -217,7 +218,7 @@ func TestDowngradeReusesWindowOffsets(t *testing.T) {
 }
 
 // TestCompiledCoefMatchesDense pins the compiled row gains, read off
-// one sparse simulation per core (compileRows), to the dense
+// the cores' sparse simulation of the window (compileRows), to the dense
 // recurrence bit for bit: coef_j = S_k[block, coreBlock(j)]·PMax_j, with
 // idle and dyn summed over the cores in order — on Niagara, on the
 // 64-core mesh with every block constrained, on an exact (matrix
@@ -278,5 +279,53 @@ func TestCompiledCoefMatchesDense(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRowsSharedPerWindow pins the shared compile: plans of one window
+// and block set read one compile, concurrent first plans included, and
+// another block set or another window gets its own.
+func TestRowsSharedPerWindow(t *testing.T) {
+	f := niagaraFixture(t)
+	plan := func(w *thermal.WindowResponse, all bool) *sweepPlan {
+		t.Helper()
+		pl, err := compileRowsPlan(TableSpec{Chip: f.chip, Window: w, ConstrainAllBlocks: all}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	same := func(a, b *sweepPlan) bool { return &a.rows[0].coef[0] == &b.rows[0].coef[0] }
+	if a, b := plan(f.window, false), plan(f.window, false); !same(a, b) {
+		t.Fatal("two plans of one window compiled their rows twice")
+	}
+	if same(plan(f.window, false), plan(f.window, true)) {
+		t.Fatal("a different block set shares the rows")
+	}
+	w, err := f.window.Discrete().Window(f.window.Steps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := make([]*sweepPlan, 4)
+	errs := make([]error, len(plans))
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plans[i], errs[i] = compileRowsPlan(TableSpec{Chip: f.chip, Window: w}, nil)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(plans[0], plans[i]) {
+			t.Fatalf("concurrent plan %d compiled its own rows", i)
+		}
+	}
+	if same(plan(f.window, false), plans[0]) {
+		t.Fatal("another window shares the rows")
 	}
 }

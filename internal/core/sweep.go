@@ -76,11 +76,12 @@ type sweepPlan struct {
 // compileRows is the single assembly of the temperature-row structure,
 // shared by every plan: one row per (window step, constrained block),
 // in step order, with the per-core power gains scaled to normalized
-// units. Core j's gains are one sparse forward simulation of the window
-// from zero under its block's column of B as the drive: at step k the
-// state is that column of S_k = Σ_{i<k} A^i·B, read at each row's block
-// (the dense recurrence's entries bit for bit, since Advance sums each
-// row's nonzeros in the same column order). The offsets are left zero:
+// units. Core j's gains are a sparse forward simulation of the window
+// from zero under its block's column of B as the drive, all cores at
+// once (Discrete.AdvanceCols): at step k the state is S_k = Σ_{i<k} A^i·B
+// restricted to the core columns, and a row reads its block's row of
+// it (the dense recurrence's entries bit for bit, since each entry sums
+// A's nonzeros in the same column order). The offsets are left zero:
 // they depend on the starting map, and sweepInstance.offsets simulates
 // them per point or window.
 func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks bool) ([]tempRow, error) {
@@ -112,43 +113,52 @@ func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks boo
 			rows = append(rows, tempRow{step: k, block: bi, core: isCore[bi], coef: coefs[r*n : (r+1)*n : (r+1)*n]})
 		}
 	}
-	// The cores go in chunks: each core's gains fill its own stretch of
-	// gains, then the chunk is copied into the rows, one cache line per
-	// row per chunk rather than one per row per core.
-	const coreChunk = 8
+	// Column j of s is core j's simulation; u holds the drives.
 	disc := window.Discrete()
-	bT := disc.B.T() // row c is the drive of a unit power on block c
-	cur, next := linalg.NewVector(nb), linalg.NewVector(nb)
-	gains := make([]float64, coreChunk*len(rows))
-	for j0 := 0; j0 < n; j0 += coreChunk {
-		j1 := min(j0+coreChunk, n)
-		for j := j0; j < j1; j++ {
-			g := gains[(j-j0)*len(rows) : (j-j0+1)*len(rows)]
-			u := bT.Row(chip.CoreBlockIndex(j))
-			clear(cur)
-			k := 0
-			for r := range rows {
-				for ; k < rows[r].step; k++ {
-					disc.Advance(next, cur, u)
-					cur, next = next, cur
-				}
-				if g[r] = cur[rows[r].block]; g[r] < 0 {
-					return nil, fmt.Errorf("core: negative heat gain at step %d block %d", k, rows[r].block)
-				}
-			}
+	s, next, u := linalg.NewMatrix(nb, n), linalg.NewMatrix(nb, n), linalg.NewMatrix(nb, n)
+	for i := 0; i < nb; i++ {
+		for j := 0; j < n; j++ {
+			u.Set(i, j, disc.B.At(i, chip.CoreBlockIndex(j)))
 		}
-		for r := range rows {
-			row := &rows[r]
-			for j := j0; j < j1; j++ {
-				model := chip.CoreModelOf(j)
-				c := gains[(j-j0)*len(rows)+r] * model.PMax
-				row.coef[j] = c
-				row.idle += c * model.IdleFrac
-				row.dyn += c * (1 - model.IdleFrac)
+	}
+	k := 0
+	for r := range rows {
+		row := &rows[r]
+		for ; k < row.step; k++ {
+			disc.AdvanceCols(next, s, u)
+			s, next = next, s
+		}
+		for j, g := range s.Row(row.block) {
+			if g < 0 {
+				return nil, fmt.Errorf("core: negative heat gain at step %d block %d", k, row.block)
 			}
+			model := chip.CoreModelOf(j)
+			row.coef[j] = g * model.PMax
+			row.idle += row.coef[j] * model.IdleFrac
+			row.dyn += row.coef[j] * (1 - model.IdleFrac)
 		}
 	}
 	return rows, nil
+}
+
+// sharedRows returns the rows of (chip, window, allBlocks), compiled
+// once per window, chip and block set: every plan of a window (each
+// SolveContext and UniformCapacity call, every online session, the
+// sweep) reads the same rows, which nothing writes after compileRows.
+func sharedRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks bool) ([]tempRow, error) {
+	type key struct {
+		chip      *power.Chip
+		allBlocks bool
+	}
+	type compiled struct {
+		rows []tempRow
+		err  error
+	}
+	c := window.Memo(key{chip, allBlocks}, func() any {
+		rows, err := compileRows(chip, window, allBlocks)
+		return compiled{rows, err}
+	}).(compiled)
+	return c.rows, c.err
 }
 
 // gradPair is one compiled pairwise-gradient constraint: rows ri and rj
@@ -184,7 +194,7 @@ func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 // compileRowsPlan builds the rows-only plan every other plan extends:
 // the rows and the offset simulation; t0 is as for compileSweep.
 func compileRowsPlan(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
-	rows, err := compileRows(ts.Chip, ts.Window, ts.ConstrainAllBlocks)
+	rows, err := sharedRows(ts.Chip, ts.Window, ts.ConstrainAllBlocks)
 	if err != nil {
 		return nil, err
 	}

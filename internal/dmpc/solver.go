@@ -98,7 +98,8 @@ func (o Options) withDefaults(nCores int) Options {
 // full-chip window (the central fallback rung compiles from it, the
 // partition reads its RC model, and every cluster takes its step and
 // horizon) and the thermal parameters the cluster sub-chips are
-// modeled with (the same ones the full-chip model was built from).
+// modeled with. The window must be the Euler discretization of a model
+// built from those Params; New rejects any other (sameMemberRows).
 type Config struct {
 	Chip    *power.Chip
 	Window  *thermal.WindowResponse
@@ -306,30 +307,26 @@ func (s *Solver) consensusStep() int {
 //
 //	T_k = ak·T_0 + s·p + dsum,  ak = A^k, s = Σ_{j<k} A^j·B, dsum = Σ_{j<k} A^j·d,
 //
-// column by column from k-step simulations through Discrete.Advance:
-// ak's column c is the unit start e_c under zero drive, s's column c
-// the zero start under B's column c, and dsum the zero start under d.
-// Advance sums each row's nonzeros in column order, so every entry is
-// the dense recurrence's bit for bit.
+// from k-step simulations: ak is the identity start under zero drive
+// and s the zero start under B (all columns at once, through
+// Discrete.AdvanceCols), dsum the zero start under d (Advance). Every
+// entry is the dense recurrence's bit for bit.
 func stepMap(disc *thermal.Discrete, k int) (ak, s *linalg.Matrix, dsum linalg.Vector) {
 	n := disc.NumNodes()
-	akT, sT := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n) // rows are the columns
-	bT := disc.B.T()
-	simulate := func(t, drive linalg.Vector) linalg.Vector {
-		next := linalg.NewVector(n)
+	simulate := func(x, u *linalg.Matrix) *linalg.Matrix {
+		next := linalg.NewMatrix(n, n)
 		for j := 0; j < k; j++ {
-			disc.Advance(next, t, drive)
-			t, next = next, t
+			disc.AdvanceCols(next, x, u)
+			x, next = next, x
 		}
-		return t
+		return x
 	}
-	for c := 0; c < n; c++ {
-		e := linalg.NewVector(n)
-		e[c] = 1
-		copy(akT.Row(c), simulate(e, linalg.NewVector(n)))
-		copy(sT.Row(c), simulate(linalg.NewVector(n), bT.Row(c)))
+	dsum, next := linalg.NewVector(n), linalg.NewVector(n)
+	for j := 0; j < k; j++ {
+		disc.Advance(next, dsum, disc.D)
+		dsum, next = next, dsum
 	}
-	return akT.T(), sT.T(), simulate(linalg.NewVector(n), disc.D)
+	return simulate(linalg.Identity(n), linalg.NewMatrix(n, n)), simulate(linalg.NewMatrix(n, n), disc.B), dsum
 }
 
 // buildCluster assembles a cluster's sub-chip and compiles its online
@@ -377,6 +374,9 @@ func (s *Solver) buildCluster(cl *Cluster) (*clusterSub, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := sameMemberRows(disc, s.cfg.Window.Discrete(), globals, len(cl.Blocks)); err != nil {
+		return nil, err
+	}
 	window, err := disc.Window(s.cfg.Window.Steps())
 	if err != nil {
 		return nil, err
@@ -407,6 +407,41 @@ func (s *Solver) buildCluster(cl *Cluster) (*clusterSub, error) {
 		cs.coreOf[lk] = corePosOf[globals[chip.CoreBlockIndex(lk)]]
 	}
 	return cs, nil
+}
+
+// sameMemberRows checks that a cluster's discretization sub agrees
+// with the full chip's on every member block (globals[:members], local
+// index = position in globals): the same rows of A and B, and the same
+// ambient drive, within rounding. A member's neighbors all lie in its
+// cluster or halo, so the two differ only in the order its conductances
+// were summed; a full-chip window of other thermal parameters, another
+// discretization or a gain error fails, and the central rung and the
+// clusters would otherwise constrain different plants.
+func sameMemberRows(sub, full *thermal.Discrete, globals []int, members int) error {
+	local := make([]int, full.NumNodes())
+	for i := range local {
+		local[i] = -1
+	}
+	for li, g := range globals {
+		local[g] = li
+	}
+	same := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	for li, g := range globals[:members] {
+		ok := same(sub.D[li], full.D[g])
+		for _, m := range [][2]*linalg.Matrix{{sub.A, full.A}, {sub.B, full.B}} {
+			for gj, v := range m[1].Row(g) {
+				var w float64
+				if lj := local[gj]; lj >= 0 {
+					w = m[0].At(li, lj)
+				}
+				ok = ok && same(w, v)
+			}
+		}
+		if !ok {
+			return fmt.Errorf("dmpc: the window's discretization differs from the Euler model of Params at block %d", g)
+		}
+	}
+	return nil
 }
 
 // SetRecorder installs (or, with nil, removes) the trace recorder for

@@ -207,11 +207,36 @@ func TestConfigRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	window := chipWindow(t, chip, 1e-3, 100)
+	// Windows of the right chip that are not the Euler model of the
+	// config's Params: another ambient, the exact discretization and a
+	// gain error.
+	cool := thermal.DefaultParams()
+	cool.Ambient = 30
+	coolModel, err := thermal.NewRC(chip.Floorplan(), cool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mismatched := []func() (*thermal.Discrete, error){
+		func() (*thermal.Discrete, error) { return coolModel.Discretize(1e-3) },
+		func() (*thermal.Discrete, error) { return window.Discrete().Model().DiscretizeExact(1e-3) },
+		func() (*thermal.Discrete, error) { return window.Discrete().WithGainError(1.1) },
+	}
 	bad := []Config{
 		{Window: window, Params: thermal.DefaultParams(), TMax: 100},
 		{Chip: chip, Params: thermal.DefaultParams(), TMax: 100},
 		{Chip: chip, Window: chipWindow(t, other, 1e-3, 100), Params: thermal.DefaultParams(), TMax: 100},
 		{Chip: chip, Window: window, Params: thermal.DefaultParams(), TMax: 0},
+	}
+	for _, build := range mismatched {
+		disc, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := disc.Window(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad = append(bad, Config{Chip: chip, Window: w, Params: thermal.DefaultParams(), TMax: 100})
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -205,6 +205,36 @@ func (d *Discrete) Advance(dst, t, u linalg.Vector) {
 	}
 }
 
+// AdvanceCols advances every column of x as a state of its own under
+// the matching column of u: dst = A·x + u, for matrices with one row
+// per node and equal widths. Each entry is Advance's on that column bit
+// for bit (the same nonzeros of A's row, summed in the same column
+// order, then the drive), but a row's nonzeros are read once for all
+// the columns. dst must not alias x; it panics on a shape mismatch.
+func (d *Discrete) AdvanceCols(dst, x, u *linalg.Matrix) {
+	n, w := len(d.D), x.Cols()
+	if x.Rows() != n || dst.Rows() != n || u.Rows() != n || dst.Cols() != w || u.Cols() != w {
+		panic(fmt.Sprintf("thermal: shapes %dx%d/%dx%d/%dx%d, want %d rows of one width",
+			dst.Rows(), dst.Cols(), x.Rows(), x.Cols(), u.Rows(), u.Cols(), n))
+	}
+	for i := 0; i < n; i++ {
+		out := dst.Row(i)
+		clear(out)
+		for k := d.a.ptr[i]; k < d.a.ptr[i+1]; k++ {
+			v, src := d.a.val[k], x.Row(d.a.col[k])
+			out := out[:len(src)]
+			for c, s := range src {
+				out[c] += v * s
+			}
+		}
+		u := u.Row(i)
+		out = out[:len(u)]
+		for c, s := range u {
+			out[c] += s
+		}
+	}
+}
+
 // mustFit panics unless x, y and z all have one entry per node.
 func (d *Discrete) mustFit(x, y, z linalg.Vector) {
 	if n := len(d.D); len(x) != n || len(y) != n || len(z) != n {

@@ -1,6 +1,9 @@
 package thermal
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // WindowResponse is the horizon the convex program constrains: m steps
 // of a discretization. Every in-window temperature is affine in the
@@ -12,10 +15,17 @@ import "fmt"
 // t ≤ tmax convex in the frequencies. The window stores none of these
 // matrices: its users read the entries they need off forward
 // simulations through Discrete.Advance — a column of S_k is the window
-// simulated from zero under a column of B as the drive.
+// simulated from zero under a column of B as the drive — and may keep
+// what they derive with the window (Memo).
 type WindowResponse struct {
 	disc *Discrete
 	m    int
+	memo sync.Map // key -> *memoEntry (Memo)
+}
+
+type memoEntry struct {
+	once sync.Once
+	v    any
 }
 
 // Window returns the response of horizon m steps.
@@ -34,3 +44,15 @@ func (w *WindowResponse) Dt() float64 { return w.disc.Dt }
 
 // Discrete returns the discretization the window was built from.
 func (w *WindowResponse) Discrete() *Discrete { return w.disc }
+
+// Memo returns what a user of the window derived from it under key:
+// build runs on the first call for that key (concurrent first calls
+// run it once) and every call shares its result, which lives as long
+// as the window and must not be modified. core compiles its
+// temperature rows through it, once per window.
+func (w *WindowResponse) Memo(key any, build func() any) any {
+	e, _ := w.memo.LoadOrStore(key, &memoEntry{})
+	me := e.(*memoEntry)
+	me.once.Do(func() { me.v = build() })
+	return me.v
+}

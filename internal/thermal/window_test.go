@@ -36,8 +36,9 @@ func TestWindowMatchesStepByStep(t *testing.T) {
 // users read it, column by column off simulations through Advance, to
 // the dense recurrence bit for bit: A^k's column c is the unit start
 // e_c under zero drive, S_k's column c the zero start under B's
-// column c, and Dsum_k the zero start under D — on the Euler and the
-// exact (dense A and B) discretizations.
+// column c, and Dsum_k the zero start under D — and every column at
+// once through AdvanceCols, on the Euler and the exact (dense A and B)
+// discretizations.
 func TestWindowAffineDecomposition(t *testing.T) {
 	m := niagaraRC(t)
 	euler, err := m.Discretize(PaperDt)
@@ -79,6 +80,27 @@ func TestWindowAffineDecomposition(t *testing.T) {
 				check("S", k, c, column(k, linalg.NewVector(n), u), func(i int) float64 { return ref.S[k].At(i, c) })
 			}
 			check("Dsum", k, 0, column(k, linalg.NewVector(n), d.D), func(i int) float64 { return ref.Dsum[k][i] })
+			// All columns at once: AdvanceCols from the identity under zero
+			// drive gives A^k, from zero under B gives S_k.
+			for _, tc := range []struct {
+				what string
+				x0   *linalg.Matrix
+				u    *linalg.Matrix
+				ref  *linalg.Matrix
+			}{{"A^k", linalg.Identity(n), linalg.NewMatrix(n, n), ref.Ak[k]}, {"S", linalg.NewMatrix(n, n), d.B, ref.S[k]}} {
+				x, next := tc.x0, linalg.NewMatrix(n, n)
+				for j := 0; j < k; j++ {
+					d.AdvanceCols(next, x, tc.u)
+					x, next = next, x
+				}
+				for c := 0; c < n; c++ {
+					got := linalg.NewVector(n)
+					for i := range got {
+						got[i] = x.At(i, c)
+					}
+					check(tc.what+" (AdvanceCols)", k, c, got, func(i int) float64 { return tc.ref.At(i, c) })
+				}
+			}
 		}
 	}
 }
