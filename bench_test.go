@@ -301,8 +301,9 @@ func BenchmarkSessionStep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			st := stepBenchState(e, i)
 			a, err := core.Solve(&core.Spec{
-				Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(),
-				FTarget: st.RequiredFreq, T0: st.BlockTemps,
+				Problem: core.Problem{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax()},
+				FTarget: st.RequiredFreq,
+				T0:      st.BlockTemps,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -691,9 +692,7 @@ func BenchmarkGenerateTable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tbl, err := core.GenerateTable(context.Background(), core.TableSpec{
-			Chip:     s.Chip,
-			Window:   s.Window,
-			TMax:     experiments.TMax,
+			Problem:  s.Problem(core.VariantVariable),
 			TStarts:  s.Fid.TableTStarts,
 			FTargets: s.Fid.TableFTargets,
 		})
@@ -777,32 +776,6 @@ func BenchmarkUniformCapacity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGradStride ablates the gradient-constraint stride
-// (Spec.GradStride): denser pairwise constraints buy a marginally
-// tighter bound at a steep solve-time cost, which is why the default
-// strides.
-func BenchmarkAblationGradStride(b *testing.B) {
-	s := setupBench(b)
-	for _, stride := range []int{1, 5, 25} {
-		b.Run(fmt.Sprintf("stride%d", stride), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				spec := s.Spec(60, 500e6, core.VariantGradient)
-				spec.GradStride = stride
-				a, err := core.Solve(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !a.Feasible {
-					b.Fatal("ablation point must be feasible")
-				}
-				if i == 0 {
-					b.ReportMetric(a.TGrad, "tgrad°C")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationTableResolution ablates the Phase-1 frequency-grid
 // granularity: coarser tables are cheaper to generate but quantize the
 // controller's frequency choices, inflating task waiting times.
@@ -817,9 +790,7 @@ func BenchmarkAblationTableResolution(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				tbl, err := core.GenerateTable(context.Background(), core.TableSpec{
-					Chip:     s.Chip,
-					Window:   s.Window,
-					TMax:     experiments.TMax,
+					Problem:  s.Problem(core.VariantVariable),
 					TStarts:  s.Fid.TableTStarts,
 					FTargets: targets,
 				})

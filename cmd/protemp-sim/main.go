@@ -132,7 +132,7 @@ func main() {
 			needTable = true
 			runs = append(runs, nil) // placeholder, filled below
 		case "online":
-			ol, err := core.NewOnlineSolver(core.OnlineSpec{
+			ol, err := core.NewOnlineSolver(core.Problem{
 				Chip:    chip,
 				Window:  engine.Window(),
 				TMax:    *tmax,

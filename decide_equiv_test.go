@@ -78,7 +78,7 @@ func TestSimAdapterMatchesServedSession(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: e.Variant()})
+				ol, err := core.NewOnlineSolver(core.Problem{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: e.Variant()})
 				if err != nil {
 					t.Fatal(err)
 				}

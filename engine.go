@@ -222,6 +222,17 @@ func (e *Engine) StepLatencyQuantile(p float64) (nanos, count uint64) {
 	return h.Quantile(p), h.Count()
 }
 
+// problem is the window program every plan of this engine compiles
+// from (the single-point solve, the table sweep, the online and the
+// distributed sessions): the engine's chip and window at variant v
+// and limit tmax, a non-positive tmax selecting the engine's.
+func (e *Engine) problem(v core.Variant, tmax float64) core.Problem {
+	if tmax <= 0 {
+		tmax = e.cfg.tmax
+	}
+	return core.Problem{Chip: e.chip, Window: e.window, TMax: tmax, Variant: v}
+}
+
 // tableSpec assembles a Phase-1 table spec against this engine,
 // defaulting nil grids and non-positive tmax to the engine
 // configuration.
@@ -232,16 +243,10 @@ func (e *Engine) tableSpec(tstarts, ftargets []float64, v core.Variant, tmax flo
 	if ftargets == nil {
 		ftargets = e.ftargets()
 	}
-	if tmax <= 0 {
-		tmax = e.cfg.tmax
-	}
 	return core.TableSpec{
-		Chip:     e.chip,
-		Window:   e.window,
-		TMax:     tmax,
+		Problem:  e.problem(v, tmax),
 		TStarts:  tstarts,
 		FTargets: ftargets,
-		Variant:  v,
 		Workers:  e.cfg.workers,
 		Observer: e.cfg.observer,
 	}
@@ -258,14 +263,7 @@ func (e *Engine) ftargets() []float64 {
 
 // spec assembles a single-point solve spec against this engine.
 func (e *Engine) spec(tstart, ftarget float64, v core.Variant) *core.Spec {
-	return &core.Spec{
-		Chip:    e.chip,
-		Window:  e.window,
-		TStart:  tstart,
-		TMax:    e.cfg.tmax,
-		FTarget: ftarget,
-		Variant: v,
-	}
+	return &core.Spec{Problem: e.problem(v, 0), TStart: tstart, FTarget: ftarget}
 }
 
 // Optimize solves one design point with the engine's default variant:
@@ -367,19 +365,12 @@ func (e *Engine) newDMPCSolver(clusters int, v core.Variant, tmax float64) (*dmp
 	if clusters <= 0 {
 		clusters = e.cfg.clusters
 	}
-	if tmax <= 0 {
-		tmax = e.cfg.tmax
-	}
 	workers := e.cfg.admmWorkers
 	if workers == 0 {
 		workers = e.cfg.workers
 	}
 	sol, err := dmpc.New(dmpc.Config{
-		Chip:    e.chip,
-		Window:  e.window,
-		Params:  e.cfg.thermalParams,
-		TMax:    tmax,
-		Variant: v,
+		Problem: e.problem(v, tmax),
 		Opts: dmpc.Options{
 			Clusters:   clusters,
 			MaxOuter:   e.cfg.admmMaxOuter,

@@ -58,8 +58,8 @@ func main() {
 	fmt.Printf("%8s %10s %10s\n", "tstart", "uniform", "variable")
 	for _, ts := range []float64{47, 67, 87, 97} {
 		uni, _, err := core.UniformCapacity(&core.Spec{
-			Chip: engine.Chip(), Window: engine.Window(), TStart: ts,
-			TMax: engine.TMax(), Variant: core.VariantUniform,
+			Problem: core.Problem{Chip: engine.Chip(), Window: engine.Window(), TMax: engine.TMax(), Variant: core.VariantUniform},
+			TStart:  ts,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -110,10 +110,10 @@ func Table(ctrl *core.Controller) *Window {
 // recorder traces every step as mode "online"; a non-nil observe
 // receives every convex solve (the ladder runs up to two per window).
 func Online(ol *core.OnlineSolver, flight *obs.FlightRecorder, observe func(time.Duration, core.Work, error)) *Window {
-	spec := ol.Spec()
+	chip := ol.Problem().Chip
 	d := &online{ol: ol, observe: observe}
-	return &Window{d: d, tracer: d, mode: "online", fmax: spec.Chip.FMax(),
-		blocks: spec.Chip.Floorplan().NumBlocks(), flight: flight}
+	return &Window{d: d, tracer: d, mode: "online", fmax: chip.FMax(),
+		blocks: chip.Floorplan().NumBlocks(), flight: flight}
 }
 
 // DMPC steps the distributed solver. A non-nil flight recorder traces

@@ -83,7 +83,7 @@ func BenchmarkNewtonDirection(b *testing.B) {
 				if cores == 8 {
 					tmax, base = 100.0, 58.0
 				}
-				o, err := newOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: tmax}, true)
+				o, err := newOnlineSolver(Problem{Chip: f.chip, Window: f.window, TMax: tmax}, true)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -143,7 +143,7 @@ func BenchmarkPhaseI(b *testing.B) {
 	for _, mode := range []string{"arrow", "dense"} {
 		b.Run(mode, func(b *testing.B) {
 			f := kktBenchFixture(b, 8)
-			o, err := newOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: 100}, true)
+			o, err := newOnlineSolver(Problem{Chip: f.chip, Window: f.window, TMax: 100}, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -192,7 +192,7 @@ func BenchmarkColdLadder(b *testing.B) {
 	for _, lane := range []string{"first", "carried"} {
 		b.Run(lane, func(b *testing.B) {
 			f := kktBenchFixture(b, 8)
-			o, err := newOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: 100}, true)
+			o, err := newOnlineSolver(Problem{Chip: f.chip, Window: f.window, TMax: 100}, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -247,7 +247,7 @@ func BenchmarkWindowDual(b *testing.B) {
 			if lane.cores == 8 {
 				tmax, base = 100.0, 58.0
 			}
-			o, err := NewOnlineSolver(OnlineSpec{Chip: f.chip, Window: f.window, TMax: tmax})
+			o, err := NewOnlineSolver(Problem{Chip: f.chip, Window: f.window, TMax: tmax})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -292,7 +292,7 @@ func BenchmarkWindowDual(b *testing.B) {
 func BenchmarkUniformMax(b *testing.B) {
 	ctx := context.Background()
 	f := kktBenchFixture(b, 8)
-	s := &Spec{Chip: f.chip, Window: f.window, TStart: 87, TMax: 100, FTarget: 400e6}
+	s := &Spec{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, TStart: 87, FTarget: 400e6}
 	rows, err := s.tempRows()
 	if err != nil {
 		b.Fatal(err)

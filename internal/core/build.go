@@ -41,7 +41,6 @@ func (l layout) gIdx() int { return 2 * l.nCores }
 type tempRow struct {
 	step  int
 	block int
-	core  bool // block is a core: the row counts toward PeakTemp
 	c0    float64
 	coef  linalg.Vector // length nCores, nonnegative
 	// idle and dyn split the row at a uniform normalized frequency fn,
@@ -51,7 +50,7 @@ type tempRow struct {
 }
 
 // tempRows assembles the affine temperature maps for every window step
-// k = 1..m and every constrained block, folding the fixed (uncore)
+// k = 1..m and every core, folding the fixed (uncore)
 // power and the ambient drive into c0: a one-point instance of the
 // rows-only plan every sweep compiles, set at this spec's starting
 // temperatures, so its offsets come from the same simulation.
@@ -70,16 +69,10 @@ func (s *Spec) tempRows() ([]tempRow, error) {
 // assembly GenerateTable's sweep and the online solver use, so the cold
 // per-point path and theirs cannot drift apart. With T0 the plan pins
 // the starting map; without, set(TStart) starts from TStart uniformly.
-func (s *Spec) plan(compile func(TableSpec, linalg.Vector) (*sweepPlan, error)) (*sweepPlan, error) {
-	ts := TableSpec{
-		Chip: s.Chip, Window: s.Window, TMax: s.TMax,
-		TStarts: []float64{s.TStart}, FTargets: []float64{s.FTarget},
-		Variant: s.Variant, GradWeight: s.GradWeight, GradStride: s.GradStride,
-		ConstrainAllBlocks: s.ConstrainAllBlocks,
-	}
+func (s *Spec) plan(compile func(Problem, linalg.Vector) (*sweepPlan, error)) (*sweepPlan, error) {
 	var t0 linalg.Vector
 	if s.T0 != nil {
 		t0 = linalg.VectorOf(s.T0...)
 	}
-	return compile(ts, t0)
+	return compile(s.Problem, t0)
 }

@@ -485,7 +485,7 @@ func (d *dualWS) scan(ctx context.Context, rows []tempRow, limit float64) (viola
 			d.bw[r.block], d.bv[r.block] = i, t
 			violated = true
 		}
-		if r.core && t > peak {
+		if t > peak {
 			peak = t
 		}
 	}

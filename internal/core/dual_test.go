@@ -146,9 +146,7 @@ func dualVsOracle(t *testing.T, s *Spec, phase1 bool, tally *oracleTally) {
 		if !(v <= s.TMax-dualDelta/2) {
 			t.Fatalf("(%g°C, map %v, %.3f MHz): row %d reads %.12f °C, over TMax − δ/2", s.TStart, s.T0 != nil, s.FTarget/1e6, i, v)
 		}
-		if r.core {
-			peak = math.Max(peak, v)
-		}
+		peak = math.Max(peak, v)
 	}
 	if math.Abs(a.PeakTemp-peak) > 1e-9 {
 		t.Fatalf("(%g°C, map %v, %.3f MHz): PeakTemp %.12f, row scan %.12f", s.TStart, s.T0 != nil, s.FTarget/1e6, a.PeakTemp, peak)
@@ -158,8 +156,7 @@ func dualVsOracle(t *testing.T, s *Spec, phase1 bool, tally *oracleTally) {
 // TestDualMatchesBarrierOracle pins the dual solve against the variable
 // barrier program it replaced (see dualVsOracle) on the Niagara default
 // grid from a uniform TStart and from explicit thermal maps, on a leaky
-// Niagara with every block constrained, and on the 64-core mesh across
-// its capacity boundary.
+// Niagara, and on the 64-core mesh across its capacity boundary.
 func TestDualMatchesBarrierOracle(t *testing.T) {
 	t.Run("niagara", func(t *testing.T) {
 		f := niagaraFixture(t)
@@ -167,13 +164,13 @@ func TestDualMatchesBarrierOracle(t *testing.T) {
 		var tally oracleTally
 		for _, tstart := range DefaultTStarts() {
 			for _, ft := range DefaultFTargets(fmax) {
-				dualVsOracle(t, &Spec{Chip: f.chip, Window: f.window, TStart: tstart, TMax: 100, FTarget: ft}, false, &tally)
+				dualVsOracle(t, &Spec{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, TStart: tstart, FTarget: ft}, false, &tally)
 			}
 		}
 		for _, base := range []float64{50, 70, 85} {
 			m := thermalMap(t, base)
 			for _, ft := range DefaultFTargets(fmax) {
-				dualVsOracle(t, &Spec{Chip: f.chip, Window: f.window, T0: m, TMax: 100, FTarget: 0.999 * ft}, false, &tally)
+				dualVsOracle(t, &Spec{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, T0: m, FTarget: 0.999 * ft}, false, &tally)
 			}
 		}
 		if tally.feasible == 0 || tally.infeasible == 0 {
@@ -181,10 +178,8 @@ func TestDualMatchesBarrierOracle(t *testing.T) {
 		}
 		t.Logf("%+v", tally)
 	})
-	t.Run("niagara-leaky-all-blocks", func(t *testing.T) {
-		// A 20% leakage floor (i_j > 0 in every closed form) with the
-		// uncore blocks constrained too (their rows join the working set
-		// under their own blocks).
+	t.Run("niagara-leaky", func(t *testing.T) {
+		// A 20% leakage floor (i_j > 0 in every closed form).
 		f := niagaraFixture(t)
 		model := power.NiagaraCore()
 		model.IdleFrac = 0.2
@@ -194,7 +189,7 @@ func TestDualMatchesBarrierOracle(t *testing.T) {
 		}
 		var tally oracleTally
 		for _, base := range []float64{55, 75, 88} {
-			s := &Spec{Chip: chip, Window: f.window, T0: thermalMap(t, base), TMax: 100, ConstrainAllBlocks: true}
+			s := &Spec{Problem: Problem{Chip: chip, Window: f.window, TMax: 100}, T0: thermalMap(t, base)}
 			uniform, _, err := UniformCapacity(s)
 			if err != nil {
 				t.Fatal(err)
@@ -214,7 +209,7 @@ func TestDualMatchesBarrierOracle(t *testing.T) {
 		fmax := f.chip.FMax()
 		var tally oracleTally
 		for _, tstart := range []float64{60, 80, 90} {
-			s := &Spec{Chip: f.chip, Window: f.window, TStart: tstart, TMax: 95}
+			s := &Spec{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 95}, TStart: tstart}
 			uniform, _, err := UniformCapacity(s)
 			if err != nil {
 				t.Fatal(err)
@@ -243,7 +238,7 @@ func TestDualBudgetExitIsUniform(t *testing.T) {
 	fmax := f.chip.FMax()
 	ctx := context.Background()
 	for _, base := range []float64{60, 80} {
-		s := &Spec{Chip: f.chip, Window: f.window, T0: thermalMap(t, base), TMax: 100}
+		s := &Spec{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, T0: thermalMap(t, base)}
 		uniform, _, err := UniformCapacity(s)
 		if err != nil {
 			t.Fatal(err)
@@ -282,13 +277,13 @@ func TestDualBudgetExitIsUniform(t *testing.T) {
 // Assignment and the two per-core slices and nothing else.
 func TestDualWarmSolveAllocatesOnlyAssignment(t *testing.T) {
 	f := niagaraFixture(t)
-	o, err := NewOnlineSolver(onlineSpec(t, VariantVariable))
+	o, err := NewOnlineSolver(onlineProblem(t, VariantVariable))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	maps := [][]float64{thermalMap(t, 70), thermalMap(t, 72)}
-	uniform, _, err := UniformCapacity(&Spec{Chip: f.chip, Window: f.window, T0: maps[1], TMax: 100})
+	uniform, _, err := UniformCapacity(&Spec{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, T0: maps[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +299,7 @@ func TestDualWarmSolveAllocatesOnlyAssignment(t *testing.T) {
 	d := o.inst.dws
 	var s [2]*Spec
 	for i, m := range maps {
-		s[i] = &Spec{Chip: f.chip, Window: f.window, T0: m, TMax: 100, FTarget: ft}
+		s[i] = &Spec{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, T0: m, FTarget: ft}
 	}
 	rows := [2][]tempRow{}
 	for i := range rows {

@@ -28,8 +28,8 @@ type traceWindows struct {
 func (p *traceWindows) Name() string { return "trace-windows" }
 
 func (p *traceWindows) Decide(st sim.WindowState) linalg.Vector {
-	spec := p.o.Spec()
-	fmax := spec.Chip.FMax()
+	prob := p.o.Problem()
+	fmax := prob.Chip.FMax()
 	target := math.Min(math.Max(st.RequiredFreq, 0), fmax)
 	if target > 0 && target < 0.1*fmax {
 		target = 0.1 * fmax
@@ -39,7 +39,7 @@ func (p *traceWindows) Decide(st sim.WindowState) linalg.Vector {
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	s := &core.Spec{Chip: spec.Chip, Window: spec.Window, TMax: spec.TMax, T0: t0, TStart: st.MaxCoreTemp, FTarget: target}
+	s := &core.Spec{Problem: prob, T0: t0, TStart: st.MaxCoreTemp, FTarget: target}
 	p.specs = append(p.specs, s)
 	if w.Downgrades > 0 {
 		maxF, _, err := core.UniformCapacity(s)
@@ -82,7 +82,7 @@ func TestDualMatchesBarrierOracleOnMixedTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := core.NewOnlineSolver(core.OnlineSpec{Chip: chip, Window: window, TMax: 100})
+		o, err := core.NewOnlineSolver(core.Problem{Chip: chip, Window: window, TMax: 100})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,8 +18,8 @@ func (s *Spec) startTemps(nb int) linalg.Vector {
 // NewBarrierOnlineSolver exposes the online solver over a variant's
 // barrier program to the external tests: for the variable variant, the
 // program kept as the dual solve's oracle.
-func NewBarrierOnlineSolver(os OnlineSpec) (*OnlineSolver, error) {
-	return newOnlineSolver(os, true)
+func NewBarrierOnlineSolver(p Problem) (*OnlineSolver, error) {
+	return newOnlineSolver(p, true)
 }
 
 // build compiles the spec's barrier program (the paper's Eqs. 2-5;

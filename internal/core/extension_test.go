@@ -94,7 +94,7 @@ func TestSolveWithLeakageFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Spec{Chip: chip2, Window: f.window, TStart: 60, TMax: 100, FTarget: 400e6}
+	s := &Spec{Problem: Problem{Chip: chip2, Window: f.window, TMax: 100}, TStart: 60, FTarget: 400e6}
 	a, err := Solve(s)
 	if err != nil {
 		t.Fatal(err)

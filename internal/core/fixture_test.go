@@ -60,10 +60,8 @@ func niagaraFixture(t *testing.T) fixture {
 func baseSpec(t *testing.T, tstart, ftargetMHz float64) *Spec {
 	f := niagaraFixture(t)
 	return &Spec{
-		Chip:    f.chip,
-		Window:  f.window,
+		Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100},
 		TStart:  tstart,
-		TMax:    100,
 		FTarget: ftargetMHz * 1e6,
 	}
 }

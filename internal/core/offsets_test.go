@@ -93,25 +93,23 @@ func denseOffset(dense *thermaltest.Dense, s *Spec, r tempRow, t0 linalg.Vector)
 // in all three start modes — a uniform TStart (set), a map pinned at
 // compile time (Spec.T0) and a fresh map per window (setMap, twice, so
 // the second map rewrites the first) — on Niagara, on the 64-core
-// mesh with every block constrained, and on a distributed-MPC cluster
-// sub-chip.
+// mesh and on a distributed-MPC cluster sub-chip.
 func TestOffsetsMatchAffineRows(t *testing.T) {
 	mesh, err := floorplan.ManyCore(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name      string
-		f         fixture
-		allBlocks bool
+		name string
+		f    fixture
 	}{
-		{"niagara", niagaraFixture(t), false},
-		{"mesh64-all-blocks", manyCoreFixture(t, mesh, 1e-3), true},
-		{"dmpc-cluster", clusterFixture(t), false},
+		{"niagara", niagaraFixture(t)},
+		{"mesh64", manyCoreFixture(t, mesh, 1e-3)},
+		{"dmpc-cluster", clusterFixture(t)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nb := tc.f.chip.Floorplan().NumBlocks()
-			s := &Spec{Chip: tc.f.chip, Window: tc.f.window, TStart: 67, TMax: 100, ConstrainAllBlocks: tc.allBlocks}
+			s := &Spec{Problem: Problem{Chip: tc.f.chip, Window: tc.f.window, TMax: 100}, TStart: 67}
 			dense := denseWindow(tc.f.window)
 			maps := make([]linalg.Vector, 2)
 			for m := range maps {
@@ -122,7 +120,7 @@ func TestOffsetsMatchAffineRows(t *testing.T) {
 			}
 			check := func(mode string, rows []tempRow, t0 linalg.Vector) {
 				t.Helper()
-				if want := tc.f.window.Steps() * len(tc.f.chip.Floorplan().CoreIndices()); !tc.allBlocks && len(rows) != want {
+				if want := tc.f.window.Steps() * len(tc.f.chip.Floorplan().CoreIndices()); len(rows) != want {
 					t.Fatalf("%s: %d rows, want %d", mode, len(rows), want)
 				}
 				var worst float64
@@ -170,7 +168,7 @@ func TestDowngradeReusesWindowOffsets(t *testing.T) {
 	for _, v := range []Variant{VariantVariable, VariantUniform} {
 		t.Run(v.String(), func(t *testing.T) {
 			fresh := func() *OnlineSolver {
-				o, err := NewOnlineSolver(onlineSpec(t, v))
+				o, err := NewOnlineSolver(onlineProblem(t, v))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,9 +219,8 @@ func TestDowngradeReusesWindowOffsets(t *testing.T) {
 // the cores' sparse simulation of the window (compileRows), to the dense
 // recurrence bit for bit: coef_j = S_k[block, coreBlock(j)]·PMax_j, with
 // idle and dyn summed over the cores in order — on Niagara, on the
-// 64-core mesh with every block constrained, on an exact (matrix
-// exponential, dense A and B) discretization and on a gain-perturbed
-// copy.
+// 64-core mesh, on an exact (matrix exponential, dense A and B)
+// discretization and on a gain-perturbed copy.
 func TestCompiledCoefMatchesDense(t *testing.T) {
 	f := niagaraFixture(t)
 	mesh, err := floorplan.ManyCore(8, 8)
@@ -243,24 +240,19 @@ func TestCompiledCoefMatchesDense(t *testing.T) {
 		return w
 	}
 	for _, tc := range []struct {
-		name      string
-		chip      *power.Chip
-		window    *thermal.WindowResponse
-		allBlocks bool
+		name   string
+		chip   *power.Chip
+		window *thermal.WindowResponse
 	}{
-		{"niagara", f.chip, f.window, false},
-		{"mesh64-all-blocks", mf.chip, mf.window, true},
-		{"niagara-exact", f.chip, window(f.model.DiscretizeExact(1e-3)), false},
-		{"niagara-gain-error", f.chip, window(f.window.Discrete().WithGainError(1.1)), false},
+		{"niagara", f.chip, f.window},
+		{"mesh64", mf.chip, mf.window},
+		{"niagara-exact", f.chip, window(f.model.DiscretizeExact(1e-3))},
+		{"niagara-gain-error", f.chip, window(f.window.Discrete().WithGainError(1.1))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rows, err := compileRows(tc.chip, tc.window, tc.allBlocks)
+			rows, err := compileRows(tc.chip, tc.window)
 			if err != nil {
 				t.Fatal(err)
-			}
-			nb := tc.chip.Floorplan().NumBlocks()
-			if want := tc.window.Steps() * nb; tc.allBlocks && len(rows) != want {
-				t.Fatalf("%d rows, want %d", len(rows), want)
 			}
 			dense := denseWindow(tc.window)
 			for _, r := range rows {
@@ -283,24 +275,21 @@ func TestCompiledCoefMatchesDense(t *testing.T) {
 }
 
 // TestRowsSharedPerWindow pins the shared compile: plans of one window
-// and block set read one compile, concurrent first plans included, and
-// another block set or another window gets its own.
+// read one compile, concurrent first plans included, and another window
+// gets its own.
 func TestRowsSharedPerWindow(t *testing.T) {
 	f := niagaraFixture(t)
-	plan := func(w *thermal.WindowResponse, all bool) *sweepPlan {
+	plan := func(w *thermal.WindowResponse) *sweepPlan {
 		t.Helper()
-		pl, err := compileRowsPlan(TableSpec{Chip: f.chip, Window: w, ConstrainAllBlocks: all}, nil)
+		pl, err := compileRowsPlan(Problem{Chip: f.chip, Window: w}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pl
 	}
 	same := func(a, b *sweepPlan) bool { return &a.rows[0].coef[0] == &b.rows[0].coef[0] }
-	if a, b := plan(f.window, false), plan(f.window, false); !same(a, b) {
+	if a, b := plan(f.window), plan(f.window); !same(a, b) {
 		t.Fatal("two plans of one window compiled their rows twice")
-	}
-	if same(plan(f.window, false), plan(f.window, true)) {
-		t.Fatal("a different block set shares the rows")
 	}
 	w, err := f.window.Discrete().Window(f.window.Steps())
 	if err != nil {
@@ -313,7 +302,7 @@ func TestRowsSharedPerWindow(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			plans[i], errs[i] = compileRowsPlan(TableSpec{Chip: f.chip, Window: w}, nil)
+			plans[i], errs[i] = compileRowsPlan(Problem{Chip: f.chip, Window: w}, nil)
 		}()
 	}
 	wg.Wait()
@@ -325,7 +314,7 @@ func TestRowsSharedPerWindow(t *testing.T) {
 			t.Fatalf("concurrent plan %d compiled its own rows", i)
 		}
 	}
-	if same(plan(f.window, false), plans[0]) {
+	if same(plan(f.window), plans[0]) {
 		t.Fatal("another window shares the rows")
 	}
 }

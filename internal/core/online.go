@@ -8,27 +8,7 @@ import (
 
 	"protemp/internal/linalg"
 	"protemp/internal/obs"
-	"protemp/internal/power"
-	"protemp/internal/thermal"
 )
-
-// OnlineSpec is the fixed part of an online (model-predictive) control
-// problem: everything about the convex program that does not change
-// between control windows. The per-window inputs — the observed thermal
-// map (or the uniform starting temperature) and the required frequency
-// target — are supplied to each OnlineSolver.Solve call.
-type OnlineSpec struct {
-	Chip   *power.Chip
-	Window *thermal.WindowResponse
-	TMax   float64
-	// Variant selects the model; zero value is VariantVariable.
-	Variant Variant
-	// GradWeight / GradStride forward to Spec for VariantGradient.
-	GradWeight float64
-	GradStride int
-	// ConstrainAllBlocks forwards to Spec.
-	ConstrainAllBlocks bool
-}
 
 // OnlineSolver is the warm-started engine of the online MPC hot path:
 // the Phase-2 controller variant that re-solves the convex program
@@ -50,54 +30,46 @@ type OnlineSpec struct {
 // drops the warm state, so the next Solve starts cold and cannot be
 // poisoned by a half-converged iterate.
 type OnlineSolver struct {
-	spec  OnlineSpec
 	inst  *sweepInstance // the compiled problem and its warm state
 	t0buf linalg.Vector  // stable copy of the caller's thermal map
 
 	rec obs.Recorder // nil = tracing disabled
 }
 
-// NewOnlineSolver validates the spec and compiles the problem
-// structure. The compile cost is paid once per session, not per window.
-func NewOnlineSolver(os OnlineSpec) (*OnlineSolver, error) {
-	return newOnlineSolver(os, os.Variant == VariantGradient)
+// NewOnlineSolver validates the problem and compiles its structure:
+// everything about the program that does not change between control
+// windows. The compile cost is paid once per session, not per window;
+// the per-window inputs (the observed thermal map, or the uniform
+// starting temperature, and the frequency target) are supplied to each
+// Solve call.
+func NewOnlineSolver(p Problem) (*OnlineSolver, error) {
+	return newOnlineSolver(p, p.Variant == VariantGradient)
 }
 
 // newOnlineSolver is NewOnlineSolver with the plan chosen explicitly:
 // barrier compiles the variant's barrier program (the only plan of the
 // gradient variant; for the variable variant, the tests' oracle for
 // the dual solve) instead of the production rows-only plan.
-func newOnlineSolver(os OnlineSpec, barrier bool) (*OnlineSolver, error) {
-	probe := Spec{
-		Chip: os.Chip, Window: os.Window, TMax: os.TMax,
-		Variant: os.Variant, GradWeight: os.GradWeight, GradStride: os.GradStride,
-		ConstrainAllBlocks: os.ConstrainAllBlocks,
-	}
-	if err := probe.Validate(); err != nil {
+func newOnlineSolver(p Problem, barrier bool) (*OnlineSolver, error) {
+	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	ts := TableSpec{
-		Chip: os.Chip, Window: os.Window, TMax: os.TMax,
-		Variant: os.Variant, GradWeight: os.GradWeight, GradStride: os.GradStride,
-		ConstrainAllBlocks: os.ConstrainAllBlocks,
 	}
 	compile := compileSweep
 	if barrier {
 		compile = compileBarrier
 	}
-	plan, err := compile(ts, nil)
+	plan, err := compile(p, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &OnlineSolver{
-		spec:  os,
 		inst:  plan.instance(),
-		t0buf: linalg.NewVector(os.Chip.Floorplan().NumBlocks()),
+		t0buf: linalg.NewVector(p.Chip.Floorplan().NumBlocks()),
 	}, nil
 }
 
-// Spec returns the fixed problem the solver was compiled for.
-func (o *OnlineSolver) Spec() OnlineSpec { return o.spec }
+// Problem returns the problem the solver was compiled for.
+func (o *OnlineSolver) Problem() Problem { return o.inst.plan.p }
 
 // Warm reports whether the next Solve has a previous result to start
 // from.
@@ -194,7 +166,7 @@ func (o *OnlineSolver) Downgrade(ctx context.Context, tstart float64, t0 []float
 		}
 	}
 	w.Idles = 1
-	n := o.spec.Chip.NumCores()
+	n := o.inst.plan.p.Chip.NumCores()
 	return &Assignment{Feasible: true, Freqs: make([]float64, n), Powers: make([]float64, n)}, w, nil
 }
 
@@ -204,11 +176,12 @@ func (o *OnlineSolver) Downgrade(ctx context.Context, tstart float64, t0 []float
 // row. It returns the largest supportable uniform average frequency in
 // Hz, zero when none is.
 func (o *OnlineSolver) capacity(ctx context.Context) (float64, error) {
-	fnMax, ok, err := uniformMax(ctx, o.spec.TMax, o.inst.rows)
+	p := o.inst.plan.p
+	fnMax, ok, err := uniformMax(ctx, p.TMax, o.inst.rows)
 	if err != nil || !ok {
 		return 0, err
 	}
-	return fnMax * o.spec.Chip.FMax(), nil
+	return fnMax * p.Chip.FMax(), nil
 }
 
 // timed runs one decision, reports it to observe and folds its Work

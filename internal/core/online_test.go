@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// onlineSpec builds the fixture's OnlineSpec at the given variant.
-func onlineSpec(t *testing.T, v Variant) OnlineSpec {
+// onlineProblem builds the fixture's Problem at the given variant.
+func onlineProblem(t *testing.T, v Variant) Problem {
 	f := niagaraFixture(t)
-	return OnlineSpec{Chip: f.chip, Window: f.window, TMax: 100, Variant: v}
+	return Problem{Chip: f.chip, Window: f.window, TMax: 100, Variant: v}
 }
 
 // thermalMap builds a mildly non-uniform per-block map around base °C,
@@ -35,7 +35,7 @@ func TestOnlineSolverMatchesCold(t *testing.T) {
 	fmax := f.chip.FMax()
 	for _, v := range []Variant{VariantVariable, VariantUniform, VariantGradient} {
 		t.Run(v.String(), func(t *testing.T) {
-			o, err := NewOnlineSolver(onlineSpec(t, v))
+			o, err := NewOnlineSolver(onlineProblem(t, v))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,8 +57,9 @@ func TestOnlineSolverMatchesCold(t *testing.T) {
 					t.Fatalf("step %d: %v", i, err)
 				}
 				spec := &Spec{
-					Chip: f.chip, Window: f.window, TMax: 100,
-					FTarget: st.ftarget, Variant: v, T0: m,
+					Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100, Variant: v},
+					FTarget: st.ftarget,
+					T0:      m,
 				}
 				cold, err := SolveContext(context.Background(), spec)
 				if err != nil {
@@ -91,7 +92,7 @@ func TestOnlineSolverMatchesCold(t *testing.T) {
 func TestOnlineSolverWarmEngages(t *testing.T) {
 	f := niagaraFixture(t)
 	fmax := f.chip.FMax()
-	o, err := NewOnlineSolver(onlineSpec(t, VariantVariable))
+	o, err := NewOnlineSolver(onlineProblem(t, VariantVariable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestOnlineSolverWarmEngages(t *testing.T) {
 func TestOnlineSolverUniformStartMode(t *testing.T) {
 	f := niagaraFixture(t)
 	fmax := f.chip.FMax()
-	o, err := NewOnlineSolver(onlineSpec(t, VariantVariable))
+	o, err := NewOnlineSolver(onlineProblem(t, VariantVariable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +135,9 @@ func TestOnlineSolverUniformStartMode(t *testing.T) {
 			t.Fatal(err)
 		}
 		cold, err := SolveContext(context.Background(), &Spec{
-			Chip: f.chip, Window: f.window, TMax: 100,
-			TStart: tstart, FTarget: 0.5 * fmax,
+			Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100},
+			TStart:  tstart,
+			FTarget: 0.5 * fmax,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +177,7 @@ func (c *cancelAfterErrs) Err() error {
 func TestOnlineSolverCancelInvalidates(t *testing.T) {
 	f := niagaraFixture(t)
 	fmax := f.chip.FMax()
-	o, err := NewOnlineSolver(onlineSpec(t, VariantVariable))
+	o, err := NewOnlineSolver(onlineProblem(t, VariantVariable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +208,9 @@ func TestOnlineSolverCancelInvalidates(t *testing.T) {
 		t.Fatal("solve after invalidation claims a warm hit")
 	}
 	cold, err := SolveContext(context.Background(), &Spec{
-		Chip: f.chip, Window: f.window, TMax: 100,
-		FTarget: 0.55 * fmax, T0: m2,
+		Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100},
+		FTarget: 0.55 * fmax,
+		T0:      m2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +231,7 @@ func TestOnlineSolverCancelInvalidates(t *testing.T) {
 func TestOnlineSolverRejectsBadMap(t *testing.T) {
 	f := niagaraFixture(t)
 	fmax := f.chip.FMax()
-	o, err := NewOnlineSolver(onlineSpec(t, VariantVariable))
+	o, err := NewOnlineSolver(onlineProblem(t, VariantVariable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +255,7 @@ func TestOnlineSolverRejectsBadMap(t *testing.T) {
 func TestDowngradeBisectMatchesSpec(t *testing.T) {
 	f := niagaraFixture(t)
 	fmax := f.chip.FMax()
-	o, err := NewOnlineSolver(onlineSpec(t, VariantVariable))
+	o, err := NewOnlineSolver(onlineProblem(t, VariantVariable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +274,9 @@ func TestDowngradeBisectMatchesSpec(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, _, err := UniformCapacity(&Spec{
-				Chip: f.chip, Window: f.window, TMax: 100, T0: m, FTarget: 0.5 * fmax,
+				Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100},
+				T0:      m,
+				FTarget: 0.5 * fmax,
 			})
 			if err != nil {
 				t.Fatal(err)

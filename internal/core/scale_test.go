@@ -34,10 +34,8 @@ func TestSolveTilera64(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := &Spec{
-		Chip:    chip,
-		Window:  window,
+		Problem: Problem{Chip: chip, Window: window, TMax: 95},
 		TStart:  70,
-		TMax:    95,
 		FTarget: 0.4 * chip.FMax(),
 	}
 	a, err := Solve(spec)

@@ -26,11 +26,11 @@ func TestScreenedMatchesDenseGrid(t *testing.T) {
 				name = v.String() + "/warm"
 			}
 			t.Run(name, func(t *testing.T) {
-				screened, err := newOnlineSolver(onlineSpec(t, v), true)
+				screened, err := newOnlineSolver(onlineProblem(t, v), true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dense, err := newOnlineSolver(onlineSpec(t, v), true)
+				dense, err := newOnlineSolver(onlineProblem(t, v), true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -41,8 +41,9 @@ func TestScreenedMatchesDenseGrid(t *testing.T) {
 				for _, base := range []float64{50, 70, 85} {
 					m := thermalMap(t, base)
 					maxF, _, err := UniformCapacity(&Spec{
-						Chip: f.chip, Window: f.window, TMax: 100, T0: m,
-						FTarget: 0.1 * fmax, Variant: v,
+						Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100, Variant: v},
+						T0:      m,
+						FTarget: 0.1 * fmax,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -338,7 +338,7 @@ func uniformMax(ctx context.Context, tmax float64, rows []tempRow) (float64, boo
 
 // uniformFits reports whether every row stays at or below tmax over the
 // window when every core runs at normalized frequency fn, and when it
-// does, the hottest core row (Assignment.PeakTemp). At a uniform fn a
+// does, the hottest row (Assignment.PeakTemp). At a uniform fn a
 // row reads the scalar c0 + idle + dyn·fn² (tempRow), so a probe is
 // O(rows). It stops at the first row over tmax, trying row *hot first
 // — the row that bound uniformMax, or failed the previous probe, where
@@ -355,7 +355,7 @@ func uniformFits(rows []tempRow, tmax, fn float64, hot *int) (float64, bool) {
 			*hot = i
 			return 0, false
 		}
-		if r.core && t > peak {
+		if t > peak {
 			peak = t
 		}
 	}
@@ -363,13 +363,13 @@ func uniformFits(rows []tempRow, tmax, fn float64, hot *int) (float64, bool) {
 }
 
 // scanRows evaluates rows at normalized powers pn and returns the
-// hottest core row. The rows hold every core's temperature at every
-// sub-step of the window, so that is Assignment.PeakTemp. A NaN row
-// does not raise the peak.
+// hottest row. The rows hold every core's temperature at every sub-step
+// of the window, so that is Assignment.PeakTemp. A NaN row does not
+// raise the peak.
 func scanRows(rows []tempRow, pn linalg.Vector) float64 {
 	peak := math.Inf(-1)
 	for _, r := range rows {
-		if t := r.c0 + r.coef.Dot(pn); r.core && t > peak {
+		if t := r.c0 + r.coef.Dot(pn); t > peak {
 			peak = t
 		}
 	}
@@ -439,7 +439,7 @@ func heuristicStart(s *Spec, lay layout, rows []tempRow, phi float64) linalg.Vec
 			continue
 		}
 		if s.Variant == VariantGradient {
-			x[lay.gIdx()] = maxPairGap(s, rows, pn) + 1
+			x[lay.gIdx()] = maxPairGap(rows, pn) + 1
 		}
 		return x
 	}
@@ -508,7 +508,7 @@ func rebalanceStart(s *Spec, lay layout, rows []tempRow, phi float64) linalg.Vec
 				x[lay.pIdx(j)] = pn[j]
 			}
 			if s.Variant == VariantGradient {
-				x[lay.gIdx()] = maxPairGap(s, rows, pn) + 1
+				x[lay.gIdx()] = maxPairGap(rows, pn) + 1
 			}
 			return x
 		}
@@ -529,22 +529,24 @@ func rebalanceStart(s *Spec, lay layout, rows []tempRow, phi float64) linalg.Vec
 }
 
 // maxPairGap returns the largest pairwise core temperature difference
-// over the window at normalized powers pn.
-func maxPairGap(s *Spec, rows []tempRow, pn linalg.Vector) float64 {
-	isCore := make(map[int]bool)
-	for _, bi := range s.Chip.Floorplan().CoreIndices() {
-		isCore[bi] = true
-	}
-	byStep := make(map[int][]float64)
-	for _, r := range rows {
-		if isCore[r.block] {
-			byStep[r.step] = append(byStep[r.step], r.c0+r.coef.Dot(pn))
-		}
-	}
+// over the window at normalized powers pn: the hottest minus the
+// coolest of each step's n rows (compileRows), maximized over steps.
+func maxPairGap(rows []tempRow, pn linalg.Vector) float64 {
+	n := len(pn)
 	var gap float64
-	for _, temps := range byStep {
-		v := linalg.Vector(temps)
-		if g := v.Max() - v.Min(); g > gap {
+	for lo := 0; lo < len(rows); lo += n {
+		hot := rows[lo].c0 + rows[lo].coef.Dot(pn)
+		cool := hot
+		for _, r := range rows[lo+1 : lo+n] {
+			t := r.c0 + r.coef.Dot(pn)
+			if t > hot {
+				hot = t
+			}
+			if t < cool {
+				cool = t
+			}
+		}
+		if g := hot - cool; g > gap {
 			gap = g
 		}
 	}

@@ -12,15 +12,13 @@ func TestSpecValidate(t *testing.T) {
 	}
 	f := niagaraFixture(t)
 	bad := []*Spec{
-		{Window: f.window, TMax: 100, FTarget: 1e8},
-		{Chip: f.chip, TMax: 100, FTarget: 1e8},
-		{Chip: f.chip, Window: f.window, TStart: math.NaN(), TMax: 100},
-		{Chip: f.chip, Window: f.window, TMax: -1},
-		{Chip: f.chip, Window: f.window, TMax: 100, FTarget: -1},
-		{Chip: f.chip, Window: f.window, TMax: 100, FTarget: 2e9},
-		{Chip: f.chip, Window: f.window, TMax: 100, FTarget: 1e8, GradWeight: -1},
-		{Chip: f.chip, Window: f.window, TMax: 100, FTarget: 1e8, GradStride: -2},
-		{Chip: f.chip, Window: f.window, TMax: 100, FTarget: 1e8, Variant: Variant(9)},
+		{Problem: Problem{Window: f.window, TMax: 100}, FTarget: 1e8},
+		{Problem: Problem{Chip: f.chip, TMax: 100}, FTarget: 1e8},
+		{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, TStart: math.NaN()},
+		{Problem: Problem{Chip: f.chip, Window: f.window, TMax: -1}},
+		{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, FTarget: -1},
+		{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, FTarget: 2e9},
+		{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100, Variant: Variant(9)}, FTarget: 1e8},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -299,8 +297,8 @@ func TestSolveGradientVariant(t *testing.T) {
 	}
 	pnPlain := normalizedPowers(s, plain.Powers)
 	pnGrad := normalizedPowers(s, a.Powers)
-	gapPlain := maxPairGap(s, rows, pnPlain)
-	gapGrad := maxPairGap(s, rows, pnGrad)
+	gapPlain := maxPairGap(rows, pnPlain)
+	gapGrad := maxPairGap(rows, pnGrad)
 	if gapGrad > gapPlain+0.5 {
 		t.Fatalf("gradient variant realized gap %.3f worse than plain %.3f", gapGrad, gapPlain)
 	}
@@ -329,7 +327,7 @@ func TestPaperResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Spec{Chip: f.chip, Window: window, TStart: 80, TMax: 100, FTarget: 600e6}
+	s := &Spec{Problem: Problem{Chip: f.chip, Window: window, TMax: 100}, TStart: 80, FTarget: 600e6}
 	a, err := Solve(s)
 	if err != nil {
 		t.Fatal(err)
@@ -346,9 +344,8 @@ func TestPaperResolution(t *testing.T) {
 // expected starts were recorded from the map-based implementation it
 // replaced, so the allocation-free rewrite cannot have changed which
 // core gives up a quantum or when the search stops. The cases cover a
-// uniform TStart, all-blocks constraints (uncore rows in the margin
-// scan), an explicit thermal map in both non-uniform variants, and a
-// point where the rebalance gives up.
+// uniform TStart, an explicit thermal map in both non-uniform variants,
+// and a point where the rebalance gives up.
 func TestRebalanceStartPinned(t *testing.T) {
 	nb := niagaraFixture(t).chip.Floorplan().NumBlocks()
 	t0 := make([]float64, nb)
@@ -362,35 +359,27 @@ func TestRebalanceStartPinned(t *testing.T) {
 		0x3fe5d609a85bb2b5, 0x3fe378d843789deb, 0x3fe378d843789deb, 0x3fe56a4be1889c6f,
 	}
 	cases := []struct {
-		name      string
-		v         Variant
-		tstart    float64
-		ftarget   float64 // MHz
-		allBlocks bool
-		t0        []float64
-		want      []uint64
+		name    string
+		v       Variant
+		tstart  float64
+		ftarget float64 // MHz
+		t0      []float64
+		want    []uint64
 	}{
-		{"uniform-tstart", VariantVariable, 67, 750, false, nil, []uint64{
+		{"uniform-tstart", VariantVariable, 67, 750, nil, []uint64{
 			0x3fe8000218def417, 0x3fe73b6672fba01f, 0x3fe73b6672fba01f, 0x3fe8000218def417,
 			0x3fe8c49dbec2480f, 0x3fe8000218def417, 0x3fe8000218def417, 0x3fe8c49dbec2480f,
 			0x3fe200d4dc65ea34, 0x3fe0dea33f710d8e, 0x3fe0dea33f710d8e, 0x3fe200d4dc65ea34,
 			0x3fe32c7664a52d2f, 0x3fe200d4dc65ea34, 0x3fe200d4dc65ea34, 0x3fe32c7664a52d2f,
 		}},
-		{"all-blocks", VariantVariable, 57, 800, true, nil, []uint64{
-			0x3fe9999bb2788db1, 0x3fe79db445ed4a1b, 0x3fe7ae1693c03bc5, 0x3fe9999bb2788db1,
-			0x3feb95831f03d147, 0x3fe9999bb2788db1, 0x3fe9999bb2788db1, 0x3feb8520d130df9d,
-			0x3fe47bb659c3e3e5, 0x3fe16e8e10822f16, 0x3fe186c54112672a, 0x3fe47bb659c3e3e5,
-			0x3fe7c7d98a97e3a4, 0x3fe47bb659c3e3e5, 0x3fe47bb659c3e3e5, 0x3fe7aba2f1066037,
-		}},
-		{"thermal-map", VariantVariable, 0, 780, false, t0, mapStart},
-		{"thermal-map-gradient", VariantGradient, 0, 780, false, t0, append(append([]uint64(nil), mapStart...), 0x402703d5c6dc3dc4)},
-		{"gives-up", VariantVariable, 87, 850, false, nil, nil},
+		{"thermal-map", VariantVariable, 0, 780, t0, mapStart},
+		{"thermal-map-gradient", VariantGradient, 0, 780, t0, append(append([]uint64(nil), mapStart...), 0x402703d5c6dc3dc4)},
+		{"gives-up", VariantVariable, 87, 850, nil, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := baseSpec(t, tc.tstart, tc.ftarget)
 			s.Variant = tc.v
-			s.ConstrainAllBlocks = tc.allBlocks
 			s.T0 = tc.t0
 			in, err := s.build()
 			if err != nil {

@@ -80,37 +80,52 @@ func ParseVariant(name string, def Variant) (Variant, error) {
 	}
 }
 
-// Spec is one Phase-1 design point.
-type Spec struct {
+// Problem is the paper's window program (Eqs. 2-5) without its
+// per-point inputs: the chip, the thermal window, the temperature limit
+// and the model variant. It is the one input every plan compiles from
+// (a table sweep, an online solver, a single-point solve, every DMPC
+// cluster); the starting temperatures and the frequency target are set
+// per grid point or window. Only the cores are constrained, as in the
+// paper: the non-core blocks run cooler.
+type Problem struct {
 	// Chip provides the floorplan, core power models and fixed powers.
 	Chip *power.Chip
 	// Window is the precomputed thermal response over the DFS window
 	// (horizon m steps of the paper's 0.4 ms discretization). It must be
 	// built from the same floorplan as Chip.
 	Window *thermal.WindowResponse
+	// TMax is the maximum allowed temperature in °C (100 in the paper).
+	TMax float64
+	// Variant selects the model; zero value is VariantVariable.
+	Variant Variant
+}
+
+// Validate checks the problem for consistency.
+func (p *Problem) Validate() error {
+	switch {
+	case p.Chip == nil:
+		return fmt.Errorf("core: nil chip")
+	case p.Window == nil:
+		return fmt.Errorf("core: nil thermal window")
+	case math.IsNaN(p.TMax) || p.TMax <= 0:
+		return fmt.Errorf("core: invalid TMax %v", p.TMax)
+	case p.Variant != VariantVariable && p.Variant != VariantUniform && p.Variant != VariantGradient:
+		return fmt.Errorf("core: unknown variant %v", p.Variant)
+	}
+	return nil
+}
+
+// Spec is one Phase-1 design point: the problem at one starting state
+// and frequency target.
+type Spec struct {
+	Problem
 	// TStart is the uniform starting temperature in °C. The paper
 	// iterates Phase 1 on this single value; at run time it corresponds
 	// to the maximum temperature across the cores.
 	TStart float64
-	// TMax is the maximum allowed temperature in °C (100 in the paper).
-	TMax float64
 	// FTarget is the required average core frequency in Hz
 	// (Σ f_i >= n·FTarget).
 	FTarget float64
-	// Variant selects the model; zero value is VariantVariable.
-	Variant Variant
-	// GradWeight is the objective weight on tgrad for VariantGradient.
-	// The paper's Eq. 5 uses weight 1 on tgrad in °C against power in
-	// watts; zero selects that default.
-	GradWeight float64
-	// GradStride constrains pairwise gradients every GradStride-th
-	// sub-step (plus the final one) to keep the constraint count
-	// manageable; zero selects 5. Temperature-limit constraints are
-	// never strided — the tmax guarantee covers every sub-step.
-	GradStride int
-	// ConstrainAllBlocks also applies TMax to cache and uncore blocks.
-	// The paper constrains the cores; non-core blocks run cooler.
-	ConstrainAllBlocks bool
 	// T0 optionally supplies per-block starting temperatures (length
 	// NumBlocks, °C) instead of the uniform TStart. This is the
 	// extension the paper's Section 3.2 sets aside ("we simplify the
@@ -122,26 +137,16 @@ type Spec struct {
 
 // Validate checks the spec for consistency.
 func (s *Spec) Validate() error {
+	if err := s.Problem.Validate(); err != nil {
+		return err
+	}
 	switch {
-	case s.Chip == nil:
-		return fmt.Errorf("core: nil chip")
-	case s.Window == nil:
-		return fmt.Errorf("core: nil thermal window")
 	case math.IsNaN(s.TStart) || math.IsInf(s.TStart, 0):
 		return fmt.Errorf("core: non-finite TStart %v", s.TStart)
-	case math.IsNaN(s.TMax) || s.TMax <= 0:
-		return fmt.Errorf("core: invalid TMax %v", s.TMax)
 	case math.IsNaN(s.FTarget) || s.FTarget < 0:
 		return fmt.Errorf("core: invalid FTarget %v", s.FTarget)
 	case s.FTarget > s.Chip.FMax():
 		return fmt.Errorf("core: FTarget %g above FMax %g", s.FTarget, s.Chip.FMax())
-	case s.GradWeight < 0:
-		return fmt.Errorf("core: negative GradWeight %v", s.GradWeight)
-	case s.GradStride < 0:
-		return fmt.Errorf("core: negative GradStride %v", s.GradStride)
-	}
-	if s.Variant != VariantVariable && s.Variant != VariantUniform && s.Variant != VariantGradient {
-		return fmt.Errorf("core: unknown variant %v", s.Variant)
 	}
 	if s.T0 != nil {
 		if len(s.T0) != s.Chip.Floorplan().NumBlocks() {
@@ -154,20 +159,6 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-func (s *Spec) gradWeight() float64 {
-	if s.GradWeight > 0 {
-		return s.GradWeight
-	}
-	return 1
-}
-
-func (s *Spec) gradStride() int {
-	if s.GradStride > 0 {
-		return s.GradStride
-	}
-	return 5
 }
 
 // Assignment is the solved frequency assignment for one design point.

@@ -13,9 +13,7 @@ import (
 // program kept as its Phase-I twin and the dual solve's oracle — must
 // carry an arrow pattern that matches its own instance, and so must its
 // row-slack Phase-I program (the uniform and variable production plans
-// compile rows only; see TestUniformPlanCompilesRowsOnly). With every
-// block constrained, uncore rows with no gain from core power are
-// constant rows, which compile as zero rows of G.
+// compile rows only; see TestUniformPlanCompilesRowsOnly).
 func TestSweepPlanCompilesPattern(t *testing.T) {
 	grid, err := floorplan.ManyCore(4, 4)
 	if err != nil {
@@ -26,18 +24,15 @@ func TestSweepPlanCompilesPattern(t *testing.T) {
 		f    fixture
 	}{{"niagara", niagaraFixture(t)}, {"manycore4x4", manyCoreFixture(t, grid, 1e-3)}} {
 		for _, v := range []Variant{VariantVariable, VariantGradient} {
-			for _, all := range []bool{false, true} {
-				ts := TableSpec{Chip: fx.f.chip, Window: fx.f.window, TMax: 100, Variant: v, ConstrainAllBlocks: all}
-				pl, err := compileBarrier(ts, nil)
-				if err != nil {
-					t.Fatalf("%s %v all=%v: %v", fx.name, v, all, err)
-				}
-				if !pl.pattern.Matches(pl.instance().prob) {
-					t.Fatalf("%s %v all=%v: compiled pattern does not match its own instance", fx.name, v, all)
-				}
-				if _, err := pl.slackPlan(); err != nil {
-					t.Fatalf("%s %v all=%v: Phase I: %v", fx.name, v, all, err)
-				}
+			pl, err := compileBarrier(Problem{Chip: fx.f.chip, Window: fx.f.window, TMax: 100, Variant: v}, nil)
+			if err != nil {
+				t.Fatalf("%s %v: %v", fx.name, v, err)
+			}
+			if !pl.pattern.Matches(pl.instance().prob) {
+				t.Fatalf("%s %v: compiled pattern does not match its own instance", fx.name, v)
+			}
+			if _, err := pl.slackPlan(); err != nil {
+				t.Fatalf("%s %v: Phase I: %v", fx.name, v, err)
 			}
 		}
 	}
@@ -49,28 +44,18 @@ func TestSweepPlanCompilesPattern(t *testing.T) {
 // takes the dense Cholesky path — driven through the same closed-loop
 // window sequence must produce the same trajectory: identical
 // feasibility verdicts, frequencies within solver tolerance, and the
-// same thermal guarantee. The all-blocks lanes constrain every block,
-// uncore rows with no gain from core power included.
+// same thermal guarantee.
 func TestStructuredMatchesDenseClosedLoop(t *testing.T) {
 	f := niagaraFixture(t)
 	fmax := f.chip.FMax()
-	for _, tc := range []struct {
-		v   Variant
-		all bool
-	}{{VariantVariable, false}, {VariantGradient, false}, {VariantVariable, true}, {VariantGradient, true}} {
-		v := tc.v
-		name := v.String()
-		if tc.all {
-			name += "/all-blocks"
-		}
-		t.Run(name, func(t *testing.T) {
-			spec := onlineSpec(t, v)
-			spec.ConstrainAllBlocks = tc.all
-			arrow, err := newOnlineSolver(spec, true)
+	for _, v := range []Variant{VariantVariable, VariantGradient} {
+		t.Run(v.String(), func(t *testing.T) {
+			p := onlineProblem(t, v)
+			arrow, err := newOnlineSolver(p, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dense, err := newOnlineSolver(spec, true)
+			dense, err := newOnlineSolver(p, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,7 +12,7 @@ import (
 )
 
 // sweepPlan is the compiled, grid-point-independent structure of one
-// TableSpec: the variable layout, the objective, every constraint
+// Problem: the variable layout, the objective, every constraint
 // coefficient vector, and the window simulation that writes each
 // temperature offset from a starting map (a uniform or variable plan
 // compiles the rows only; see compileSweep). The paper's Phase-1 sweep
@@ -24,7 +24,7 @@ import (
 // rebuild of ~m·blocks thermal rows and constraint objects that made
 // every solve pay the full assembly cost (§5.1's "few hours with CVX").
 type sweepPlan struct {
-	ts  TableSpec
+	p   Problem
 	lay layout
 
 	// rows holds one compiled temperature map per (step, block), in
@@ -74,35 +74,24 @@ type sweepPlan struct {
 }
 
 // compileRows is the single assembly of the temperature-row structure,
-// shared by every plan: one row per (window step, constrained block),
-// in step order, with the per-core power gains scaled to normalized
-// units. Core j's gains are a sparse forward simulation of the window
-// from zero under its block's column of B as the drive, all cores at
-// once (Discrete.AdvanceCols): at step k the state is S_k = Σ_{i<k} A^i·B
-// restricted to the core columns, and a row reads its block's row of
-// it (the dense recurrence's entries bit for bit, since each entry sums
-// A's nonzeros in the same column order). The offsets are left zero:
-// they depend on the starting map, and sweepInstance.offsets simulates
-// them per point or window.
-func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks bool) ([]tempRow, error) {
+// shared by every plan: one row per (window step, core block), in step
+// order (each step's n rows in CoreIndices order), with the per-core
+// power gains scaled to normalized units. Core j's gains are a sparse
+// forward simulation of the window from zero under its block's column
+// of B as the drive, all cores at once (Discrete.AdvanceCols): at step
+// k the state is S_k = Σ_{i<k} A^i·B restricted to the core columns,
+// and a row reads its block's row of it (the dense recurrence's entries
+// bit for bit, since each entry sums A's nonzeros in the same column
+// order). The offsets are left zero: they depend on the starting map,
+// and sweepInstance.offsets simulates them per point or window.
+func compileRows(chip *power.Chip, window *thermal.WindowResponse) ([]tempRow, error) {
 	fp := chip.Floorplan()
 	nb := fp.NumBlocks()
 	n := chip.NumCores()
 	if window.Dt() <= 0 {
 		return nil, fmt.Errorf("core: invalid window")
 	}
-	isCore := make([]bool, nb)
-	for _, bi := range fp.CoreIndices() {
-		isCore[bi] = true
-	}
-	var blocks []int
-	if allBlocks {
-		for i := 0; i < nb; i++ {
-			blocks = append(blocks, i)
-		}
-	} else {
-		blocks = fp.CoreIndices()
-	}
+	blocks := fp.CoreIndices()
 
 	m := window.Steps()
 	rows := make([]tempRow, 0, m*len(blocks))
@@ -110,7 +99,7 @@ func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks boo
 	for k := 1; k <= m; k++ {
 		for _, bi := range blocks {
 			r := len(rows)
-			rows = append(rows, tempRow{step: k, block: bi, core: isCore[bi], coef: coefs[r*n : (r+1)*n : (r+1)*n]})
+			rows = append(rows, tempRow{step: k, block: bi, coef: coefs[r*n : (r+1)*n : (r+1)*n]})
 		}
 	}
 	// Column j of s is core j's simulation; u holds the drives.
@@ -141,21 +130,18 @@ func compileRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks boo
 	return rows, nil
 }
 
-// sharedRows returns the rows of (chip, window, allBlocks), compiled
-// once per window, chip and block set: every plan of a window (each
-// SolveContext and UniformCapacity call, every online session, the
-// sweep) reads the same rows, which nothing writes after compileRows.
-func sharedRows(chip *power.Chip, window *thermal.WindowResponse, allBlocks bool) ([]tempRow, error) {
-	type key struct {
-		chip      *power.Chip
-		allBlocks bool
-	}
+// sharedRows returns the rows of (chip, window), compiled once per
+// window and chip: every plan of a window (each SolveContext and
+// UniformCapacity call, every online session, the sweep) reads the
+// same rows, which nothing writes after compileRows.
+func sharedRows(chip *power.Chip, window *thermal.WindowResponse) ([]tempRow, error) {
+	type key struct{ chip *power.Chip }
 	type compiled struct {
 		rows []tempRow
 		err  error
 	}
-	c := window.Memo(key{chip, allBlocks}, func() any {
-		rows, err := compileRows(chip, window, allBlocks)
+	c := window.Memo(key{chip}, func() any {
+		rows, err := compileRows(chip, window)
 		return compiled{rows, err}
 	}).(compiled)
 	return c.rows, c.err
@@ -170,7 +156,7 @@ type gradPair struct {
 }
 
 // compileSweep builds the plan the production paths decide from (the
-// table sweep and the online solver): everything about the TableSpec's
+// table sweep and the online solver): everything about the problem's
 // window that does not depend on (TStart, FTarget), computed exactly
 // once per sweep instead of once per grid point.
 //
@@ -184,56 +170,61 @@ type gradPair struct {
 // solve (dual.go) every variable window, so neither has a barrier
 // program (no objective, constraints, pattern or Phase I). The
 // gradient variant's plan is its barrier program (compileBarrier).
-func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
-	if ts.Variant == VariantGradient {
-		return compileBarrier(ts, t0)
+func compileSweep(p Problem, t0 linalg.Vector) (*sweepPlan, error) {
+	if p.Variant == VariantGradient {
+		return compileBarrier(p, t0)
 	}
-	return compileRowsPlan(ts, t0)
+	return compileRowsPlan(p, t0)
 }
 
 // compileRowsPlan builds the rows-only plan every other plan extends:
 // the rows and the offset simulation; t0 is as for compileSweep.
-func compileRowsPlan(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
-	rows, err := sharedRows(ts.Chip, ts.Window, ts.ConstrainAllBlocks)
+func compileRowsPlan(p Problem, t0 linalg.Vector) (*sweepPlan, error) {
+	rows, err := sharedRows(p.Chip, p.Window)
 	if err != nil {
 		return nil, err
 	}
-	if nb := ts.Chip.Floorplan().NumBlocks(); t0 != nil && len(t0) != nb {
+	if nb := p.Chip.Floorplan().NumBlocks(); t0 != nil && len(t0) != nb {
 		return nil, fmt.Errorf("core: t0 has %d entries for %d blocks", len(t0), nb)
 	}
-	disc := ts.Window.Discrete()
-	return &sweepPlan{ts: ts, rows: rows, disc: disc, drive: disc.Drive(ts.Chip.FixedPower()), t0: t0}, nil
+	disc := p.Window.Discrete()
+	return &sweepPlan{p: p, rows: rows, disc: disc, drive: disc.Drive(p.Chip.FixedPower()), t0: t0}, nil
 }
 
+const (
+	// gradWeight is the objective weight on tgrad in the gradient
+	// variant: the paper's Eq. 5 weighs tgrad in °C 1:1 against power in
+	// watts.
+	gradWeight = 1
+	// gradStride constrains the pairwise gradients every gradStride-th
+	// sub-step (plus the final one) to keep the constraint count
+	// manageable. The temperature limit is never strided: the TMax
+	// guarantee covers every sub-step.
+	gradStride = 5
+)
+
 // compileBarrier builds the barrier program of a variable or gradient
-// TableSpec (the paper's Eqs. 2-5) over its compiled rows. It is the
+// problem (the paper's Eqs. 2-5) over its compiled rows. It is the
 // single assembly behind the gradient variant's plan (the sweep's, the
 // online solver's and SolveContext's), its Phase-I twin and the tests'
 // variable oracle; t0 is as for compileSweep.
-func compileBarrier(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
-	chip := ts.Chip
-	fp := chip.Floorplan()
+func compileBarrier(p Problem, t0 linalg.Vector) (*sweepPlan, error) {
+	chip := p.Chip
 	n := chip.NumCores()
-	pl, err := compileRowsPlan(ts, t0)
+	pl, err := compileRowsPlan(p, t0)
 	if err != nil {
 		return nil, err
 	}
-	lay := newLayout(ts.Variant, n)
+	lay := newLayout(p.Variant, n)
 	pl.lay = lay
-
-	probe := Spec{
-		Chip: ts.Chip, Window: ts.Window, TMax: ts.TMax,
-		Variant: ts.Variant, GradWeight: ts.GradWeight, GradStride: ts.GradStride,
-		ConstrainAllBlocks: ts.ConstrainAllBlocks,
-	}
 
 	// Objective (shared, stateless).
 	objA := linalg.NewVector(lay.dim)
 	for j := 0; j < n; j++ {
 		objA[lay.pIdx(j)] += chip.CoreModelOf(j).PMax
 	}
-	if ts.Variant == VariantGradient {
-		objA[lay.gIdx()] = probe.gradWeight()
+	if p.Variant == VariantGradient {
+		objA[lay.gIdx()] = gradWeight
 	}
 	pl.objective = &solver.Affine{A: objA}
 
@@ -290,31 +281,19 @@ func compileBarrier(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	}
 
 	// Gradient pairwise structure (VariantGradient): coefficient vectors
-	// are TStart-independent; offsets are row-c0 differences.
-	if ts.Variant == VariantGradient {
-		isCore := make(map[int]bool)
-		for _, bi := range fp.CoreIndices() {
-			isCore[bi] = true
-		}
-		byStep := make(map[int][]int) // step -> indices into pl.rows
-		for i, r := range pl.rows {
-			if isCore[r.block] {
-				byStep[r.step] = append(byStep[r.step], i)
-			}
-		}
-		stride := probe.gradStride()
-		m := ts.Window.Steps()
+	// are TStart-independent; offsets are row-c0 differences. Step k's
+	// rows are the k-th run of n (compileRows).
+	if p.Variant == VariantGradient {
+		m := p.Window.Steps()
 		for k := 1; k <= m; k++ {
-			if k%stride != 0 && k != m {
+			if k%gradStride != 0 && k != m {
 				continue
 			}
-			stepRows := byStep[k]
-			for i := 0; i < len(stepRows); i++ {
-				for j := 0; j < len(stepRows); j++ {
-					if i == j {
+			for ri := (k - 1) * n; ri < k*n; ri++ {
+				for rj := (k - 1) * n; rj < k*n; rj++ {
+					if ri == rj {
 						continue
 					}
-					ri, rj := stepRows[i], stepRows[j]
 					a := linalg.NewVector(lay.dim)
 					for c := 0; c < n; c++ {
 						a[lay.pIdx(c)] = pl.rows[ri].coef[c] - pl.rows[rj].coef[c]
@@ -354,10 +333,10 @@ func compileBarrier(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 func (pl *sweepPlan) slackPlan() (*solver.SlackPlan, error) {
 	pl.slackOnce.Do(func() {
 		base := pl
-		if pl.ts.Variant == VariantGradient {
-			ts := pl.ts
-			ts.Variant = VariantVariable
-			if base, pl.slackErr = compileBarrier(ts, nil); pl.slackErr != nil {
+		if pl.p.Variant == VariantGradient {
+			twin := pl.p
+			twin.Variant = VariantVariable
+			if base, pl.slackErr = compileBarrier(twin, nil); pl.slackErr != nil {
 				return
 			}
 			pl.slackTwin = base
@@ -367,7 +346,7 @@ func (pl *sweepPlan) slackPlan() (*solver.SlackPlan, error) {
 		for i := range in.temp {
 			soft[i] = true
 		}
-		pl.slack, pl.slackErr = solver.CompileSlackPhaseI(in.prob, pl.ts.Chip.NumCores(), soft)
+		pl.slack, pl.slackErr = solver.CompileSlackPhaseI(in.prob, pl.p.Chip.NumCores(), soft)
 	})
 	return pl.slack, pl.slackErr
 }
@@ -419,23 +398,18 @@ type sweepInstance struct {
 
 // instance materializes a per-worker problem over the shared plan.
 func (pl *sweepPlan) instance() *sweepInstance {
-	ts := pl.ts
-	in := &sweepInstance{plan: pl, curTStart: math.NaN(), spec: Spec{
-		Chip: ts.Chip, Window: ts.Window, TMax: ts.TMax,
-		Variant: ts.Variant, GradWeight: ts.GradWeight, GradStride: ts.GradStride,
-		ConstrainAllBlocks: ts.ConstrainAllBlocks,
-	}}
+	in := &sweepInstance{plan: pl, curTStart: math.NaN(), spec: Spec{Problem: pl.p}}
 	in.rows = append([]tempRow(nil), pl.rows...)
-	nb := ts.Chip.Floorplan().NumBlocks()
+	nb := pl.p.Chip.Floorplan().NumBlocks()
 	in.cur, in.next = linalg.NewVector(nb), linalg.NewVector(nb)
 	if pl.objective == nil {
 		// A rows-only plan: closed form, or the dual solve.
-		if pl.ts.Variant == VariantVariable {
-			in.dws = newDualWS(pl.ts.Chip)
+		if pl.p.Variant == VariantVariable {
+			in.dws = newDualWS(pl.p.Chip)
 		}
 		return in
 	}
-	in.pn = linalg.NewVector(pl.ts.Chip.NumCores())
+	in.pn = linalg.NewVector(pl.p.Chip.NumCores())
 	in.prob = &solver.Problem{Objective: pl.objective}
 	in.temp = make([]*solver.Affine, len(pl.rows))
 	for i := range pl.rows {
@@ -444,7 +418,7 @@ func (pl *sweepPlan) instance() *sweepInstance {
 	}
 	// Splice the workload constraint between the couplings and the box
 	// constraints.
-	couplings := pl.ts.Chip.NumCores()
+	couplings := pl.p.Chip.NumCores()
 	for _, c := range pl.static[:couplings] {
 		in.prob.Constraints = append(in.prob.Constraints, c)
 	}
@@ -495,7 +469,7 @@ func (in *sweepInstance) phaseI(s *Spec, opts solver.Options) (linalg.Vector, er
 	lay := in.plan.lay
 	full := linalg.NewVector(lay.dim)
 	copy(full, x)
-	full[lay.gIdx()] = maxPairGap(s, in.rows, full[lay.pIdx(0):lay.gIdx()]) + 1
+	full[lay.gIdx()] = maxPairGap(in.rows, full[lay.pIdx(0):lay.gIdx()]) + 1
 	return full, nil
 }
 
@@ -558,7 +532,7 @@ func (in *sweepInstance) offsets() {
 // syncRows copies the rows' offsets into the barrier program's
 // temperature and gradient-pair constraints (none on a rows-only plan).
 func (in *sweepInstance) syncRows() {
-	tmax := in.plan.ts.TMax
+	tmax := in.plan.p.TMax
 	for i, c := range in.temp {
 		c.B = in.rows[i].c0 - tmax
 	}
@@ -572,7 +546,7 @@ func (in *sweepInstance) syncRows() {
 func (in *sweepInstance) setTarget(ftarget float64) *Spec {
 	pl := in.plan
 	if in.work != nil {
-		in.work.B = pl.workScale * ftarget / pl.ts.Chip.FMax()
+		in.work.B = pl.workScale * ftarget / pl.p.Chip.FMax()
 	}
 	in.spec.FTarget = ftarget
 	return &in.spec
@@ -670,7 +644,7 @@ func (in *sweepInstance) warmSeed(s *Spec) (linalg.Vector, float64) {
 			// derived warm barrier weight — close to the optimum: tgrad at
 			// the optimum sits on the max pair gap, and every 0.1 °C of
 			// extra slack here costs the warm solve an extra outer stage.
-			x[lay.gIdx()] = maxPairGap(s, in.rows, pn) + 0.05
+			x[lay.gIdx()] = maxPairGap(in.rows, pn) + 0.05
 		}
 		// Suboptimality bound: the seed costs obj(x); the new optimum
 		// costs at least the neighbor's obj(prevX) minus its solve

@@ -18,12 +18,9 @@ var (
 func sweepSpec(t *testing.T, v Variant) TableSpec {
 	f := niagaraFixture(t)
 	return TableSpec{
-		Chip:     f.chip,
-		Window:   f.window,
-		TMax:     100,
+		Problem:  Problem{Chip: f.chip, Window: f.window, TMax: 100, Variant: v},
 		TStarts:  sweepTStarts,
 		FTargets: sweepFTargets,
-		Variant:  v,
 	}
 }
 
@@ -45,8 +42,9 @@ func TestSweepMatchesColdPath(t *testing.T) {
 			for ti, tstart := range ts.TStarts {
 				for fi, ftarget := range ts.FTargets {
 					cold, err := SolveContext(context.Background(), &Spec{
-						Chip: ts.Chip, Window: ts.Window, TStart: tstart,
-						TMax: ts.TMax, FTarget: ftarget, Variant: v,
+						Problem: ts.Problem,
+						TStart:  tstart,
+						FTarget: ftarget,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -14,31 +14,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"protemp/internal/power"
-	"protemp/internal/thermal"
 )
 
 // TableSpec drives Phase-1 table generation (the paper's Fig. 3): the
 // convex program is solved at every (TStart, FTarget) grid point and
 // the resulting frequency vectors are stored for run-time lookup.
 type TableSpec struct {
-	Chip    *power.Chip
-	Window  *thermal.WindowResponse
-	TMax    float64
+	Problem
 	TStarts []float64 // ascending °C grid of starting temperatures
 	// FTargets is the ascending Hz grid of required average frequencies.
 	FTargets []float64
-	Variant  Variant
-	// GradWeight / GradStride forward to Spec for VariantGradient.
-	GradWeight float64
-	GradStride int
 	// Workers bounds parallel solves; zero means GOMAXPROCS. The sweep
 	// parallelizes over TStart rows (each row is one warm-start chain),
 	// so effective parallelism is additionally capped at len(TStarts).
 	Workers int
-	// ConstrainAllBlocks forwards to Spec.
-	ConstrainAllBlocks bool
 	// Observer, if non-nil, is invoked after every grid-point solve with
 	// sweep progress. Calls are serialized but may come from any worker
 	// goroutine; a slow observer slows the sweep. Like Workers it
@@ -90,11 +79,7 @@ func DefaultFTargets(fmax float64) []float64 {
 
 // Validate checks the table spec.
 func (ts *TableSpec) Validate() error {
-	probe := Spec{
-		Chip: ts.Chip, Window: ts.Window, TMax: ts.TMax,
-		Variant: ts.Variant, GradWeight: ts.GradWeight, GradStride: ts.GradStride,
-	}
-	if err := probe.Validate(); err != nil {
+	if err := ts.Problem.Validate(); err != nil {
 		return err
 	}
 	if len(ts.TStarts) == 0 || len(ts.FTargets) == 0 {
@@ -181,9 +166,9 @@ func (s TableStats) IterationsSaved() int {
 // power models, fixed uncore powers), the thermal window (the horizon
 // and the discretization: the step and the entries of A, B and the
 // ambient drive D), the temperature limit, both grids, and the model
-// variant with its tuning. Specs with equal keys generate
-// interchangeable tables, so the key is what table caches index by.
-// Workers is deliberately excluded — it changes cost, not content.
+// variant. Specs with equal keys generate interchangeable tables, so
+// the key is what table caches index by. Workers and Observer are
+// deliberately excluded — they change cost, not content.
 func (ts TableSpec) CacheKey() string {
 	h := sha256.New()
 	put := func(vs ...float64) {
@@ -193,7 +178,7 @@ func (ts TableSpec) CacheKey() string {
 			h.Write(buf[:])
 		}
 	}
-	io.WriteString(h, "protemp-table-v2\x00")
+	io.WriteString(h, "protemp-table-v3\x00")
 	if ts.Chip != nil {
 		fp := ts.Chip.Floorplan()
 		for i := 0; i < fp.NumBlocks(); i++ {
@@ -217,12 +202,7 @@ func (ts TableSpec) CacheKey() string {
 		}
 		put(d.D...)
 	}
-	put(ts.TMax, float64(ts.Variant), ts.GradWeight, float64(ts.GradStride))
-	if ts.ConstrainAllBlocks {
-		put(1)
-	} else {
-		put(0)
-	}
+	put(ts.TMax, float64(ts.Variant))
 	put(float64(len(ts.TStarts)))
 	put(ts.TStarts...)
 	put(float64(len(ts.FTargets)))
@@ -257,7 +237,7 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan, err := compileSweep(ts, nil)
+	plan, err := compileSweep(ts.Problem, nil)
 	if err != nil {
 		return nil, err
 	}

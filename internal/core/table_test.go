@@ -23,9 +23,7 @@ func testTable(t *testing.T) *Table {
 	f := niagaraFixture(t)
 	tblOnce.Do(func() {
 		tbl, tblErr = GenerateTable(context.Background(), TableSpec{
-			Chip:     f.chip,
-			Window:   f.window,
-			TMax:     100,
+			Problem:  Problem{Chip: f.chip, Window: f.window, TMax: 100},
 			TStarts:  []float64{47, 67, 87, 100},
 			FTargets: []float64{200e6, 400e6, 600e6, 800e6, 1000e6},
 		})
@@ -175,17 +173,18 @@ func TestReadTableJSONRejectsCorrupt(t *testing.T) {
 func TestTableSpecValidate(t *testing.T) {
 	f := niagaraFixture(t)
 	good := TableSpec{
-		Chip: f.chip, Window: f.window, TMax: 100,
-		TStarts: []float64{50}, FTargets: []float64{1e8},
+		Problem:  Problem{Chip: f.chip, Window: f.window, TMax: 100},
+		TStarts:  []float64{50},
+		FTargets: []float64{1e8},
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good spec rejected: %v", err)
 	}
 	bad := []TableSpec{
-		{Chip: f.chip, Window: f.window, TMax: 100, TStarts: nil, FTargets: []float64{1e8}},
-		{Chip: f.chip, Window: f.window, TMax: 100, TStarts: []float64{60, 50}, FTargets: []float64{1e8}},
-		{Chip: f.chip, Window: f.window, TMax: 100, TStarts: []float64{50}, FTargets: []float64{2e9}},
-		{Chip: f.chip, Window: f.window, TMax: 100, TStarts: []float64{50}, FTargets: []float64{2e8, 1e8}},
+		{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, TStarts: nil, FTargets: []float64{1e8}},
+		{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, TStarts: []float64{60, 50}, FTargets: []float64{1e8}},
+		{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, TStarts: []float64{50}, FTargets: []float64{2e9}},
+		{Problem: Problem{Chip: f.chip, Window: f.window, TMax: 100}, TStarts: []float64{50}, FTargets: []float64{2e8, 1e8}},
 	}
 	for i, ts := range bad {
 		if err := ts.Validate(); err == nil {
@@ -254,12 +253,9 @@ func TestNewControllerRejects(t *testing.T) {
 func TestGenerateTableUniformVariant(t *testing.T) {
 	f := niagaraFixture(t)
 	tb, err := GenerateTable(context.Background(), TableSpec{
-		Chip:     f.chip,
-		Window:   f.window,
-		TMax:     100,
+		Problem:  Problem{Chip: f.chip, Window: f.window, TMax: 100, Variant: VariantUniform},
 		TStarts:  []float64{47, 87},
 		FTargets: []float64{300e6, 600e6},
-		Variant:  VariantUniform,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,31 +295,41 @@ func TestDefaultFTargetsExact(t *testing.T) {
 	}
 }
 
+// TestTableSpecCacheKey pins what the key covers: it ignores what
+// changes cost, not content (Workers, Observer), and separates specs
+// that differ in the limit, the variant, either grid or the window.
 func TestTableSpecCacheKey(t *testing.T) {
 	f := niagaraFixture(t)
 	base := func() TableSpec {
 		return TableSpec{
-			Chip: f.chip, Window: f.window, TMax: 100,
-			TStarts: []float64{47, 67}, FTargets: []float64{2e8, 4e8},
+			Problem:  Problem{Chip: f.chip, Window: f.window, TMax: 100},
+			TStarts:  []float64{47, 67},
+			FTargets: []float64{2e8, 4e8},
 		}
 	}
-	a, b := base(), base()
-	if a.CacheKey() != b.CacheKey() {
-		t.Fatal("identical specs produced different keys")
+	a := base()
+	for i, mutate := range []func(*TableSpec){
+		func(s *TableSpec) {},
+		func(s *TableSpec) { s.Workers = 3 },
+		func(s *TableSpec) { s.Observer = func(SweepProgress) {} },
+	} {
+		b := base()
+		mutate(&b)
+		if a.CacheKey() != b.CacheKey() {
+			t.Fatalf("cost-only mutation %d changed the key", i)
+		}
 	}
-	// Workers changes cost, not content: same key.
-	b.Workers = 3
-	if a.CacheKey() != b.CacheKey() {
-		t.Fatal("Workers leaked into the cache key")
+	short, err := f.window.Discrete().Window(f.window.Steps() / 2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	distinct := []func(*TableSpec){
 		func(s *TableSpec) { s.TMax = 95 },
 		func(s *TableSpec) { s.Variant = VariantUniform },
+		func(s *TableSpec) { s.Variant = VariantGradient },
 		func(s *TableSpec) { s.TStarts = []float64{47, 87} },
 		func(s *TableSpec) { s.FTargets = []float64{2e8, 4e8, 6e8} },
-		func(s *TableSpec) { s.GradWeight = 2 },
-		func(s *TableSpec) { s.GradStride = 3 },
-		func(s *TableSpec) { s.ConstrainAllBlocks = true },
+		func(s *TableSpec) { s.Window = short },
 	}
 	seen := map[string]int{a.CacheKey(): -1}
 	for i, mutate := range distinct {
@@ -360,8 +366,9 @@ func TestTableSpecCacheKeyCoversDiscretization(t *testing.T) {
 			t.Fatal(err)
 		}
 		return TableSpec{
-			Chip: f.chip, Window: window, TMax: 100,
-			TStarts: []float64{47, 67}, FTargets: []float64{2e8, 4e8},
+			Problem:  Problem{Chip: f.chip, Window: window, TMax: 100},
+			TStarts:  []float64{47, 67},
+			FTargets: []float64{2e8, 4e8},
 		}.CacheKey()
 	}
 	if key(45) != key(45) {
@@ -377,8 +384,9 @@ func TestGenerateTableCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := GenerateTable(ctx, TableSpec{
-		Chip: f.chip, Window: f.window, TMax: 100,
-		TStarts: []float64{47, 67, 87}, FTargets: []float64{2e8, 4e8, 6e8},
+		Problem:  Problem{Chip: f.chip, Window: f.window, TMax: 100},
+		TStarts:  []float64{47, 67, 87},
+		FTargets: []float64{2e8, 4e8, 6e8},
 	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)

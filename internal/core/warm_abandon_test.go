@@ -54,7 +54,7 @@ func TestRejectedWarmStartIsAbandonedEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ol, err := core.NewBarrierOnlineSolver(core.OnlineSpec{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: e.Variant()})
+	ol, err := core.NewBarrierOnlineSolver(core.Problem{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: e.Variant()})
 	if err != nil {
 		t.Fatal(err)
 	}

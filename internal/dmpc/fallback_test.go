@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"protemp"
+	"protemp/internal/core"
 	"protemp/internal/dmpc"
 	"protemp/internal/floorplan"
 	"protemp/internal/power"
-	"protemp/internal/thermal"
 )
 
 // TestCentralFallbackCountsLikeOnlineSession pins the centralized
@@ -40,8 +40,8 @@ func TestCentralFallbackCountsLikeOnlineSession(t *testing.T) {
 	}
 	newSolver := func(acceptC float64) *dmpc.Solver {
 		s, err := dmpc.New(dmpc.Config{
-			Chip: chip, Window: e.Window(), Params: thermal.DefaultParams(), TMax: tmax,
-			Opts: dmpc.Options{Clusters: 2, MaxOuter: 1, PrimalTolC: 1e-9, AcceptTolC: acceptC, Workers: 1},
+			Problem: core.Problem{Chip: chip, Window: e.Window(), TMax: tmax},
+			Opts:    dmpc.Options{Clusters: 2, MaxOuter: 1, PrimalTolC: 1e-9, AcceptTolC: acceptC, Workers: 1},
 		})
 		if err != nil {
 			t.Fatal(err)

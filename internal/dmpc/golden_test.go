@@ -27,7 +27,6 @@ type goldenRig struct {
 	chip   *power.Chip
 	disc   *thermal.Discrete
 	window *thermal.WindowResponse
-	params thermal.Params
 }
 
 func newGoldenRig(t *testing.T) *goldenRig {
@@ -50,7 +49,7 @@ func newGoldenRig(t *testing.T) *goldenRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &goldenRig{chip: chip, disc: disc, window: window, params: params}
+	return &goldenRig{chip: chip, disc: disc, window: window}
 }
 
 func (r *goldenRig) trace(t *testing.T, seed int64) *workload.Trace {
@@ -65,11 +64,7 @@ func (r *goldenRig) trace(t *testing.T, seed int64) *workload.Trace {
 func (r *goldenRig) dmpcSolver(t *testing.T, v core.Variant, clusters int) *dmpc.Solver {
 	t.Helper()
 	sol, err := dmpc.New(dmpc.Config{
-		Chip:    r.chip,
-		Window:  r.window,
-		Params:  r.params,
-		TMax:    goldenTMax,
-		Variant: v,
+		Problem: core.Problem{Chip: r.chip, Window: r.window, TMax: goldenTMax, Variant: v},
 		Opts:    dmpc.Options{Clusters: clusters},
 	})
 	if err != nil {
@@ -81,7 +76,7 @@ func (r *goldenRig) dmpcSolver(t *testing.T, v core.Variant, clusters int) *dmpc
 // online is the centralized online MPC policy.
 func (r *goldenRig) online(t *testing.T, v core.Variant) *sim.ProTemp {
 	t.Helper()
-	ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: r.chip, Window: r.window, TMax: goldenTMax, Variant: v})
+	ol, err := core.NewOnlineSolver(core.Problem{Chip: r.chip, Window: r.window, TMax: goldenTMax, Variant: v})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"protemp/internal/core"
 	"protemp/internal/floorplan"
 	"protemp/internal/obs"
 	"protemp/internal/power"
-	"protemp/internal/thermal"
 )
 
 // TestManyCoreWindowScreened solves one hot 64-core distributed window
@@ -29,9 +29,8 @@ func TestManyCoreWindowScreened(t *testing.T) {
 	}
 	const steps, tmax = 100, 100.0
 	s, err := New(Config{
-		Chip: chip, Window: chipWindow(t, chip, 0.4e-3, steps), Params: thermal.DefaultParams(),
-		TMax: tmax,
-		Opts: Options{Workers: 2},
+		Problem: core.Problem{Chip: chip, Window: chipWindow(t, chip, 0.4e-3, steps), TMax: tmax},
+		Opts:    Options{Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

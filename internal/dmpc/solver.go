@@ -94,19 +94,16 @@ func (o Options) withDefaults(nCores int) Options {
 	return o
 }
 
-// Config assembles a distributed solver: the chip being controlled, its
-// full-chip window (the central fallback rung compiles from it, the
-// partition reads its RC model, and every cluster takes its step and
-// horizon) and the thermal parameters the cluster sub-chips are
-// modeled with. The window must be the Euler discretization of a model
-// built from those Params; New rejects any other (sameMemberRows).
+// Config assembles a distributed solver: the full-chip problem and the
+// decomposition's options. The central fallback rung compiles the
+// problem itself; the partition reads its window's RC model, and every
+// cluster sub-chip is modeled with that model's parameters and takes
+// the window's step and horizon. The window must be the Euler
+// discretization of its RC model; New rejects any other
+// (sameMemberRows).
 type Config struct {
-	Chip    *power.Chip
-	Window  *thermal.WindowResponse
-	Params  thermal.Params
-	TMax    float64
-	Variant core.Variant
-	Opts    Options
+	core.Problem
+	Opts Options
 }
 
 // StepStats reports one distributed window solve: the cluster
@@ -217,15 +214,12 @@ type clusterSub struct {
 // subproblem per cluster through the same compile/instantiate path the
 // centralized online solver uses.
 func New(cfg Config) (*Solver, error) {
-	if cfg.Chip == nil {
-		return nil, fmt.Errorf("dmpc: nil chip")
+	if err := cfg.Problem.Validate(); err != nil {
+		return nil, err
 	}
 	fp := cfg.Chip.Floorplan()
-	if cfg.Window == nil || cfg.Window.Discrete().NumNodes() != fp.NumBlocks() {
+	if cfg.Window.Discrete().NumNodes() != fp.NumBlocks() {
 		return nil, fmt.Errorf("dmpc: window does not model the chip's %d blocks", fp.NumBlocks())
-	}
-	if cfg.TMax <= 0 {
-		return nil, fmt.Errorf("dmpc: non-positive tmax %g", cfg.TMax)
 	}
 	opts := cfg.Opts.withDefaults(cfg.Chip.NumCores())
 	part, err := NewPartition(fp, cfg.Window.Discrete().Model(), opts.Clusters)
@@ -366,7 +360,7 @@ func (s *Solver) buildCluster(cl *Cluster) (*clusterSub, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := thermal.NewRC(sub, s.cfg.Params)
+	model, err := thermal.NewRC(sub, s.cfg.Window.Discrete().Model().Params())
 	if err != nil {
 		return nil, err
 	}
@@ -381,12 +375,7 @@ func (s *Solver) buildCluster(cl *Cluster) (*clusterSub, error) {
 	if err != nil {
 		return nil, err
 	}
-	ol, err := core.NewOnlineSolver(core.OnlineSpec{
-		Chip:    chip,
-		Window:  window,
-		TMax:    s.cfg.TMax,
-		Variant: s.cfg.Variant,
-	})
+	ol, err := core.NewOnlineSolver(core.Problem{Chip: chip, Window: window, TMax: s.cfg.TMax, Variant: s.cfg.Variant})
 	if err != nil {
 		return nil, err
 	}
@@ -414,9 +403,9 @@ func (s *Solver) buildCluster(cl *Cluster) (*clusterSub, error) {
 // index = position in globals): the same rows of A and B, and the same
 // ambient drive, within rounding. A member's neighbors all lie in its
 // cluster or halo, so the two differ only in the order its conductances
-// were summed; a full-chip window of other thermal parameters, another
-// discretization or a gain error fails, and the central rung and the
-// clusters would otherwise constrain different plants.
+// were summed; a full-chip window of another discretization or with a
+// gain error fails, and the central rung and the clusters would
+// otherwise constrain different plants.
 func sameMemberRows(sub, full *thermal.Discrete, globals []int, members int) error {
 	local := make([]int, full.NumNodes())
 	for i := range local {
@@ -438,7 +427,7 @@ func sameMemberRows(sub, full *thermal.Discrete, globals []int, members int) err
 			}
 		}
 		if !ok {
-			return fmt.Errorf("dmpc: the window's discretization differs from the Euler model of Params at block %d", g)
+			return fmt.Errorf("dmpc: the window's discretization differs from the Euler model of its RC network at block %d", g)
 		}
 	}
 	return nil
@@ -732,12 +721,7 @@ func (s *Solver) fallback(ctx context.Context, tstart float64, t0g []float64, ft
 // assignment.
 func (s *Solver) centralSolve(ctx context.Context, tstart float64, t0g []float64, ftarget float64, stats *StepStats) (*core.Assignment, error) {
 	s.centralOnce.Do(func() {
-		s.central, s.centralErr = core.NewOnlineSolver(core.OnlineSpec{
-			Chip:    s.cfg.Chip,
-			Window:  s.cfg.Window,
-			TMax:    s.cfg.TMax,
-			Variant: s.cfg.Variant,
-		})
+		s.central, s.centralErr = core.NewOnlineSolver(s.cfg.Problem)
 	})
 	if s.centralErr != nil {
 		return nil, s.centralErr

@@ -20,11 +20,8 @@ func niagaraSolver(t *testing.T, opts Options) *Solver {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Chip:   chip,
-		Window: chipWindow(t, chip, 1e-3, 100),
-		Params: thermal.DefaultParams(),
-		TMax:   100,
-		Opts:   opts,
+		Problem: core.Problem{Chip: chip, Window: chipWindow(t, chip, 1e-3, 100), TMax: 100},
+		Opts:    opts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +160,8 @@ func TestManyCoreSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Chip:   chip,
-		Window: chipWindow(t, chip, 0.4e-3, 100),
-		Params: thermal.DefaultParams(),
-		TMax:   100,
-		Opts:   Options{Workers: 4},
+		Problem: core.Problem{Chip: chip, Window: chipWindow(t, chip, 0.4e-3, 100), TMax: 100},
+		Opts:    Options{Workers: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,25 +201,17 @@ func TestConfigRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	window := chipWindow(t, chip, 1e-3, 100)
-	// Windows of the right chip that are not the Euler model of the
-	// config's Params: another ambient, the exact discretization and a
-	// gain error.
-	cool := thermal.DefaultParams()
-	cool.Ambient = 30
-	coolModel, err := thermal.NewRC(chip.Floorplan(), cool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Windows of the right chip that are not the Euler model of their
+	// RC network: the exact discretization and a gain error.
 	mismatched := []func() (*thermal.Discrete, error){
-		func() (*thermal.Discrete, error) { return coolModel.Discretize(1e-3) },
 		func() (*thermal.Discrete, error) { return window.Discrete().Model().DiscretizeExact(1e-3) },
 		func() (*thermal.Discrete, error) { return window.Discrete().WithGainError(1.1) },
 	}
 	bad := []Config{
-		{Window: window, Params: thermal.DefaultParams(), TMax: 100},
-		{Chip: chip, Params: thermal.DefaultParams(), TMax: 100},
-		{Chip: chip, Window: chipWindow(t, other, 1e-3, 100), Params: thermal.DefaultParams(), TMax: 100},
-		{Chip: chip, Window: window, Params: thermal.DefaultParams(), TMax: 0},
+		{Problem: core.Problem{Window: window, TMax: 100}},
+		{Problem: core.Problem{Chip: chip, TMax: 100}},
+		{Problem: core.Problem{Chip: chip, Window: chipWindow(t, other, 1e-3, 100), TMax: 100}},
+		{Problem: core.Problem{Chip: chip, Window: window, TMax: 0}},
 	}
 	for _, build := range mismatched {
 		disc, err := build()
@@ -236,7 +222,7 @@ func TestConfigRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bad = append(bad, Config{Chip: chip, Window: w, Params: thermal.DefaultParams(), TMax: 100})
+		bad = append(bad, Config{Problem: core.Problem{Chip: chip, Window: w, TMax: 100}})
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -266,9 +252,8 @@ func TestClusterPeakTempMatchesForwardSim(t *testing.T) {
 	const target = 0.6e9
 	for _, v := range []core.Variant{core.VariantVariable, core.VariantUniform, core.VariantGradient} {
 		s, err := New(Config{
-			Chip: chip, Window: chipWindow(t, chip, 1e-3, 100), Params: thermal.DefaultParams(),
-			TMax: 100, Variant: v,
-			Opts: Options{Clusters: 2},
+			Problem: core.Problem{Chip: chip, Window: chipWindow(t, chip, 1e-3, 100), TMax: 100, Variant: v},
+			Opts:    Options{Clusters: 2},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -332,8 +317,8 @@ func TestConsensusMapMatchesDense(t *testing.T) {
 				t.Fatal(err)
 			}
 			s, err := New(Config{
-				Chip: chip, Window: chipWindow(t, chip, 1e-3, 100), Params: thermal.DefaultParams(),
-				TMax: 100, Opts: Options{Clusters: tc.clusters, MaxOuter: 1},
+				Problem: core.Problem{Chip: chip, Window: chipWindow(t, chip, 1e-3, 100), TMax: 100},
+				Opts:    Options{Clusters: tc.clusters, MaxOuter: 1},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -140,9 +140,7 @@ func NewSetup(ctx context.Context, fid Fidelity) (*Setup, error) {
 		return nil, err
 	}
 	table, err := core.GenerateTable(ctx, core.TableSpec{
-		Chip:     chip,
-		Window:   window,
-		TMax:     TMax,
+		Problem:  core.Problem{Chip: chip, Window: window, TMax: TMax},
 		TStarts:  fid.TableTStarts,
 		FTargets: fid.TableFTargets,
 	})
@@ -171,14 +169,12 @@ func NewSetup(ctx context.Context, fid Fidelity) (*Setup, error) {
 	}, nil
 }
 
+// Problem returns the window program of this setup at a variant.
+func (s *Setup) Problem(variant core.Variant) core.Problem {
+	return core.Problem{Chip: s.Chip, Window: s.Window, TMax: TMax, Variant: variant}
+}
+
 // Spec returns a solve spec against this setup.
 func (s *Setup) Spec(tstart, ftarget float64, variant core.Variant) *core.Spec {
-	return &core.Spec{
-		Chip:    s.Chip,
-		Window:  s.Window,
-		TStart:  tstart,
-		TMax:    TMax,
-		FTarget: ftarget,
-		Variant: variant,
-	}
+	return &core.Spec{Problem: s.Problem(variant), TStart: tstart, FTarget: ftarget}
 }

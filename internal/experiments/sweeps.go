@@ -188,9 +188,7 @@ func (s *Setup) Section51(ctx context.Context) (*CostResult, error) {
 
 	start = time.Now()
 	tbl, err := core.GenerateTable(ctx, core.TableSpec{
-		Chip:     s.Chip,
-		Window:   s.Window,
-		TMax:     TMax,
+		Problem:  s.Problem(core.VariantVariable),
 		TStarts:  s.Fid.TableTStarts,
 		FTargets: s.Fid.TableFTargets,
 	})

@@ -617,7 +617,7 @@ func (r *Runner) buildPolicy(ctx context.Context, p PolicySpec, tmax float64, fl
 		// No Phase-1 table: the problem is compiled here, once, and every
 		// window's solve starts from the previous window's result; the
 		// histogram feeds the Summary's per-window latency quantiles.
-		ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: chip, Window: r.eng.Window(), TMax: tmax, Variant: v})
+		ol, err := core.NewOnlineSolver(core.Problem{Chip: chip, Window: r.eng.Window(), TMax: tmax, Variant: v})
 		if err != nil {
 			return nil, "", err
 		}

@@ -18,7 +18,7 @@ func tablePolicy(r rig) *ProTemp {
 // onlinePolicy is the online MPC policy over the rig's chip.
 func onlinePolicy(t *testing.T, r rig, window *thermal.WindowResponse) *ProTemp {
 	t.Helper()
-	ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: r.chip, Window: window, TMax: 100})
+	ol, err := core.NewOnlineSolver(core.Problem{Chip: r.chip, Window: window, TMax: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,7 @@ func testRig(t *testing.T) rig {
 			return
 		}
 		table, err := core.GenerateTable(context.Background(), core.TableSpec{
-			Chip:     chip,
-			Window:   window,
-			TMax:     100,
+			Problem:  core.Problem{Chip: chip, Window: window, TMax: 100},
 			TStarts:  []float64{47, 57, 67, 77, 87, 97, 100},
 			FTargets: []float64{125e6, 250e6, 375e6, 500e6, 625e6, 750e6, 875e6, 1000e6},
 		})

@@ -163,9 +163,15 @@ func Decode(r io.Reader) (*core.Table, error) {
 	default:
 		return nil, fmt.Errorf("tablestore: unknown codec %d", codecByte)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(payloadSrc, payload); err != nil {
+	// Read what is there rather than allocating the claimed length up
+	// front: a 55-byte header claiming a 1 GiB payload would otherwise
+	// cost 1 GiB before the short read fails.
+	payload, err := io.ReadAll(io.LimitReader(payloadSrc, int64(length)))
+	if err != nil {
 		return nil, fmt.Errorf("tablestore: read payload: %w", err)
+	}
+	if uint64(len(payload)) != length {
+		return nil, fmt.Errorf("tablestore: read payload: %w", io.ErrUnexpectedEOF)
 	}
 	if got := sha256.Sum256(payload); got != sum {
 		return nil, fmt.Errorf("tablestore: payload checksum mismatch (corrupt file)")

@@ -2,8 +2,10 @@ package tablestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -107,6 +109,29 @@ func TestDecodeRejectsImplausibleLength(t *testing.T) {
 	}
 }
 
+// TestDecodeShortPayloadAllocatesLittle: a plausible length that the
+// payload does not back must fail on the short read having allocated
+// about what the input holds, not the claimed length.
+func TestDecodeShortPayloadAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeCodec(&buf, testTable(), CodecJSON); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	// Length lives after magic (8), version (4) and codec (1).
+	binary.LittleEndian.PutUint64(b[13:21], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a payload shorter than its length decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a %d-byte input claiming 1 GiB allocated %d bytes", len(b), got)
+	}
+}
+
 func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Encode(&buf, testTable()); err != nil {
@@ -193,4 +218,38 @@ func TestStoreLoadCorruptFile(t *testing.T) {
 	if _, err := s.Load(key); err == nil || err == ErrNotFound {
 		t.Fatalf("corrupt file: got %v", err)
 	}
+}
+
+// FuzzDecode feeds Decode arbitrary bytes, seeded with a valid
+// envelope, the envelope truncated, the envelope with one payload byte
+// flipped, a legacy bare-JSON table and empty input. Decode must never
+// panic, and any table it accepts must pass Table.Validate.
+func FuzzDecode(f *testing.F) {
+	var env bytes.Buffer
+	if err := EncodeCodec(&env, testTable(), CodecJSON); err != nil {
+		f.Fatal(err)
+	}
+	valid := env.Bytes()
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-2] ^= 0xff
+	var legacy bytes.Buffer
+	if err := testTable().WriteJSON(&legacy); err != nil {
+		f.Fatal(err)
+	}
+	var gz bytes.Buffer
+	if err := Encode(&gz, testTable()); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{valid, valid[:len(valid)/2], flipped, legacy.Bytes(), gz.Bytes(), nil} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := tbl.Validate(); err != nil {
+			t.Fatalf("Decode accepted a table that fails Validate: %v", err)
+		}
+	})
 }

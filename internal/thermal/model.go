@@ -157,6 +157,9 @@ func (m *RCModel) NumNodes() int { return m.n }
 // Floorplan returns the underlying floorplan.
 func (m *RCModel) Floorplan() *floorplan.Floorplan { return m.fp }
 
+// Params returns the physical constants the network was built from.
+func (m *RCModel) Params() Params { return m.params }
+
 // Ambient returns the ambient temperature in °C.
 func (m *RCModel) Ambient() float64 { return m.ambient }
 

@@ -98,12 +98,7 @@ func (e *Engine) NewSessionFromTable(table *core.Table) (*Session, error) {
 // optimum for the gradient one (cold ladder as fallback) — which is
 // what makes the per-window solve cheap enough to serve live traffic.
 func (e *Engine) NewOnlineSession() (*Session, error) {
-	ol, err := core.NewOnlineSolver(core.OnlineSpec{
-		Chip:    e.chip,
-		Window:  e.window,
-		TMax:    e.cfg.tmax,
-		Variant: e.cfg.variant,
-	})
+	ol, err := core.NewOnlineSolver(e.problem(e.cfg.variant, 0))
 	if err != nil {
 		return nil, err
 	}

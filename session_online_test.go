@@ -35,12 +35,9 @@ func coldStepDecide(t *testing.T, e *Engine, v core.Variant, st sim.WindowState)
 		required = 0.1 * fmax
 	}
 	spec := &core.Spec{
-		Chip:    e.Chip(),
-		Window:  e.Window(),
-		TMax:    e.TMax(),
+		Problem: core.Problem{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: v},
 		TStart:  st.MaxCoreTemp,
 		FTarget: required,
-		Variant: v,
 		T0:      st.BlockTemps,
 	}
 	a, err := core.Solve(spec)
@@ -210,8 +207,9 @@ func TestOnlineSessionCancelDoesNotPoisonWarmState(t *testing.T) {
 		t.Fatalf("step after cancellations: %v", err)
 	}
 	cold, err := core.Solve(&core.Spec{
-		Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(),
-		FTarget: 0.55 * fmax, T0: next,
+		Problem: core.Problem{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax()},
+		FTarget: 0.55 * fmax,
+		T0:      next,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +283,7 @@ func TestCertifiedWindowsAreInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: e.Variant()})
+	ol, err := core.NewOnlineSolver(core.Problem{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: e.Variant()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +305,9 @@ func TestCertifiedWindowsAreInfeasible(t *testing.T) {
 	}
 	for i, c := range probe.cases {
 		s := &core.Spec{
-			Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: e.Variant(),
-			TStart: c.tstart, FTarget: c.ftarget,
+			Problem: core.Problem{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax(), Variant: e.Variant()},
+			TStart:  c.tstart,
+			FTarget: c.ftarget,
 		}
 		if c.t0 != nil {
 			s.T0 = c.t0
